@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 configuration error, 2 data/model-file error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -185,9 +187,19 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a uniquely named temp file in the target directory, then rename."""
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _json_text(obj) -> str:

@@ -4,6 +4,18 @@ Leaf weights minimize the penalized per-leaf objective
 ``G*w + 0.5*(H + lambda2)*w**2 + lambda1*|w|`` whose closed form is the
 soft-thresholded Newton step; split quality is the standard structural gain
 of that objective (lambda2 only) minus a per-leaf penalty gamma.
+
+Split search is exact and histogram-based. Each column of the training
+matrix is ranked once per fit, with one bin per distinct value. At each
+node, one ``np.bincount`` over the node's bin ids gives the row counts,
+one the gradient sums and one the hessian sums, for all columns at once.
+A candidate split lies between two consecutive bins of one column that
+both hold rows of the node. Those two bins are adjacent distinct values
+of the node's rows, so the candidates and their midpoint thresholds are
+those of an exhaustive search over sorted values. Candidates are scored
+in (column, threshold) order and the first maximum wins: ties go to the
+lowest column, then the lowest threshold. Quantile binning would change
+the candidates, and sibling subtraction the sums, so the search uses neither.
 """
 
 from __future__ import annotations
@@ -106,62 +118,112 @@ def split_gain(
     ) - gamma
 
 
-def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig):
-    """Exact greedy search over all (feature, midpoint) candidates.
+@dataclass(frozen=True)
+class RankedMatrix:
+    """A feature matrix ranked once per fit: one histogram bin per distinct value.
 
-    Ties break to the lowest feature index, then the lowest threshold.
-    Returns (feature, threshold, gain) or None when no candidate has
-    positive gain and admissible child hessians.
+    ``bins[i, f]`` is the flat bin id of ``X[i, f]``: the number of distinct
+    values in columns ``0..f-1`` plus the rank of ``X[i, f]`` among column
+    ``f``'s distinct values. ``values[b]`` and ``feature[b]`` give the value
+    and the column of bin ``b``, so ``values[bins] == X`` exactly.
+    """
+
+    bins: np.ndarray
+    values: np.ndarray
+    feature: np.ndarray
+
+
+def rank_features(dense) -> RankedMatrix:
+    """Rank every column of a finite, non-empty 2-D matrix."""
+    X = np.asarray(dense, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("a non-empty 2-D feature matrix is required")
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix holds non-finite values")
+    bins = np.empty(X.shape, dtype=np.intp)
+    values = []
+    offset = 0
+    for f in range(X.shape[1]):
+        distinct, rank = np.unique(X[:, f], return_inverse=True)
+        bins[:, f] = offset + rank
+        values.append(distinct)
+        offset += distinct.size
+    return RankedMatrix(
+        bins=bins,
+        values=np.concatenate(values) if values else np.empty(0),
+        feature=np.repeat(np.arange(X.shape[1]), [v.size for v in values]),
+    )
+
+
+def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig):
+    """Best (feature, midpoint) split of the rows ``idx`` (see the module docstring).
+
+    ``g`` and ``h`` hold the node's rows only. Returns (feature, threshold,
+    gain) or None when no candidate has positive gain and admissible child
+    hessians.
     """
     g_total = float(g.sum())
     h_total = float(h.sum())
     parent_term = g_total**2 / (h_total + cfg.lambda2) if h_total + cfg.lambda2 > 0.0 else np.inf
-    best: tuple[float, int, float] | None = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if cut.size == 0:
-            continue
-        gl, hl = gl[cut], hl[cut]
-        gr, hr = g_total - gl, h_total - hl
-        ok = (
-            (hl >= cfg.min_child_hessian)
-            & (hr >= cfg.min_child_hessian)
-            & (hl + cfg.lambda2 > 0.0)
-            & (hr + cfg.lambda2 > 0.0)
-        )
-        if not ok.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl**2 / (hl + cfg.lambda2) + gr**2 / (hr + cfg.lambda2) - parent_term) - cfg.gamma
-        gains = np.where(ok, gains, -np.inf)
-        k = int(np.argmax(gains))  # first occurrence = lowest threshold
-        gain = float(gains[k])
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best[0]:
-            threshold = float((xs[cut[k]] + xs[cut[k] + 1]) / 2.0)
-            best = (gain, f, threshold)
-    return None if best is None else (best[1], best[2], best[0])
+    n_bins = ranked.values.size
+    d = ranked.bins.shape[1]
+    flat = ranked.bins[idx].ravel()
+    present = np.flatnonzero(np.bincount(flat, minlength=n_bins))
+    feature = ranked.feature[present]
+    cand = np.flatnonzero(feature[:-1] == feature[1:])
+    if cand.size == 0:
+        return None
+    prefix = np.stack(
+        [
+            np.bincount(flat, weights=np.repeat(g, d), minlength=n_bins)[present],
+            np.bincount(flat, weights=np.repeat(h, d), minlength=n_bins)[present],
+        ],
+        axis=1,
+    )
+    # Prefix sums start from zero for each feature: one running sum across
+    # all features, minus each feature's base, rounds differently. A feature's
+    # last bin is never a candidate, so features with two bins need no sums.
+    bounds = np.searchsorted(feature, np.arange(d + 1))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b - a > 2:
+            prefix[a:b].cumsum(axis=0, out=prefix[a:b])
+    gl, hl = prefix[cand, 0], prefix[cand, 1]
+    gr, hr = g_total - gl, h_total - hl
+    ok = (
+        (hl >= cfg.min_child_hessian)
+        & (hr >= cfg.min_child_hessian)
+        & (hl + cfg.lambda2 > 0.0)
+        & (hr + cfg.lambda2 > 0.0)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (gl**2 / (hl + cfg.lambda2) + gr**2 / (hr + cfg.lambda2) - parent_term) - cfg.gamma
+    gains = np.where(ok, gains, -np.inf)
+    k = int(np.argmax(gains))  # first occurrence = lowest feature, then lowest threshold
+    gain = float(gains[k])
+    if gain <= 0.0:
+        return None
+    lo, hi = present[cand[k]], present[cand[k] + 1]
+    threshold = float((ranked.values[lo] + ranked.values[hi]) / 2.0)
+    return int(feature[cand[k]]), threshold, gain
 
 
-def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, cfg: GBDTConfig) -> Leaf | Split:
-    if depth < cfg.max_depth and X.shape[0] >= 2:
-        found = _best_split(X, g, h, cfg)
+def _grow(
+    ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, cfg: GBDTConfig
+) -> Leaf | Split:
+    g_node, h_node = g[idx], h[idx]
+    if depth < cfg.max_depth and idx.size >= 2:
+        found = _best_split(ranked, idx, g_node, h_node, cfg)
         if found is not None:
             feature, threshold, gain = found
-            mask = X[:, feature] < threshold
+            mask = ranked.values[ranked.bins[idx, feature]] < threshold
             return Split(
                 feature=feature,
                 threshold=threshold,
                 gain=gain,
-                left=_grow(X[mask], g[mask], h[mask], depth + 1, cfg),
-                right=_grow(X[~mask], g[~mask], h[~mask], depth + 1, cfg),
+                left=_grow(ranked, idx[mask], g, h, depth + 1, cfg),
+                right=_grow(ranked, idx[~mask], g, h, depth + 1, cfg),
             )
-    return Leaf(leaf_weight(float(g.sum()), float(h.sum()), cfg.lambda1, cfg.lambda2))
+    return Leaf(leaf_weight(float(g_node.sum()), float(h_node.sum()), cfg.lambda1, cfg.lambda2))
 
 
 def _count_leaves(node: Leaf | Split) -> int:
@@ -171,15 +233,20 @@ def _count_leaves(node: Leaf | Split) -> int:
 
 
 def build_tree(dense, g, h, cfg: GBDTConfig) -> RegTree:
-    """Grow one regression tree by greedy exact split search."""
-    X = np.asarray(dense, dtype=np.float64)
+    """Grow one regression tree by greedy histogram split search.
+
+    ``dense`` is a raw feature matrix or the ``RankedMatrix`` of one; a raw
+    matrix is ranked here, so boosting ranks its training matrix once instead.
+    """
+    ranked = dense if isinstance(dense, RankedMatrix) else rank_features(dense)
+    n = ranked.bins.shape[0]
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("build_tree requires a non-empty 2-D feature matrix")
-    if g.shape != (X.shape[0],) or h.shape != (X.shape[0],):
+    if g.shape != (n,) or h.shape != (n,):
         raise ValueError("g and h must be row-aligned with the feature matrix")
-    root = _grow(X, g, h, 0, cfg)
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        raise ValueError("g and h must be finite")
+    root = _grow(ranked, np.arange(n), g, h, 0, cfg)
     return RegTree(root=root, n_leaves=_count_leaves(root))
 
 
@@ -208,11 +275,12 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig()) -> GBDTModel:
         raise ValueError("training requires both classes to be present")
     base = float(y.mean()) if cfg.base_score is None else cfg.base_score
     raw = np.full(y.size, logit(base))
+    ranked = rank_features(X)
     trees: list[RegTree] = []
     for _ in range(cfg.n_trees):
         p = clip_probs(sigmoid(raw))
         g, h = grad_hess(y, p)
-        tree = build_tree(X, g, h, cfg)
+        tree = build_tree(ranked, g, h, cfg)
         trees.append(tree)
         raw += cfg.learning_rate * _tree_values(tree.root, X)
     return GBDTModel(config=cfg, base_score=base, trees=trees, feature_names=tuple(dm.dense_names))
@@ -226,6 +294,8 @@ def predict_gbdt(model: GBDTModel, dense) -> np.ndarray:
             f"feature width {X.shape[1] if X.ndim == 2 else '?'} does not match "
             f"training width {len(model.feature_names)}"
         )
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix holds non-finite values")
     raw = np.full(X.shape[0], logit(model.base_score))
     for tree in model.trees:
         raw += model.config.learning_rate * _tree_values(tree.root, X)

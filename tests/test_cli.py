@@ -110,6 +110,26 @@ def test_run_is_byte_identical_across_reruns(tmp_path, mini_csv, completed_run):
         assert (out2 / name).read_bytes() == (completed_run["out"] / name).read_bytes()
 
 
+def test_run_ignores_a_stale_temp_name_in_out_dir(tmp_path, mini_csv, completed_run):
+    out = tmp_path / "out"
+    (out / "gbdt.json.tmp").mkdir(parents=True)  # e.g. left by another writer of this out_dir
+    config = _write_config(tmp_path, mini_csv, out)
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert (out / "gbdt.json").read_bytes() == (completed_run["out"] / "gbdt.json").read_bytes()
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == ["gbdt.json.tmp"]
+
+
+def test_write_atomic_keeps_plain_file_mode_and_cleans_up_on_failure(tmp_path):
+    cli._write_atomic(tmp_path / "a.txt", "text\n")
+    (tmp_path / "plain.txt").write_text("text\n", encoding="utf-8")
+    assert (tmp_path / "a.txt").read_bytes() == b"text\n"
+    assert (tmp_path / "a.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        cli._write_atomic(tmp_path / "taken", "text\n")  # cannot replace a directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "plain.txt", "taken"]
+
+
 def test_run_missing_data_file_exits_2_without_artifacts(tmp_path):
     out = tmp_path / "never"
     config = _write_config(tmp_path, tmp_path / "absent.csv", out)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from tabfusion.gbdt import (
     split_gain,
     train_gbdt,
 )
-from tabfusion.metrics import auc, bce
+from tabfusion.metrics import auc, bce, clip_probs
 
 
 def _dm(X, y) -> DesignMatrix:
@@ -164,31 +165,84 @@ def test_build_tree_rejects_empty_or_misaligned():
         build_tree(np.zeros((0, 2)), np.zeros(0), np.zeros(0), GBDTConfig())
     with pytest.raises(ValueError):
         build_tree(np.zeros((3, 2)), np.zeros(2), np.zeros(3), GBDTConfig())
+    X = np.arange(6.0).reshape(3, 2)
+    g, h = np.array([-1.0, 0.0, 1.0]), np.full(3, 0.25)
+    cfg = GBDTConfig(min_child_hessian=0.0)
+    build_tree(X, g, h, cfg)  # the finite inputs are fine
+    for bad in (np.nan, np.inf, -np.inf):
+        for X_bad, g_bad, h_bad in [
+            (np.where(X == 2.0, bad, X), g, h),
+            (X, np.where(g == 0.0, bad, g), h),
+            (X, g, np.where(np.arange(3) == 1, bad, h)),
+        ]:
+            with pytest.raises(ValueError):
+                build_tree(X_bad, g_bad, h_bad, cfg)
+
+
+def _same_tree(node, oracle) -> bool:
+    """Same features and thresholds, node for node, and leaf weights within 1e-9."""
+    if isinstance(node, Leaf):
+        return oracle[0] == "leaf" and abs(node.weight - oracle[1]) <= 1e-9
+    return (
+        oracle[0] == "split"
+        and (node.feature, node.threshold) == oracle[1:3]
+        and _same_tree(node.left, oracle[3])
+        and _same_tree(node.right, oracle[4])
+    )
 
 
 def test_build_tree_matches_brute_force_randomized():
     rng = np.random.default_rng(1234)
+    hessian_bound = 0  # trials where min_child_hessian changes the oracle's tree
     for trial in range(60):
-        n = int(rng.integers(2, 13))
+        n = int(rng.integers(2, 41))
         d = int(rng.integers(1, 5))
-        if rng.random() < 0.5:
-            X = rng.normal(size=(n, d))
-        else:
-            X = rng.integers(0, 3, size=(n, d)).astype(float)  # tied feature values
-        g = rng.normal(size=n)
-        h = rng.uniform(0.05, 1.0, size=n)
+        X = rng.normal(size=(n, d))
+        for f in range(d):
+            kind = rng.integers(0, 5)
+            if kind == 1:
+                X[:, f] = rng.integers(0, 3, size=n)  # many tied values
+            elif kind == 2:
+                X[:, f] = np.round(X[:, f], 1)  # a few ties among many values
+            elif kind == 3:
+                X[:, f] = -0.5  # constant: no candidate at all
+            elif kind == 4 and f > 0:
+                X[:, f] = X[:, f - 1]  # equal gains: the lower feature must win
+        # g and h on a 1/32 grid: every gradient sum is exact in any order, so
+        # equal gains tie exactly in both searches and only the tie rule decides
+        g = rng.integers(-64, 65, size=n) / 32.0
+        h = rng.integers(2, 33, size=n) / 32.0
         cfg = GBDTConfig(
             max_depth=int(rng.integers(1, 4)),
             lambda1=float(rng.uniform(0.0, 0.5)),
             lambda2=float(rng.uniform(0.0, 2.0)),
             gamma=float(rng.uniform(0.0, 0.2)),
-            min_child_hessian=0.0,
+            min_child_hessian=0.0 if trial % 2 == 0 else float(rng.uniform(0.2, 3.0)),
         )
         tree = build_tree(X, g, h, cfg)
         oracle = brute_force_tree(X, g, h, cfg)
-        assert np.allclose(
-            _tree_values(tree.root, X), brute_tree_predict(oracle, X), atol=1e-9
-        ), f"trial {trial} diverged from exhaustive search"
+        assert _same_tree(tree.root, oracle), f"trial {trial} diverged from exhaustive search"
+        assert np.allclose(_tree_values(tree.root, X), brute_tree_predict(oracle, X), atol=1e-9)
+        if cfg.min_child_hessian > 0.0:
+            unbounded = brute_force_tree(X, g, h, replace(cfg, min_child_hessian=0.0))
+            hessian_bound += not _same_tree(tree.root, unbounded)
+    assert hessian_bound >= 5, "min_child_hessian constrained too few of the compared trees"
+
+
+def test_ranked_training_path_matches_raw_build_tree():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(80, 4))
+    X[:, 1] = rng.integers(0, 4, size=80)
+    X[:, 3] = np.round(X[:, 3], 1)
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=80) > 1.0).astype(int)
+    cfg = GBDTConfig(n_trees=0, max_depth=3, lambda1=0.1, min_child_hessian=0.5)
+    for k in (0, 1, 5):
+        model = train_gbdt(_dm(X, y), replace(cfg, n_trees=k))
+        g, h = grad_hess(y, clip_probs(predict_gbdt(model, X)))
+        raw_tree = build_tree(X, g, h, cfg)
+        ranked_tree = train_gbdt(_dm(X, y), replace(cfg, n_trees=k + 1)).trees[k]
+        assert isinstance(raw_tree.root, Split)
+        assert raw_tree == ranked_tree  # same features, thresholds, gains and leaf weights
 
 
 def test_build_tree_large_lambda1_zeroes_all_leaves():
@@ -271,6 +325,9 @@ def test_predict_width_mismatch_rejected():
     model = train_gbdt(_dm(np.arange(8.0).reshape(-1, 2), [0, 1, 0, 1]), GBDTConfig(n_trees=1))
     with pytest.raises(ValueError):
         predict_gbdt(model, np.zeros((2, 5)))
+    for bad in (np.nan, np.inf, -np.inf):  # non-finite rows must not silently take a branch
+        with pytest.raises(ValueError):
+            predict_gbdt(model, [[0.0, 1.0], [bad, 1.0]])
 
 
 def _leaf() -> Leaf:
