@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import FORMAT_VERSION
 from .dataset import (
     DataError,
+    DesignMatrix,
     Schema,
+    TabularDataset,
     apply_transform,
     fit_transform,
     load_csv,
@@ -39,7 +42,6 @@ from .gbdt import GBDTConfig, feature_importance, gbdt_from_dict, gbdt_to_dict, 
 from .metrics import evaluate, format_report_table, roc_curve, roc_points_csv
 from .xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 
-FORMAT_VERSION = 1
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_TRAIN = 0, 1, 2, 3
 
 
@@ -336,31 +338,46 @@ def _load_model_file(path: Path) -> dict:
     return d
 
 
-def _predict_from_file(model_path: Path, data_path: Path) -> np.ndarray:
+def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarray, np.ndarray]:
+    """The model's kind, and its probabilities and the 0/1 labels of every row of data_path.
+
+    An ensemble scores both components from one parse of the CSV, and each
+    distinct fitted transform is applied once: a run writes the same one into both.
+    """
     d = _load_model_file(model_path)
     kind = d.get("kind")
+    parts = [(model_path, d)]
     if kind == "ensemble":
         ens = ensemble_from_dict(d)
-        base = model_path.parent
-        return blend(
-            _predict_from_file(base / ens.gbdt_ref, data_path),
-            _predict_from_file(base / ens.xdeepfm_ref, data_path),
-            ens.alpha,
-        )
-    if "transform" not in d:
-        raise DataError(f"{model_path}: model file carries no fitted transform")
-    ft = transform_from_dict(d["transform"])
-    dm = apply_transform(ft, load_csv(data_path, ft.schema))
-    if kind == "gbdt":
-        return predict_gbdt(gbdt_from_dict(d), dm.dense)
-    if kind == "xdeepfm":
-        return np.asarray(forward(xdeepfm_from_dict(d), dm.cat_indices, dm.dense))
-    raise DataError(f"{model_path}: unknown model kind {kind!r}")
+        paths = [model_path.parent / ens.gbdt_ref, model_path.parent / ens.xdeepfm_ref]
+        parts = [(path, _load_model_file(path)) for path in paths]
+    datasets: dict[Schema, TabularDataset] = {}
+    matrices: list[tuple[dict, DesignMatrix]] = []  # one per distinct fitted transform
+    for path, doc in parts:
+        if "transform" not in doc:
+            raise DataError(f"{path}: model file carries no fitted transform")
+        if all(t != doc["transform"] for t, _ in matrices):
+            ft = transform_from_dict(doc["transform"])
+            if ft.schema not in datasets:
+                datasets[ft.schema] = load_csv(data_path, ft.schema)
+            matrices.append((doc["transform"], apply_transform(ft, datasets[ft.schema])))
+    datasets.clear()  # the parsed cells outweigh the matrices; free them before scoring
+    probs = []
+    for path, doc in parts:
+        dm = next(m for t, m in matrices if t == doc["transform"])
+        if doc.get("kind") == "gbdt":
+            probs.append(predict_gbdt(gbdt_from_dict(doc), dm.dense))
+        elif doc.get("kind") == "xdeepfm":
+            probs.append(np.asarray(forward(xdeepfm_from_dict(doc), dm.cat_indices, dm.dense)))
+        else:
+            raise DataError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    p = blend(probs[0], probs[1], ens.alpha) if kind == "ensemble" else probs[0]
+    return kind, p, matrices[0][1].labels
 
 
 def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int:
     try:
-        probs = _predict_from_file(model_path, data_path)
+        _, probs, _ = _predict_from_file(model_path, data_path)
     except (DataError, ValueError, KeyError) as exc:
         return _fail("predict", exc, EXIT_DATA)
     text = _predictions_csv(probs)
@@ -391,12 +408,8 @@ def cmd_importance(model_path: Path, top_k: int) -> int:
 
 def cmd_evaluate(model_path: Path, data_path: Path, name: str | None, roc_out: Path | None) -> int:
     try:
-        probs = _predict_from_file(model_path, data_path)
-        d = _load_model_file(model_path)
-        ft_source = d if "transform" in d else _load_model_file(model_path.parent / d["gbdt_ref"])
-        ft = transform_from_dict(ft_source["transform"])
-        labels = load_csv(data_path, ft.schema).labels()
-        report = evaluate(name or d.get("kind", "model"), labels, probs)
+        kind, probs, labels = _predict_from_file(model_path, data_path)
+        report = evaluate(name or kind, labels, probs)
     except (DataError, ValueError, KeyError) as exc:
         return _fail("evaluate", exc, EXIT_DATA)
     print(format_report_table([report]))

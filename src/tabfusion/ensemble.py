@@ -9,9 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import FORMAT_VERSION, check_header
 from .metrics import auc
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,7 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
 
 
 def ensemble_from_dict(d: dict) -> EnsembleModel:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
-    if d.get("kind") != "ensemble":
-        raise ValueError(f"expected an ensemble model file, got kind {d.get('kind')!r}")
+    check_header(d, "ensemble")
     return EnsembleModel(
         alpha=d["alpha"],
         gbdt_ref=d["gbdt_ref"],

@@ -16,20 +16,25 @@ those of an exhaustive search over sorted values. Candidates are scored
 in (column, threshold) order and the first maximum wins: ties go to the
 lowest column, then the lowest threshold. Quantile binning would change
 the candidates, and sibling subtraction the sums, so the search uses neither.
+
+Trees are parallel per-node arrays (``Forest``), each tree's nodes in the
+preorder the search grows them in; a model holds all its trees stacked in
+one forest, and ``gbdt.json`` stores those arrays. Prediction walks a block
+of rows through every tree at once, one level per step, and adds the tree
+outputs in boosting order, so it reproduces the training margins bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifact import FORMAT_VERSION, check_header
 from .dataset import DesignMatrix
 from .metrics import clip_probs, logit, sigmoid
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -55,32 +60,102 @@ class GBDTConfig:
             raise ValueError("base_score must lie strictly inside (0, 1)")
 
 
-@dataclass
-class Leaf:
-    weight: float
+# The per-node arrays of a Forest, as gbdt.json stores them: node ids and
+# features are integers, the rest finite floats.
+FOREST_ARRAYS = ("roots", "feature", "threshold", "gain", "left", "right", "value")
+_NODE_IDS = ("roots", "left", "right")
 
 
-@dataclass
-class Split:
-    feature: int
-    threshold: float
-    gain: float
-    left: "Leaf | Split"
-    right: "Leaf | Split"
+def _node_array(name: str, values) -> np.ndarray:
+    integer = name in _NODE_IDS or name == "feature"
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
+        kind = "integers" if integer else "numbers"
+        raise ValueError(f"forest array {name!r} must be a flat list of {kind}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"forest array {name!r} holds non-finite values")
+    return a.astype(np.intp if integer else np.float64)
 
 
-@dataclass
-class RegTree:
-    root: Leaf | Split
-    n_leaves: int
+@dataclass(frozen=True, eq=False)
+class Forest:
+    """Regression trees as parallel per-node arrays.
+
+    Node ids are forest-wide. Tree ``t`` holds the nodes from ``roots[t]`` up
+    to the next root, numbered in preorder, so each child's id is greater
+    than its parent's. A split (``feature >= 0``) sends a row to ``left``
+    when ``x[feature] < threshold`` and to ``right`` otherwise. A leaf has
+    ``feature == -1``, its weight in ``value``, and itself as both children,
+    so ``depth`` steps from the roots land every row on a leaf of every tree.
+    Unused entries (a split's value, a leaf's threshold and gain) are 0.0.
+    Construction rejects any arrays that do not encode such trees.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    gain: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int = field(init=False)  # splits on the longest root-to-leaf path
+    children: np.ndarray = field(init=False, repr=False)  # [left, right] of node i at 2i, 2i + 1
+
+    def __post_init__(self):
+        for name in FOREST_ARRAYS:
+            object.__setattr__(self, name, _node_array(name, getattr(self, name)))
+        n = self.feature.size
+        if any(getattr(self, name).size != n for name in FOREST_ARRAYS[1:]):
+            raise ValueError("forest arrays differ in length")
+        roots = self.roots
+        increasing = n == 0 or (roots[0] == 0 and roots[-1] < n and (np.diff(roots) > 0).all())
+        if (roots.size == 0) != (n == 0) or not increasing:
+            raise ValueError("tree roots must start at node 0 and increase strictly within the forest")
+        ids = np.arange(n)
+        tree_end = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
+        split = self.feature >= 0
+        children_ok = np.where(
+            split,
+            (self.left > ids) & (self.right > ids) & (self.left < tree_end) & (self.right < tree_end),
+            (self.feature == -1) & (self.left == ids) & (self.right == ids),
+        )
+        if not children_ok.all():
+            raise ValueError("a split's children must follow it in its tree; a leaf's must be itself")
+        depth, frontier = 0, roots
+        while (frontier := frontier[split[frontier]]).size:
+            frontier = np.unique(np.concatenate([self.left[frontier], self.right[frontier]]))
+            depth += 1
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "children", np.stack([self.left, self.right], axis=1).ravel())
+
+    @property
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.feature < 0))
+
+
+def stack_trees(trees) -> Forest:
+    """One forest of ``trees`` in order, each tree's node ids offset past the trees before it."""
+    offsets = np.cumsum([0] + [t.feature.size for t in trees])
+
+    def stacked(name: str) -> np.ndarray:
+        parts = [getattr(t, name) for t in trees]
+        if name in _NODE_IDS:  # only ids: adding 0 to a weight would turn -0.0 into 0.0
+            parts = [a + o for a, o in zip(parts, offsets)]
+        return np.concatenate([np.empty(0, np.intp)] + parts)
+
+    return Forest(**{name: stacked(name) for name in FOREST_ARRAYS})
 
 
 @dataclass
 class GBDTModel:
     config: GBDTConfig
     base_score: float
-    trees: list[RegTree]
+    forest: Forest  # every boosted tree, in boosting order
     feature_names: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.forest.feature.max(initial=-1) >= len(self.feature_names):
+            raise ValueError(f"a split uses a feature beyond the model's {len(self.feature_names)}")
 
 
 def grad_hess(y, p) -> tuple[np.ndarray, np.ndarray]:
@@ -208,32 +283,37 @@ def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndar
 
 
 def _grow(
-    ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, cfg: GBDTConfig
-) -> Leaf | Split:
+    ranked: RankedMatrix,
+    idx: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    depth: int,
+    cfg: GBDTConfig,
+    nodes: list,
+) -> None:
+    """Append the subtree over rows ``idx`` to ``nodes`` in preorder.
+
+    A node is (feature, threshold, gain, left, right, value), ids counted from the tree's root.
+    """
+    i = len(nodes)
     g_node, h_node = g[idx], h[idx]
     if depth < cfg.max_depth and idx.size >= 2:
         found = _best_split(ranked, idx, g_node, h_node, cfg)
         if found is not None:
             feature, threshold, gain = found
             mask = ranked.values[ranked.bins[idx, feature]] < threshold
-            return Split(
-                feature=feature,
-                threshold=threshold,
-                gain=gain,
-                left=_grow(ranked, idx[mask], g, h, depth + 1, cfg),
-                right=_grow(ranked, idx[~mask], g, h, depth + 1, cfg),
-            )
-    return Leaf(leaf_weight(float(g_node.sum()), float(h_node.sum()), cfg.lambda1, cfg.lambda2))
+            nodes.append(None)  # set once the right child's id is known
+            _grow(ranked, idx[mask], g, h, depth + 1, cfg, nodes)
+            right = len(nodes)
+            _grow(ranked, idx[~mask], g, h, depth + 1, cfg, nodes)
+            nodes[i] = (feature, threshold, gain, i + 1, right, 0.0)
+            return
+    weight = leaf_weight(float(g_node.sum()), float(h_node.sum()), cfg.lambda1, cfg.lambda2)
+    nodes.append((-1, 0.0, 0.0, i, i, weight))
 
 
-def _count_leaves(node: Leaf | Split) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return _count_leaves(node.left) + _count_leaves(node.right)
-
-
-def build_tree(dense, g, h, cfg: GBDTConfig) -> RegTree:
-    """Grow one regression tree by greedy histogram split search.
+def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
+    """Grow one regression tree by greedy histogram split search; returns a one-tree Forest.
 
     ``dense`` is a raw feature matrix or the ``RankedMatrix`` of one; a raw
     matrix is ranked here, so boosting ranks its training matrix once instead.
@@ -246,23 +326,33 @@ def build_tree(dense, g, h, cfg: GBDTConfig) -> RegTree:
         raise ValueError("g and h must be row-aligned with the feature matrix")
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         raise ValueError("g and h must be finite")
-    root = _grow(ranked, np.arange(n), g, h, 0, cfg)
-    return RegTree(root=root, n_leaves=_count_leaves(root))
+    nodes: list = []
+    _grow(ranked, np.arange(n), g, h, 0, cfg, nodes)
+    return Forest((0,), *zip(*nodes))
 
 
-def _tree_values(node: Leaf | Split, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    _fill_values(node, X, np.arange(X.shape[0]), out)
-    return out
+# Rows walked through all trees together. Scoring 100,000 rows with 200 trees
+# (2 vCPUs, NumPy 2.4.6), 64- and 256-row blocks tied; 16-row blocks took 30%
+# longer, 4,096-row ones 50%.
+_BLOCK_ROWS = 64
 
 
-def _fill_values(node: Leaf | Split, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if isinstance(node, Leaf):
-        out[idx] = node.weight
-        return
-    mask = X[idx, node.feature] < node.threshold
-    _fill_values(node.left, X, idx[mask], out)
-    _fill_values(node.right, X, idx[~mask], out)
+def _walk(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Node id of the leaf each row of X reaches in each tree, as a (trees, rows) array."""
+    n, d = X.shape
+    nodes = np.repeat(forest.roots[:, None], n, axis=1)
+    flat, row_start = X.ravel(), np.arange(n) * d  # a leaf's feature -1 reads some cell; it stays put
+    for _ in range(forest.depth):
+        # finite inputs: x >= threshold exactly when not x < threshold
+        go_right = flat.take(row_start + forest.feature.take(nodes)) >= forest.threshold.take(nodes)
+        nodes = forest.children.take(2 * nodes + go_right)
+    return nodes
+
+
+def _tree_values(tree: Forest, X: np.ndarray) -> np.ndarray:
+    """The leaf weight each row of X reaches in a one-tree forest."""
+    (leaves,) = _walk(tree, X)
+    return tree.value.take(leaves)
 
 
 def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig()) -> GBDTModel:
@@ -276,14 +366,16 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig()) -> GBDTModel:
     base = float(y.mean()) if cfg.base_score is None else cfg.base_score
     raw = np.full(y.size, logit(base))
     ranked = rank_features(X)
-    trees: list[RegTree] = []
+    trees: list[Forest] = []
     for _ in range(cfg.n_trees):
         p = clip_probs(sigmoid(raw))
         g, h = grad_hess(y, p)
         tree = build_tree(ranked, g, h, cfg)
         trees.append(tree)
-        raw += cfg.learning_rate * _tree_values(tree.root, X)
-    return GBDTModel(config=cfg, base_score=base, trees=trees, feature_names=tuple(dm.dense_names))
+        raw += cfg.learning_rate * _tree_values(tree, X)
+    return GBDTModel(
+        config=cfg, base_score=base, forest=stack_trees(trees), feature_names=tuple(dm.dense_names)
+    )
 
 
 def predict_gbdt(model: GBDTModel, dense) -> np.ndarray:
@@ -296,50 +388,29 @@ def predict_gbdt(model: GBDTModel, dense) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValueError("feature matrix holds non-finite values")
-    raw = np.full(X.shape[0], logit(model.base_score))
-    for tree in model.trees:
-        raw += model.config.learning_rate * _tree_values(tree.root, X)
+    forest, base = model.forest, logit(model.base_score)
+    raw = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        leaves = _walk(forest, X[lo : lo + _BLOCK_ROWS])
+        # Row 0 holds the base margin, row t + 1 tree t's shrunk output, so
+        # accumulating down the rows adds the trees in order, as training did.
+        terms = np.empty((leaves.shape[0] + 1, leaves.shape[1]))
+        terms[0] = base
+        np.multiply(model.config.learning_rate, forest.value.take(leaves), out=terms[1:])
+        raw[lo : lo + _BLOCK_ROWS] = np.add.accumulate(terms, axis=0)[-1]
     return np.asarray(sigmoid(raw))
 
 
 def feature_importance(model: GBDTModel) -> np.ndarray:
     """Per-feature total split gain, normalized to sum to 1 when any gain exists."""
-    totals = np.zeros(len(model.feature_names))
-
-    def visit(node: Leaf | Split) -> None:
-        if isinstance(node, Split):
-            totals[node.feature] += node.gain
-            visit(node.left)
-            visit(node.right)
-
-    for tree in model.trees:
-        visit(tree.root)
+    forest = model.forest
+    splits = forest.feature >= 0
+    # bincount adds each feature's gains in node order: tree by tree, each in preorder
+    totals = np.bincount(
+        forest.feature[splits], weights=forest.gain[splits], minlength=len(model.feature_names)
+    )
     total = totals.sum()
     return totals / total if total > 0.0 else totals
-
-
-def _node_to_dict(node: Leaf | Split) -> dict:
-    if isinstance(node, Leaf):
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(d: dict) -> Leaf | Split:
-    if "weight" in d:
-        return Leaf(weight=d["weight"])
-    return Split(
-        feature=d["feature"],
-        threshold=d["threshold"],
-        gain=d["gain"],
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
 
 
 def gbdt_to_dict(model: GBDTModel) -> dict:
@@ -360,20 +431,19 @@ def gbdt_to_dict(model: GBDTModel) -> dict:
         },
         "base_score": model.base_score,
         "feature_names": list(model.feature_names),
-        "trees": [_node_to_dict(t.root) for t in model.trees],
+        "forest": {name: getattr(model.forest, name).tolist() for name in FOREST_ARRAYS},
     }
 
 
 def gbdt_from_dict(d: dict) -> GBDTModel:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
-    if d.get("kind") != "gbdt":
-        raise ValueError(f"expected a gbdt model file, got kind {d.get('kind')!r}")
-    roots = [_node_from_dict(t) for t in d["trees"]]
+    check_header(d, "gbdt")
+    arrays = d["forest"]
+    if not isinstance(arrays, dict):
+        raise ValueError("'forest' must map array names to per-node arrays")
     return GBDTModel(
         config=GBDTConfig(**d["config"]),
         base_score=d["base_score"],
-        trees=[RegTree(root=r, n_leaves=_count_leaves(r)) for r in roots],
+        forest=Forest(**{name: arrays[name] for name in FOREST_ARRAYS}),
         feature_names=tuple(d["feature_names"]),
     )
 

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import FORMAT_VERSION, check_header
 from .dataset import DesignMatrix
 from .metrics import sigmoid
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -423,10 +422,7 @@ def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
 
 
 def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
-    if d.get("kind") != "xdeepfm":
-        raise ValueError(f"expected an xdeepfm model file, got kind {d.get('kind')!r}")
+    check_header(d, "xdeepfm")
     raw_cfg = dict(d["config"])
     raw_cfg["deep_widths"] = tuple(raw_cfg["deep_widths"])
     return XDeepFMModel(

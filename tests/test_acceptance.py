@@ -209,7 +209,7 @@ def test_criterion_5_leaf_weight_and_tree_oracles():
         tree = build_tree(X, g, h, cfg)
         oracle = brute_force_tree(X, g, h, cfg)
         assert np.allclose(
-            _tree_values(tree.root, X), brute_tree_predict(oracle, X), atol=1e-9
+            _tree_values(tree, X), brute_tree_predict(oracle, X), atol=1e-9
         ), f"instance {trial} diverged from exhaustive split search"
     _passed(5, f"1000 leaf weights within {worst:.2e} of 1e-8; 500 trees equal exhaustive search")
 

@@ -227,6 +227,71 @@ def test_predict_rejects_unsupported_version(tmp_path, completed_run):
     assert cli.main(["predict", "--model", str(bad), "--data", str(completed_run["data"])]) == 2
 
 
+def _nested_tree(forest: dict, i: int) -> dict:
+    """Node i of a forest in the nested form of format version 1."""
+    if forest["feature"][i] < 0:
+        return {"weight": forest["value"][i]}
+    return {
+        "feature": forest["feature"][i],
+        "threshold": forest["threshold"][i],
+        "gain": forest["gain"][i],
+        "left": _nested_tree(forest, forest["left"][i]),
+        "right": _nested_tree(forest, forest["right"][i]),
+    }
+
+
+def test_predict_rejects_a_version_1_gbdt_file(tmp_path, completed_run, capsys):
+    doc = json.loads((completed_run["out"] / "gbdt.json").read_text(encoding="utf-8"))
+    forest = doc.pop("forest")
+    doc.update(format_version=1, trees=[_nested_tree(forest, root) for root in forest["roots"]])
+    old = tmp_path / "gbdt.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [predict]: ")
+    assert "format_version 1" in err and "version 2" in err
+
+
+def test_predict_malformed_tree_arrays_exit_2_without_traceback(tmp_path, completed_run, capsys):
+    doc = json.loads((completed_run["out"] / "gbdt.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "gbdt.json"
+    for name, entry, value in [("left", 0, 0), ("right", 0, 10**6), ("feature", 0, 999), ("feature", 0, -5)]:
+        corrupt = json.loads(json.dumps(doc))
+        corrupt["forest"][name][entry] = value
+        bad.write_text(json.dumps(corrupt), encoding="utf-8")
+        assert cli.main(["predict", "--model", str(bad), "--data", str(completed_run["data"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [predict]: ") and "Traceback" not in err, (name, value, err)
+
+
+def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed_run, tmp_path, monkeypatch):
+    calls = {"load_csv": 0, "apply_transform": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    ensemble = str(completed_run["out"] / "ensemble.json")
+    out_csv = tmp_path / "preds.csv"
+    assert cli.main(["predict", "--model", ensemble, "--data", str(completed_run["data"]), "--out", str(out_csv)]) == 0
+    assert calls == {"load_csv": 1, "apply_transform": 1}
+    assert cli.main(["evaluate", "--model", ensemble, "--data", str(completed_run["data"])]) == 0
+    assert calls == {"load_csv": 2, "apply_transform": 2}
+    # components fitted apart: two transforms over one schema still share one parse
+    for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
+        (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
+    doc = json.loads((tmp_path / "gbdt.json").read_text(encoding="utf-8"))
+    doc["transform"]["numeric_stats"]["age"]["mean"] += 1.0
+    (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]) == 0
+    assert calls == {"load_csv": 3, "apply_transform": 4}
+
+
 def test_predict_rejects_schema_mismatch(tmp_path, completed_run):
     wrong = tmp_path / "wrong.csv"
     wrong.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -251,14 +316,19 @@ def test_importance_prints_topk_and_matches_recompute(completed_run, capsys):
 
 
 def test_importance_single_split_model_has_one_nonzero_row(tmp_path, capsys):
-    from tabfusion.gbdt import GBDTConfig, GBDTModel, Leaf, RegTree, Split, save_gbdt
+    from tabfusion.gbdt import Forest, GBDTConfig, GBDTModel, save_gbdt
 
-    tree = RegTree(
-        root=Split(feature=1, threshold=0.5, gain=2.0, left=Leaf(0.1), right=Leaf(-0.1)),
-        n_leaves=2,
+    tree = Forest(
+        roots=[0],
+        feature=[1, -1, -1],
+        threshold=[0.5, 0.0, 0.0],
+        gain=[2.0, 0.0, 0.0],
+        left=[1, 1, 2],
+        right=[2, 1, 2],
+        value=[0.0, 0.1, -0.1],
     )
     path = tmp_path / "single.json"
-    save_gbdt(GBDTModel(GBDTConfig(), 0.5, [tree], ("a", "b", "c")), path)
+    save_gbdt(GBDTModel(GBDTConfig(), 0.5, tree, ("a", "b", "c")), path)
     assert cli.main(["importance", "--model", str(path), "--top", "10"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()][1:]
     nonzero = [l for l in lines if float(l.rsplit(None, 1)[1]) > 0.0]

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import replace
@@ -15,11 +16,11 @@ from _oracles import (
 )
 from tabfusion.dataset import DesignMatrix
 from tabfusion.gbdt import (
+    _BLOCK_ROWS,
+    FOREST_ARRAYS,
+    Forest,
     GBDTConfig,
     GBDTModel,
-    Leaf,
-    RegTree,
-    Split,
     _tree_values,
     build_tree,
     feature_importance,
@@ -29,9 +30,10 @@ from tabfusion.gbdt import (
     leaf_weight,
     predict_gbdt,
     split_gain,
+    stack_trees,
     train_gbdt,
 )
-from tabfusion.metrics import auc, bce, clip_probs
+from tabfusion.metrics import auc, bce, clip_probs, logit, sigmoid
 
 
 def _dm(X, y) -> DesignMatrix:
@@ -47,6 +49,41 @@ def _dm(X, y) -> DesignMatrix:
 
 def _logistic(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def _leaf(weight: float) -> Forest:
+    """A one-tree forest that is a single leaf."""
+    return Forest(roots=[0], feature=[-1], threshold=[0.0], gain=[0.0], left=[0], right=[0], value=[weight])
+
+
+def _stump(feature: int, threshold: float, gain: float, low: float = 0.0, high: float = 0.0) -> Forest:
+    """A one-tree forest with one split: rows with x[feature] < threshold score ``low``."""
+    return Forest(
+        roots=[0],
+        feature=[feature, -1, -1],
+        threshold=[threshold, 0.0, 0.0],
+        gain=[gain, 0.0, 0.0],
+        left=[1, 1, 2],
+        right=[2, 1, 2],
+        value=[0.0, low, high],
+    )
+
+
+def _tree(forest: Forest, k: int) -> dict:
+    """Tree k of a forest as per-node arrays with ids counted from its root."""
+    ends = np.append(forest.roots[1:], forest.feature.size)
+    lo, hi = forest.roots[k], ends[k]
+    arrays = {name: getattr(forest, name)[lo:hi] for name in FOREST_ARRAYS if name != "roots"}
+    arrays.update(roots=np.array([0]), left=arrays["left"] - lo, right=arrays["right"] - lo)
+    return arrays
+
+
+def _walk_by_hand(tree: dict, row) -> float:
+    """The leaf weight one row reaches, following left/right one node at a time."""
+    i = 0
+    while tree["feature"][i] >= 0:
+        i = tree["left"][i] if row[tree["feature"][i]] < tree["threshold"][i] else tree["right"][i]
+    return float(tree["value"][i])
 
 
 def test_grad_hess_spot_values():
@@ -131,9 +168,9 @@ def test_split_gain_matches_objective_difference(gl, hl, gr, hr, lambda2, gamma)
 def test_build_tree_zero_gradients_single_leaf():
     X = np.arange(8.0).reshape(-1, 1)
     tree = build_tree(X, np.zeros(8), np.full(8, 0.25), GBDTConfig(min_child_hessian=0.0))
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.weight == 0.0
-    assert tree.n_leaves == 1
+    assert tree.feature.tolist() == [-1] and tree.left.tolist() == tree.right.tolist() == [0]
+    assert tree.value[0] == 0.0
+    assert tree.n_leaves == 1 and tree.depth == 0
 
 
 def test_build_tree_sign_split_matches_brute_force():
@@ -143,11 +180,11 @@ def test_build_tree_sign_split_matches_brute_force():
     cfg = GBDTConfig(max_depth=1, min_child_hessian=0.0)
     tree = build_tree(X, g, h, cfg)
     oracle = brute_force_tree(X, g, h, cfg)
-    assert isinstance(tree.root, Split)
     assert oracle[0] == "split"
-    assert tree.root.feature == oracle[1]
-    assert tree.root.threshold == oracle[2] == 1.5
-    assert np.allclose(_tree_values(tree.root, X), brute_tree_predict(oracle, X), atol=1e-9)
+    assert _same_tree(tree, oracle)
+    assert tree.feature.tolist() == [oracle[1], -1, -1]
+    assert tree.threshold[0] == oracle[2] == 1.5
+    assert np.allclose(_tree_values(tree, X), brute_tree_predict(oracle, X), atol=1e-9)
 
 
 def test_build_tree_depth_zero_is_single_leaf():
@@ -156,8 +193,8 @@ def test_build_tree_depth_zero_is_single_leaf():
     h = np.array([0.5, 0.5])
     cfg = GBDTConfig(max_depth=0, lambda1=0.0, lambda2=1.0)
     tree = build_tree(X, g, h, cfg)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.weight == leaf_weight(-1.0, 1.0, 0.0, 1.0)
+    assert tree.feature.tolist() == [-1]
+    assert tree.value[0] == leaf_weight(-1.0, 1.0, 0.0, 1.0)
 
 
 def test_build_tree_rejects_empty_or_misaligned():
@@ -179,16 +216,31 @@ def test_build_tree_rejects_empty_or_misaligned():
                 build_tree(X_bad, g_bad, h_bad, cfg)
 
 
-def _same_tree(node, oracle) -> bool:
-    """Same features and thresholds, node for node, and leaf weights within 1e-9."""
-    if isinstance(node, Leaf):
-        return oracle[0] == "leaf" and abs(node.weight - oracle[1]) <= 1e-9
-    return (
-        oracle[0] == "split"
-        and (node.feature, node.threshold) == oracle[1:3]
-        and _same_tree(node.left, oracle[3])
-        and _same_tree(node.right, oracle[4])
-    )
+def _oracle_arrays(oracle) -> dict:
+    """The oracle's nested tree in the Forest layout: preorder ids, leaves as self-loops."""
+    nodes = []
+
+    def add(node) -> None:
+        i = len(nodes)
+        nodes.append(None)
+        if node[0] == "leaf":
+            nodes[i] = (-1, 0.0, i, i, node[1])
+            return
+        add(node[3])
+        right = len(nodes)
+        add(node[4])
+        nodes[i] = (node[1], node[2], i + 1, right, 0.0)
+
+    add(oracle)
+    return {k: np.array(v) for k, v in zip(("feature", "threshold", "left", "right", "value"), zip(*nodes))}
+
+
+def _same_tree(tree, oracle) -> bool:
+    """Same layout, features and thresholds, node for node, and leaf weights within 1e-9."""
+    want = _oracle_arrays(oracle)
+    return all(
+        np.array_equal(getattr(tree, k), want[k]) for k in ("feature", "threshold", "left", "right")
+    ) and bool(np.allclose(tree.value, want["value"], rtol=0.0, atol=1e-9))
 
 
 def test_build_tree_matches_brute_force_randomized():
@@ -221,11 +273,11 @@ def test_build_tree_matches_brute_force_randomized():
         )
         tree = build_tree(X, g, h, cfg)
         oracle = brute_force_tree(X, g, h, cfg)
-        assert _same_tree(tree.root, oracle), f"trial {trial} diverged from exhaustive search"
-        assert np.allclose(_tree_values(tree.root, X), brute_tree_predict(oracle, X), atol=1e-9)
+        assert _same_tree(tree, oracle), f"trial {trial} diverged from exhaustive search"
+        assert np.allclose(_tree_values(tree, X), brute_tree_predict(oracle, X), atol=1e-9)
         if cfg.min_child_hessian > 0.0:
             unbounded = brute_force_tree(X, g, h, replace(cfg, min_child_hessian=0.0))
-            hessian_bound += not _same_tree(tree.root, unbounded)
+            hessian_bound += not _same_tree(tree, unbounded)
     assert hessian_bound >= 5, "min_child_hessian constrained too few of the compared trees"
 
 
@@ -240,9 +292,10 @@ def test_ranked_training_path_matches_raw_build_tree():
         model = train_gbdt(_dm(X, y), replace(cfg, n_trees=k))
         g, h = grad_hess(y, clip_probs(predict_gbdt(model, X)))
         raw_tree = build_tree(X, g, h, cfg)
-        ranked_tree = train_gbdt(_dm(X, y), replace(cfg, n_trees=k + 1)).trees[k]
-        assert isinstance(raw_tree.root, Split)
-        assert raw_tree == ranked_tree  # same features, thresholds, gains and leaf weights
+        ranked_tree = _tree(train_gbdt(_dm(X, y), replace(cfg, n_trees=k + 1)).forest, k)
+        assert raw_tree.feature[0] >= 0
+        for name in FOREST_ARRAYS:  # same layout, features, thresholds, gains and leaf weights
+            assert np.array_equal(getattr(raw_tree, name), ranked_tree[name]), name
 
 
 def test_build_tree_large_lambda1_zeroes_all_leaves():
@@ -252,13 +305,8 @@ def test_build_tree_large_lambda1_zeroes_all_leaves():
     h = rng.uniform(0.1, 1.0, size=20)
     cfg = GBDTConfig(max_depth=3, lambda1=abs(g).sum() + 1.0, min_child_hessian=0.0)
     tree = build_tree(X, g, h, cfg)
-
-    def leaves(node):
-        if isinstance(node, Leaf):
-            return [node.weight]
-        return leaves(node.left) + leaves(node.right)
-
-    assert all(w == 0.0 for w in leaves(tree.root))
+    assert tree.n_leaves > 1
+    assert np.all(tree.value[tree.feature < 0] == 0.0)
 
 
 def test_train_separable_toy_reaches_perfect_training_auc():
@@ -302,12 +350,7 @@ def test_train_is_deterministic():
 
 def test_predict_single_leaf_tree():
     cfg = GBDTConfig(n_trees=1, learning_rate=1.0, base_score=0.5)
-    model = GBDTModel(
-        config=cfg,
-        base_score=0.5,
-        trees=[RegTree(root=Leaf(weight=0.5), n_leaves=1)],
-        feature_names=("f0",),
-    )
+    model = GBDTModel(config=cfg, base_score=0.5, forest=_leaf(0.5), feature_names=("f0",))
     expected = _logistic(0.5)
     assert predict_gbdt(model, [[3.0]])[0] == pytest.approx(expected, abs=1e-15)
 
@@ -330,25 +373,21 @@ def test_predict_width_mismatch_rejected():
             predict_gbdt(model, [[0.0, 1.0], [bad, 1.0]])
 
 
-def _leaf() -> Leaf:
-    return Leaf(weight=0.0)
-
-
 def test_feature_importance_single_split():
-    tree = RegTree(root=Split(feature=3, threshold=0.5, gain=1.7, left=_leaf(), right=_leaf()), n_leaves=2)
-    model = GBDTModel(GBDTConfig(), 0.5, [tree], ("a", "b", "c", "d"))
+    tree = _stump(feature=3, threshold=0.5, gain=1.7)
+    model = GBDTModel(GBDTConfig(), 0.5, tree, ("a", "b", "c", "d"))
     assert feature_importance(model).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_feature_importance_zero_trees():
-    model = GBDTModel(GBDTConfig(), 0.5, [], ("a", "b"))
+    model = GBDTModel(GBDTConfig(), 0.5, stack_trees([]), ("a", "b"))
     assert feature_importance(model).tolist() == [0.0, 0.0]
 
 
 def test_feature_importance_hand_normalized():
-    t1 = RegTree(root=Split(feature=0, threshold=0.5, gain=2.0, left=_leaf(), right=_leaf()), n_leaves=2)
-    t2 = RegTree(root=Split(feature=1, threshold=0.5, gain=6.0, left=_leaf(), right=_leaf()), n_leaves=2)
-    model = GBDTModel(GBDTConfig(), 0.5, [t1, t2], ("a", "b"))
+    t1 = _stump(feature=0, threshold=0.5, gain=2.0)
+    t2 = _stump(feature=1, threshold=0.5, gain=6.0)
+    model = GBDTModel(GBDTConfig(), 0.5, stack_trees([t1, t2]), ("a", "b"))
     assert feature_importance(model).tolist() == [0.25, 0.75]
 
 
@@ -368,3 +407,126 @@ def test_from_dict_rejects_wrong_version_or_kind():
         gbdt_from_dict({**d, "format_version": 99})
     with pytest.raises(ValueError):
         gbdt_from_dict({**d, "kind": "other"})
+
+
+def _boosted(n_trees: int = 12):
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(2 * _BLOCK_ROWS + 7, 4))  # more rows than one block, and a partial block
+    X[:, 2] = rng.integers(0, 3, size=X.shape[0])
+    y = (X[:, 0] - 0.5 * X[:, 2] + rng.normal(size=X.shape[0]) > 0).astype(int)
+    cfg = GBDTConfig(n_trees=n_trees, max_depth=3, learning_rate=0.3, min_child_hessian=0.0)
+    return train_gbdt(_dm(X, y), cfg), X
+
+
+def test_predict_batch_equals_row_by_row_bitwise():
+    model, X = _boosted()
+    batch = predict_gbdt(model, X)
+    rows = np.array([predict_gbdt(model, X[i : i + 1])[0] for i in range(X.shape[0])])
+    assert X.shape[0] > _BLOCK_ROWS
+    assert np.array_equal(batch, rows)
+
+
+def test_predict_adds_tree_outputs_in_tree_order_bitwise():
+    model, X = _boosted()
+    trees = [_tree(model.forest, k) for k in range(model.forest.roots.size)]
+    raw = []
+    for row in X:
+        margin = logit(model.base_score)
+        for tree in trees:  # one tree at a time, in boosting order
+            margin += model.config.learning_rate * _walk_by_hand(tree, row)
+        raw.append(margin)
+    assert len(trees) == 12 and model.forest.depth == 3
+    assert np.array_equal(predict_gbdt(model, X), sigmoid(np.array(raw)))
+
+
+def test_predict_zero_tree_and_single_leaf_models():
+    cfg = GBDTConfig(learning_rate=0.5)
+    X = np.random.default_rng(2).normal(size=(_BLOCK_ROWS + 3, 2))
+    X[::5, 1] = 0.0  # on the stump's threshold: these rows go right
+    empty = GBDTModel(cfg, 0.3, stack_trees([]), ("a", "b"))
+    assert empty.forest.depth == 0 and empty.forest.n_leaves == 0
+    assert np.array_equal(predict_gbdt(empty, X), np.full(X.shape[0], sigmoid(logit(0.3))))
+    assert predict_gbdt(empty, np.zeros((0, 2))).shape == (0,)
+    leaves = GBDTModel(cfg, 0.3, stack_trees([_leaf(0.8), _leaf(-0.2)]), ("a", "b"))
+    assert leaves.forest.roots.tolist() == [0, 1] and leaves.forest.depth == 0
+    expected = sigmoid(logit(0.3) + 0.5 * 0.8 + 0.5 * -0.2)
+    assert np.array_equal(predict_gbdt(leaves, X), np.full(X.shape[0], expected))
+    mixed = GBDTModel(cfg, 0.3, stack_trees([_leaf(0.8), _stump(1, 0.0, 1.0, low=-1.0, high=2.0)]), ("a", "b"))
+    assert mixed.forest.roots.tolist() == [0, 1] and mixed.forest.left.tolist() == [0, 2, 2, 3]
+    assert np.signbit(stack_trees([_leaf(0.8), _leaf(-0.0)]).value[1])  # weights are stacked as stored
+    margins = logit(0.3) + 0.5 * 0.8 + 0.5 * np.where(X[:, 1] < 0.0, -1.0, 2.0)
+    assert np.array_equal(predict_gbdt(mixed, X), sigmoid(margins))
+
+
+def _small_model_dict() -> dict:
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] + X[:, 1] > 0).astype(int)
+    return gbdt_to_dict(train_gbdt(_dm(X, y), GBDTConfig(n_trees=3, max_depth=2, min_child_hessian=0.0)))
+
+
+SMALL_MODEL = _small_model_dict()
+
+
+def test_from_dict_rejects_malformed_forest_arrays():
+    forest = SMALL_MODEL["forest"]
+    assert len(forest["roots"]) == 3 and forest["feature"][0] >= 0 and forest["feature"][1] >= 0
+    second = forest["roots"][1]
+    leaf = forest["feature"].index(-1)
+    last_split = max(i for i, f in enumerate(forest["feature"]) if f >= 0)
+    n = len(forest["feature"])
+    corruptions = {
+        "unequal lengths": ("gain", forest["gain"][:-1]),
+        "child points back (a cycle)": ("left", forest["left"][:1] + [0] + forest["left"][2:]),
+        "child equals its parent": ("right", [0] + forest["right"][1:]),
+        "child in the next tree": ("right", [second] + forest["right"][1:]),
+        "child past the end": ("right", [n if i == last_split else r for i, r in enumerate(forest["right"])]),
+        "leaf with a child": ("left", [l + (i == leaf) for i, l in enumerate(forest["left"])]),
+        "feature below -1": ("feature", [-2] + forest["feature"][1:]),
+        "feature beyond the width": ("feature", [3] + forest["feature"][1:]),
+        "nan threshold": ("threshold", [math.nan] + forest["threshold"][1:]),
+        "infinite value": ("value", forest["value"][:-1] + [math.inf]),
+        "roots not from node 0": ("roots", [1] + forest["roots"][1:]),
+        "roots out of order": ("roots", [0, forest["roots"][2], forest["roots"][1]]),
+        "a tree listed twice": ("roots", [0, second, second]),
+        "float node id": ("left", [float(i) for i in forest["left"]]),
+        "nested array": ("value", [forest["value"]]),
+    }
+    for what, (name, values) in corruptions.items():
+        d = copy.deepcopy(SMALL_MODEL)
+        d["forest"][name] = values
+        with pytest.raises(ValueError):
+            gbdt_from_dict(d)
+            pytest.fail(f"accepted {what}")
+    with pytest.raises(ValueError):
+        gbdt_from_dict({**SMALL_MODEL, "forest": [forest[name] for name in FOREST_ARRAYS]})
+    with pytest.raises(KeyError):
+        gbdt_from_dict({**SMALL_MODEL, "forest": {k: v for k, v in forest.items() if k != "value"}})
+
+
+@given(
+    st.sampled_from(FOREST_ARRAYS),
+    st.integers(0, 10_000),
+    st.one_of(
+        st.integers(-3, 60),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([2**70, True, None, "1", [1], {}]),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_dict_fails_closed_on_any_corrupted_entry(name, entry, replacement, drop):
+    d = copy.deepcopy(SMALL_MODEL)
+    values = d["forest"][name]
+    i = entry % len(values)
+    if drop:
+        del values[i]
+    else:
+        values[i] = replacement
+    try:
+        model = gbdt_from_dict(d)
+    except (ValueError, KeyError):
+        return
+    # the entry still encodes valid trees (a new threshold, weight or gain): it must score
+    probs = predict_gbdt(model, np.random.default_rng(0).normal(size=(9, 3)))
+    assert probs.shape == (9,) and np.isfinite(probs).all()
