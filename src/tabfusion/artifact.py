@@ -1,4 +1,6 @@
-"""The format version of every tabfusion artifact, and the check its readers make."""
+"""The format version of every tabfusion artifact, and the checks its readers make."""
+
+from dataclasses import fields
 
 FORMAT_VERSION = 2  # 2: gbdt.json holds its trees as per-node arrays
 
@@ -9,3 +11,22 @@ def check_header(d: dict, kind: str) -> None:
         raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
     if d.get("kind") != kind:
         raise ValueError(f"expected a model file of kind {kind!r}, got kind {d.get('kind')!r}")
+
+
+def config_from_dict(config_cls, raw):
+    """A model document's `config` object as a `config_cls` instance.
+
+    JSON lists become tuples. Anything else the dataclass would reject with a
+    TypeError (a non-object, an unknown key, a value of the wrong type) raises
+    ValueError instead, so a malformed file fails like any other bad value.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"'config' must be an object, got {type(raw).__name__}")
+    known = {f.name for f in fields(config_cls)}
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+    try:
+        return config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    except TypeError as exc:
+        raise ValueError(f"invalid config: {exc}") from None

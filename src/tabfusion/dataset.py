@@ -3,11 +3,18 @@
 All statistics (imputation values, vocabularies, scaling parameters) are fit
 on the training partition only and then applied unchanged to any other
 partition, so train and test always see the same transformation.
+
+The read path is column-wise: a dataset keeps its raw rows, and
+``fit_transform``/``apply_transform`` transpose them once per call and parse
+each numeric column in one ``float()`` pass (``_numeric_column``). Each row
+carries its 1-based data-row number from the file, so an error names the file
+row even after a shuffled split.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,10 +60,21 @@ class Schema:
 
 @dataclass(frozen=True)
 class TabularDataset:
-    """Raw rows (cell texts, schema order) under a declared schema."""
+    """Raw rows (cell texts, schema order) under a declared schema.
+
+    ``row_numbers`` holds each row's 1-based data-row number in its source
+    file (the header is not counted); it defaults to 1..n.
+    """
 
     schema: Schema
     rows: tuple[tuple[str, ...], ...]
+    row_numbers: Sequence[int] | None = None
+
+    def __post_init__(self):
+        if self.row_numbers is None:
+            object.__setattr__(self, "row_numbers", range(1, len(self.rows) + 1))
+        elif len(self.row_numbers) != len(self.rows):
+            raise DataError(f"{len(self.row_numbers)} row numbers for {len(self.rows)} rows")
 
     @property
     def n_rows(self) -> int:
@@ -66,11 +84,21 @@ class TabularDataset:
         j = self.schema.column_names.index(name)
         return tuple(row[j] for row in self.rows)
 
+    def columns(self) -> tuple[tuple[str, ...], ...]:
+        """Every column's cells, in schema order, from one transpose of the rows."""
+        width = len(self.schema.columns)
+        cols = tuple(zip(*self.rows)) if self.rows else ((),) * width
+        if len(cols) != width:  # zip stops at the shortest row
+            raise DataError(f"every row must hold {width} cells, one per schema column")
+        return cols
+
     def labels(self) -> np.ndarray:
         """0/1 labels: 1 where the target cell equals positive_label."""
-        j = self.schema.column_names.index(self.schema.target)
-        pos = self.schema.positive_label
-        return np.fromiter((1 if row[j] == pos else 0 for row in self.rows), dtype=np.int64, count=self.n_rows)
+        return _labels(self.column(self.schema.target), self.schema.positive_label)
+
+
+def _labels(cells: Sequence[str], positive_label: str) -> np.ndarray:
+    return np.fromiter((c == positive_label for c in cells), dtype=np.int64, count=len(cells))
 
 
 def load_csv(path, schema: Schema) -> TabularDataset:
@@ -123,9 +151,14 @@ def stratified_split(
         test_indices.append(rng.permutation(members)[:n_test])
     mask = np.zeros(ds.n_rows, dtype=bool)
     mask[np.concatenate(test_indices)] = True
-    train_rows = tuple(ds.rows[i] for i in range(ds.n_rows) if not mask[i])
-    test_rows = tuple(ds.rows[i] for i in range(ds.n_rows) if mask[i])
-    return TabularDataset(ds.schema, train_rows), TabularDataset(ds.schema, test_rows)
+
+    def subset(keep: np.ndarray) -> TabularDataset:
+        idx = np.nonzero(keep)[0].tolist()
+        return TabularDataset(
+            ds.schema, tuple(ds.rows[i] for i in idx), tuple(ds.row_numbers[i] for i in idx)
+        )
+
+    return subset(~mask), subset(mask)
 
 
 @dataclass(frozen=True)
@@ -173,6 +206,28 @@ def _parse_number(cell: str, column: str, row_number: int) -> float:
     return value
 
 
+def _numeric_column(
+    cells: Sequence[str], missing: str, fill: float, column: str, row_numbers: Sequence[int]
+) -> np.ndarray:
+    """A numeric column as float64, its missing cells set to ``fill``.
+
+    One ``float()`` pass parses the column; only when a cell fails to parse or
+    is non-finite is it rescanned cell by cell, so that the error names the
+    first bad cell, its file row and its column.
+    """
+    try:
+        col = np.fromiter(
+            (fill if c == missing else float(c) for c in cells), dtype=np.float64, count=len(cells)
+        )
+    except ValueError:
+        col = None
+    if col is None or not np.isfinite(col).all():
+        for c, row_number in zip(cells, row_numbers):
+            if c != missing:
+                _parse_number(c, column, row_number)
+    return col  # a non-finite ``fill`` is left to the finite check on the dense matrix
+
+
 def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tuple[FittedTransform, DesignMatrix]:
     """Fit imputation/scaling/vocabulary statistics on the training partition.
 
@@ -190,18 +245,23 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
     missing = train.schema.missing_token
     numeric_stats: dict[str, NumericStats] = {}
     vocabs: dict[str, dict[str, int]] = {}
-    for name, kind in train.schema.columns:
-        cells = train.column(name)
+    for (name, kind), cells in zip(train.schema.columns, train.columns()):
+        if kind == "categorical":
+            vocab: dict[str, int] = {}
+            for c in cells:
+                if c != missing and c not in vocab:
+                    vocab[c] = len(vocab) + 1
+            vocabs[name] = vocab
+        if kind not in ("numeric", "binary"):
+            continue
+        present = np.fromiter((c != missing for c in cells), dtype=bool, count=len(cells))
+        values = _numeric_column(cells, missing, 0.0, name, train.row_numbers)
+        observed = values[present]
+        if observed.size == 0:
+            raise DataError(f"{kind} column {name!r} has no non-missing values")
         if kind == "numeric":
-            observed = [
-                _parse_number(c, name, i + 1) for i, c in enumerate(cells) if c != missing
-            ]
-            if not observed:
-                raise DataError(f"numeric column {name!r} has no non-missing values")
             impute = float(np.median(observed))
-            filled = np.array(
-                [impute if c == missing else _parse_number(c, name, i + 1) for i, c in enumerate(cells)]
-            )
+            filled = np.where(present, values, impute)
             std = float(filled.std())
             numeric_stats[name] = NumericStats(
                 impute_value=impute,
@@ -209,23 +269,12 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
                 std=std if std > 0.0 else 1.0,
                 scaled=True,
             )
-        elif kind == "binary":
-            observed = [
-                _parse_number(c, name, i + 1) for i, c in enumerate(cells) if c != missing
-            ]
-            if not observed:
-                raise DataError(f"binary column {name!r} has no non-missing values")
-            if any(v not in (0.0, 1.0) for v in observed):
+        else:
+            if np.any((observed != 0.0) & (observed != 1.0)):
                 raise DataError(f"binary column {name!r} contains values outside {{0, 1}}")
-            ones = sum(observed)
-            majority = 1.0 if ones > len(observed) - ones else 0.0
+            ones = np.count_nonzero(observed)
+            majority = 1.0 if ones > observed.size - ones else 0.0
             numeric_stats[name] = NumericStats(impute_value=majority, mean=0.0, std=1.0, scaled=False)
-        elif kind == "categorical":
-            vocab: dict[str, int] = {}
-            for c in cells:
-                if c != missing and c not in vocab:
-                    vocab[c] = len(vocab) + 1
-            vocabs[name] = vocab
     ft = FittedTransform(
         schema=train.schema,
         encoding_mode=encoding_mode,
@@ -241,19 +290,14 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
         raise DataError("dataset schema does not match the schema the transform was fit on")
     n = ds.n_rows
     missing = ft.schema.missing_token
+    cells_of = dict(zip(ft.schema.column_names, ds.columns()))
     dense_cols: list[np.ndarray] = []
     dense_names: list[str] = []
     for name, kind in ft.schema.columns:
         if kind not in ("numeric", "binary"):
             continue
         stats = ft.numeric_stats[name]
-        cells = ds.column(name)
-        col = np.array(
-            [
-                stats.impute_value if c == missing else _parse_number(c, name, i + 1)
-                for i, c in enumerate(cells)
-            ]
-        )
+        col = _numeric_column(cells_of[name], missing, stats.impute_value, name, ds.row_numbers)
         if stats.scaled:
             col = (col - stats.mean) / stats.std
         dense_cols.append(col)
@@ -265,9 +309,7 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
         if kind != "categorical":
             continue
         vocab = ft.vocabs[name]
-        idx = np.fromiter(
-            (vocab.get(c, 0) for c in ds.column(name)), dtype=np.int64, count=n
-        )
+        idx = np.fromiter((vocab.get(c, 0) for c in cells_of[name]), dtype=np.int64, count=n)
         cat_cols.append(idx)
         cardinalities.append(len(vocab) + 1)
         if ft.encoding_mode == "one_hot":
@@ -286,7 +328,7 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
     return DesignMatrix(
         dense=dense,
         cat_indices=cat_indices,
-        labels=ds.labels(),
+        labels=_labels(cells_of[ft.schema.target], ft.schema.positive_label),
         dense_names=tuple(dense_names),
         cat_cardinalities=tuple(cardinalities),
     )

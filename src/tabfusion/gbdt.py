@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header
+from .artifact import FORMAT_VERSION, check_header, config_from_dict
 from .dataset import DesignMatrix
 from .metrics import clip_probs, logit, sigmoid
 
@@ -441,7 +441,7 @@ def gbdt_from_dict(d: dict) -> GBDTModel:
     if not isinstance(arrays, dict):
         raise ValueError("'forest' must map array names to per-node arrays")
     return GBDTModel(
-        config=GBDTConfig(**d["config"]),
+        config=config_from_dict(GBDTConfig, d["config"]),
         base_score=d["base_score"],
         forest=Forest(**{name: arrays[name] for name in FOREST_ARRAYS}),
         feature_names=tuple(d["feature_names"]),

@@ -7,6 +7,9 @@ plain fully connected network. A linear head over the concatenated path
 outputs produces the logit. Training minimizes mean binary cross-entropy with
 Adam updates; gradients are derived by hand and checked against finite
 differences in the test suite.
+
+``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the network's
+intermediates stay a few MiB however many rows are scored.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header
+from .artifact import FORMAT_VERSION, check_header, config_from_dict
 from .dataset import DesignMatrix
 from .metrics import sigmoid
 
@@ -146,19 +149,8 @@ def init_xdeepfm(vocab_sizes, n_dense: int, cfg: XDeepFMConfig = XDeepFMConfig()
     return _init_model(np.random.default_rng(cfg.seed), tuple(vocab_sizes), n_dense, cfg)
 
 
-def embed_stack(row_cats, row_dense, emb: EmbeddingTable) -> np.ndarray:
-    """Concatenate the selected embedding rows with the dense features of one example."""
-    parts = []
-    for f, table in enumerate(emb.tables):
-        i = int(row_cats[f])
-        if not 0 <= i < table.shape[0]:
-            raise ValueError(f"field {f}: index {i} out of range [0, {table.shape[0]})")
-        parts.append(table[i])
-    parts.append(np.asarray(row_dense, dtype=np.float64))
-    return np.concatenate(parts)
-
-
 def _stack_batch(emb: EmbeddingTable, cat_idx: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """h0 for each row: the selected embedding rows of every field, then the dense features."""
     parts = []
     for f, table in enumerate(emb.tables):
         idx = cat_idx[:, f]
@@ -227,14 +219,30 @@ def _as_batch(model: XDeepFMModel, cat_idx, dense) -> tuple[np.ndarray, np.ndarr
     return cat_idx, dense, single
 
 
+# Rows per forward block. 512 to 2,048 rows scored 100,000 rows about equally
+# fast (2x the unblocked pass); 64-row blocks were slower and changed the last
+# bits of some probabilities.
+_BLOCK_ROWS = 1024
+
+
 def forward(model: XDeepFMModel, cat_idx, dense):
-    """Predicted probability/probabilities; accepts one row or a batch."""
+    """Predicted probability/probabilities; accepts one row or a batch.
+
+    Rows are scored in blocks of ``_BLOCK_ROWS``; the last block also takes the
+    remainder, so no block is small enough to switch BLAS to another kernel.
+    """
     cat_idx, dense, single = _as_batch(model, cat_idx, dense)
-    h0 = _stack_batch(model.embeddings, cat_idx, dense)
-    u = np.concatenate(
-        [cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0)], axis=1
-    )
-    p = np.asarray(sigmoid(u @ model.head_w + model.head_b[0]))
+    n = cat_idx.shape[0]
+    n_blocks = max(n // _BLOCK_ROWS, 1)
+    p = np.empty(n)
+    for b in range(n_blocks):
+        lo = b * _BLOCK_ROWS
+        hi = n if b == n_blocks - 1 else lo + _BLOCK_ROWS
+        h0 = _stack_batch(model.embeddings, cat_idx[lo:hi], dense[lo:hi])
+        u = np.concatenate(
+            [cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0)], axis=1
+        )
+        p[lo:hi] = sigmoid(u @ model.head_w + model.head_b[0])
     return float(p[0]) if single else p
 
 
@@ -423,10 +431,8 @@ def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
 
 def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
     check_header(d, "xdeepfm")
-    raw_cfg = dict(d["config"])
-    raw_cfg["deep_widths"] = tuple(raw_cfg["deep_widths"])
     return XDeepFMModel(
-        config=XDeepFMConfig(**raw_cfg),
+        config=config_from_dict(XDeepFMConfig, d["config"]),
         n_dense=d["n_dense"],
         embeddings=EmbeddingTable(tables=[np.array(t, dtype=np.float64) for t in d["embeddings"]]),
         cross_layers=[

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +371,51 @@ def test_evaluate_prints_metrics_and_writes_roc(completed_run, tmp_path, capsys)
     lines = roc_csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "fpr,tpr,threshold"
     assert len(lines) > 2
+
+
+REPO_STROKE_CSV = Path(__file__).resolve().parents[1] / "data" / "stroke.csv"
+
+
+@pytest.mark.parametrize(
+    "data_row, column, cell, message",
+    [
+        (5, "avg_glucose_level", "inf", "row 5: non-finite value 'inf' in column 'avg_glucose_level'"),
+        (4000, "bmi", "12..5", "row 4000: cannot parse '12..5' as a number in column 'bmi'"),
+    ],
+)
+def test_run_bad_cell_names_its_file_row(tmp_path, capsys, data_row, column, cell, message):
+    with REPO_STROKE_CSV.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[data_row][rows[0].index(column)] = cell  # rows[0] is the header
+    data = tmp_path / "stroke.csv"
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    config = _write_config(tmp_path, data, tmp_path / "out")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error [data]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [
+        ("predict", "gbdt.json"),
+        ("predict", "xdeepfm.json"),
+        ("importance", "gbdt.json"),
+        ("evaluate", "gbdt.json"),
+        ("evaluate", "xdeepfm.json"),
+    ],
+)
+def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_run, capsys, command, model):
+    doc = json.loads((completed_run["out"] / model).read_text(encoding="utf-8"))
+    args = [command, "--model", str(tmp_path / model)]
+    if command != "importance":
+        args += ["--data", str(completed_run["data"])]
+    for config, detail in [
+        ({**doc["config"], "bogus": 1}, "unknown config key 'bogus'"),
+        ([1, 2], "'config' must be an object"),
+        ({**doc["config"], "learning_rate": "fast"}, "invalid config"),
+    ]:
+        (tmp_path / model).write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {detail}"), err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from tabfusion.dataset import (
     DataError,
     Schema,
     TabularDataset,
+    _numeric_column,
     apply_transform,
     fit_transform,
     load_csv,
@@ -247,6 +250,7 @@ def test_missing_everywhere_yields_finite_dense():
     )
     train = TabularDataset(schema, (("1", "0", "a", "0"), ("3", "1", "b", "1")))
     ft, _ = fit_transform(train)
+    assert ft.numeric_stats["b"].impute_value == 0.0  # a 1:1 tie imputes 0
     pathological = TabularDataset(schema, (("N/A", "N/A", "N/A", "0"),))
     dm = apply_transform(ft, pathological)
     assert np.all(np.isfinite(dm.dense))
@@ -260,3 +264,100 @@ def test_transform_dict_round_trip(stroke_csv, stroke_schema):
     assert restored == ft
     dm2 = apply_transform(restored, ds)
     assert np.array_equal(dm.dense, dm2.dense)
+
+
+# Cells a numeric column may hold: the missing token, plain and padded
+# numbers, signs, exponents, underscores and signed zeros, all of which Python's
+# float() accepts.
+_NUMERIC_CELLS = st.one_of(
+    st.just("N/A"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0", "+0", "-0.0", "0e0", "1_000", "+1e3", " 1.5 ", "\t-2\n", "1e-320", "1e308", ".5", "5."]),
+)
+
+
+@given(st.lists(_NUMERIC_CELLS, max_size=40), st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_numeric_column_equals_per_cell_float_bitwise(cells, fill):
+    col = _numeric_column(tuple(cells), "N/A", fill, "v", range(1, len(cells) + 1))
+    reference = np.array([fill if c == "N/A" else float(c) for c in cells], dtype=np.float64)
+    assert col.dtype == np.float64 and col.shape == (len(cells),)
+    assert col.tobytes() == reference.tobytes()  # bit for bit: -0.0 is not 0.0
+
+
+BV_SCHEMA = Schema(columns=(("b", "binary"), ("v", "numeric"), ("t", "target")))
+
+
+@pytest.mark.parametrize(
+    "cells, row, detail",
+    [
+        (["1", "x", "inf"], 2, "cannot parse 'x' as a number"),
+        (["1", "-inf", "x"], 2, "non-finite value '-inf'"),
+        (["N/A", "2", "nan"], 3, "non-finite value 'nan'"),
+        (["1e999", "2", "3"], 1, "non-finite value '1e999'"),
+        (["1", "2", ""], 3, "cannot parse '' as a number"),
+    ],
+)
+def test_first_bad_cell_is_named_with_its_row_and_column(cells, row, detail):
+    rows = tuple(("0", c, "0") for c in cells)
+    message = f"^row {row}: {re.escape(detail)} in column 'v'$"
+    with pytest.raises(DataError, match=message):
+        fit_transform(TabularDataset(BV_SCHEMA, rows))
+    ft, _ = fit_transform(TabularDataset(BV_SCHEMA, (("0", "1", "0"), ("1", "2", "1"))))
+    with pytest.raises(DataError, match=message):
+        apply_transform(ft, TabularDataset(BV_SCHEMA, rows))
+    # a dataset read from a file names its rows by their file row numbers
+    with pytest.raises(DataError, match=f"^row {row * 10}: {re.escape(detail)} in column 'v'$"):
+        apply_transform(ft, TabularDataset(BV_SCHEMA, rows, (10, 20, 30)))
+
+
+def test_earlier_column_error_wins_over_later_row():
+    rows = (("0", "x", "0"), ("y", "1", "1"))
+    with pytest.raises(DataError, match="^row 2: cannot parse 'y' as a number in column 'b'$"):
+        fit_transform(TabularDataset(BV_SCHEMA, rows))
+
+
+def test_split_keeps_each_rows_file_number():
+    ds = _toy([0, 1] * 10, values=[f"{i}.5" for i in range(20)])
+    numbered = TabularDataset(ds.schema, ds.rows, tuple(range(101, 121)))
+    train, test = stratified_split(numbered, 0.3, seed=5)
+    for part in (train, test):
+        assert [float(row[0]) - 0.5 + 101 for row in part.rows] == list(part.row_numbers)
+    assert sorted(train.row_numbers + test.row_numbers) == list(range(101, 121))
+    assert list(TabularDataset(ds.schema, ds.rows[:3]).row_numbers) == [1, 2, 3]
+
+
+def test_dataset_rejects_ragged_rows_and_miscounted_row_numbers():
+    schema = Schema(columns=(("v", "numeric"), ("t", "target")))
+    with pytest.raises(DataError, match="row numbers"):
+        TabularDataset(schema, (("1", "0"),), (1, 2))
+    ragged = TabularDataset(schema, (("1", "0"), ("2",)))
+    with pytest.raises(DataError, match="2 cells"):
+        ragged.columns()
+
+
+def test_apply_on_zero_rows_gives_empty_matrices(stroke_csv, stroke_schema):
+    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema))
+    empty = apply_transform(ft, TabularDataset(stroke_schema, ()))
+    assert empty.dense.shape == (0, dm.dense.shape[1])
+    assert empty.cat_indices.shape == (0, dm.cat_indices.shape[1])
+    assert empty.labels.shape == (0,)
+    assert empty.dense_names == dm.dense_names
+
+
+def test_fit_transform_matches_a_per_cell_reference(stroke_csv, stroke_schema):
+    """Imputes, means and stds equal a per-cell float() computation exactly."""
+    train, _ = stratified_split(load_csv(stroke_csv, stroke_schema), 0.2, seed=1)
+    ft, _ = fit_transform(train)
+    for name, kind in stroke_schema.columns:
+        if kind not in ("numeric", "binary"):
+            continue
+        observed = [float(c) for c in train.column(name) if c != "N/A"]
+        stats = ft.numeric_stats[name]
+        if kind == "binary":
+            assert stats.impute_value == float(sum(observed) > len(observed) / 2)
+            continue
+        assert stats.impute_value == float(np.median(observed))
+        filled = np.array([stats.impute_value if c == "N/A" else float(c) for c in train.column(name)])
+        assert (stats.mean, stats.std) == (float(filled.mean()), float(filled.std()))

@@ -12,11 +12,12 @@ from tabfusion.xdeepfm import (
     DeepNet,
     EmbeddingTable,
     XDeepFMConfig,
+    _BLOCK_ROWS,
     _grad_arrays,
+    _stack_batch,
     backward,
     cross_forward,
     deep_forward,
-    embed_stack,
     forward,
     get_flat_params,
     init_xdeepfm,
@@ -54,22 +55,31 @@ XOR_CONFIG = XDeepFMConfig(
 )
 
 
-def test_embed_stack_concatenates_in_order():
-    emb = EmbeddingTable(tables=[np.array([[0.0, 0.0], [0.1, 0.2]])])
-    h0 = embed_stack([1], [3.0], emb)
-    assert h0.tolist() == [0.1, 0.2, 3.0]
+def _stack(emb, row_cats, row_dense):
+    """_stack_batch on a single row."""
+    return _stack_batch(
+        emb, np.array([row_cats], dtype=np.int64), np.array([row_dense], dtype=np.float64).reshape(1, -1)
+    )
 
 
-def test_embed_stack_zero_embeddings():
+def test_stack_batch_concatenates_fields_in_order():
+    emb = EmbeddingTable(tables=[np.array([[0.0, 0.0], [0.1, 0.2]]), np.array([[7.0], [8.0], [9.0]])])
+    assert _stack(emb, [1, 2], [3.0]).tolist() == [[0.1, 0.2, 9.0, 3.0]]
+    h0 = _stack_batch(emb, np.array([[1, 0], [0, 1]]), np.array([[3.0], [4.0]]))
+    assert h0.tolist() == [[0.1, 0.2, 7.0, 3.0], [0.0, 0.0, 8.0, 4.0]]
+
+
+def test_stack_batch_zero_embeddings():
     emb = EmbeddingTable(tables=[np.zeros((3, 2))])
-    assert embed_stack([2], [4.0, 5.0], emb).tolist() == [0.0, 0.0, 4.0, 5.0]
+    assert _stack(emb, [2], [4.0, 5.0]).tolist() == [[0.0, 0.0, 4.0, 5.0]]
 
 
-def test_embed_stack_index_zero_selects_oov_row():
+def test_stack_batch_index_zero_selects_oov_row():
     emb = EmbeddingTable(tables=[np.array([[9.0], [1.0]])])
-    assert embed_stack([0], [], emb).tolist() == [9.0]
-    with pytest.raises(ValueError):
-        embed_stack([2], [], emb)
+    assert _stack(emb, [0], []).tolist() == [[9.0]]
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="field 0"):
+            _stack(emb, [bad], [])
 
 
 def test_cross_forward_zero_parameters():
@@ -155,6 +165,28 @@ def test_forward_width_checks():
         forward(model, np.array([[1, 2]]), np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         forward(model, np.array([[1]]), np.array([[0.0]]))
+
+
+def test_forward_in_blocks_matches_row_by_row():
+    """Two full blocks plus a remainder score as each row does on its own.
+
+    A one-row matrix product may round in another order than a block's, so the
+    two agree to 1e-12 rather than bit for bit.
+    """
+    vocab_sizes = (5, 3, 7)
+    model = init_xdeepfm(vocab_sizes, 4, XDeepFMConfig(embedding_dim=3, deep_widths=(8, 4), seed=5))
+    rng = np.random.default_rng(9)
+    n = 2 * _BLOCK_ROWS + 7
+    cat = np.column_stack([rng.integers(0, m, n) for m in vocab_sizes])
+    dense = rng.normal(size=(n, 4))
+    p = forward(model, cat, dense)
+    assert p.shape == (n,)
+    by_row = np.array([forward(model, cat[i], dense[i]) for i in range(n)])
+    np.testing.assert_allclose(p, by_row, rtol=0.0, atol=1e-12)
+    assert forward(model, cat[:0], dense[:0]).shape == (0,)
+    cat[-1, 2] = 7  # out of range, in the last block
+    with pytest.raises(ValueError, match="field 2"):
+        forward(model, cat, dense)
 
 
 def test_backward_near_zero_at_perfect_predictions():
