@@ -14,6 +14,7 @@ row even after a shuffled split.
 from __future__ import annotations
 
 import csv
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,11 +123,13 @@ def load_csv(path, schema: Schema) -> TabularDataset:
                 f"header does not match schema: missing columns {missing}, unexpected columns {extra}"
             )
         perm = [header.index(name) for name in schema.column_names]
+        # itemgetter of one index returns the bare cell, not a 1-tuple
+        pick = operator.itemgetter(*perm) if len(perm) > 1 else lambda row: (row[perm[0]],)
         rows = []
         for row_number, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
-            rows.append(tuple(row[j] for j in perm))
+            rows.append(pick(row))
     return TabularDataset(schema=schema, rows=tuple(rows))
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +26,12 @@ class EnsembleModel:
     gbdt_ref: str
     xdeepfm_ref: str
     search_record: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        if not (isinstance(self.gbdt_ref, str) and isinstance(self.xdeepfm_ref, str)):
+            raise ValueError("component references must be file names")
 
 
 def alpha_grid(step: float) -> list[float]:
@@ -86,17 +90,12 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
 
 def ensemble_from_dict(d: dict) -> EnsembleModel:
     check_header(d, "ensemble")
-    return EnsembleModel(
-        alpha=d["alpha"],
-        gbdt_ref=d["gbdt_ref"],
-        xdeepfm_ref=d["xdeepfm_ref"],
-        search_record=tuple((alpha, score) for alpha, score in d["search_record"]),
-    )
-
-
-def save_ensemble(model: EnsembleModel, path) -> None:
-    Path(path).write_text(json.dumps(ensemble_to_dict(model), indent=2), encoding="utf-8")
-
-
-def load_ensemble(path) -> EnsembleModel:
-    return ensemble_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return EnsembleModel(
+            alpha=d["alpha"],
+            gbdt_ref=d["gbdt_ref"],
+            xdeepfm_ref=d["xdeepfm_ref"],
+            search_record=tuple((alpha, score) for alpha, score in d["search_record"]),
+        )
+    except TypeError as exc:  # an entry of the wrong JSON type
+        raise ValueError(f"malformed ensemble model file: {exc}") from None

@@ -91,6 +91,33 @@ class XDeepFMModel:
     head_w: np.ndarray  # (p + deep output width,)
     head_b: np.ndarray  # shape (1,)
 
+    def __post_init__(self):
+        """Reject parameters that are not finite or whose shapes do not chain."""
+        k = self.config.embedding_dim
+        if not isinstance(self.n_dense, (int, np.integer)) or self.n_dense < 0:
+            raise ValueError(f"n_dense must be a non-negative integer, got {self.n_dense!r}")
+        for f, table in enumerate(self.embeddings.tables):
+            if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != k:
+                raise ValueError(f"embedding table {f} has shape {table.shape}, expected (>= 1, {k})")
+        p = self.input_width
+        if p == 0:
+            raise ValueError("model needs at least one categorical or dense feature")
+        for i, layer in enumerate(self.cross_layers):
+            if layer.W.shape != (p, p) or layer.b.shape != (p,) or layer.c.shape != (p,):
+                raise ValueError(f"cross layer {i} needs W of shape ({p}, {p}) and b, c of shape ({p},)")
+        width = p
+        for i, layer in enumerate(self.deep.layers):
+            out = layer.W.shape[0] if layer.W.ndim == 2 else 0
+            if out < 1 or layer.W.shape != (out, width) or layer.b.shape != (out,):
+                raise ValueError(f"deep layer {i} needs W of shape (out >= 1, {width}) and b of shape (out,)")
+            if layer.activation not in ("relu", "sigmoid"):
+                raise ValueError(f"deep layer {i} has unknown activation {layer.activation!r}")
+            width = out
+        if self.head_w.shape != (p + width,) or self.head_b.shape != (1,):
+            raise ValueError(f"the head must hold {p + width} weights and one bias")
+        if not all(np.isfinite(a).all() for a in _param_arrays(self)):
+            raise ValueError("model parameters hold non-finite values")
+
     @property
     def input_width(self) -> int:
         return self.config.embedding_dim * self.embeddings.n_fields + self.n_dense
@@ -430,32 +457,31 @@ def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
 
 
 def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
+    """The model a document describes; ValueError if its parameters are malformed or non-finite."""
     check_header(d, "xdeepfm")
-    return XDeepFMModel(
-        config=config_from_dict(XDeepFMConfig, d["config"]),
-        n_dense=d["n_dense"],
-        embeddings=EmbeddingTable(tables=[np.array(t, dtype=np.float64) for t in d["embeddings"]]),
-        cross_layers=[
-            CrossLayer(
-                W=np.array(l["W"], dtype=np.float64),
-                b=np.array(l["b"], dtype=np.float64),
-                c=np.array(l["c"], dtype=np.float64),
-            )
-            for l in d["cross_layers"]
-        ],
-        deep=DeepNet(
-            layers=[
-                DeepLayer(
-                    W=np.array(l["W"], dtype=np.float64),
-                    b=np.array(l["b"], dtype=np.float64),
-                    activation=l["activation"],
-                )
-                for l in d["deep_layers"]
-            ]
-        ),
-        head_w=np.array(d["head"]["w"], dtype=np.float64),
-        head_b=np.array([d["head"]["b"]], dtype=np.float64),
-    )
+
+    def array(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64)
+
+    try:
+        return XDeepFMModel(
+            config=config_from_dict(XDeepFMConfig, d["config"]),
+            n_dense=d["n_dense"],
+            embeddings=EmbeddingTable(tables=[array(t) for t in d["embeddings"]]),
+            cross_layers=[
+                CrossLayer(W=array(l["W"]), b=array(l["b"]), c=array(l["c"])) for l in d["cross_layers"]
+            ],
+            deep=DeepNet(
+                layers=[
+                    DeepLayer(W=array(l["W"]), b=array(l["b"]), activation=l["activation"])
+                    for l in d["deep_layers"]
+                ]
+            ),
+            head_w=array(d["head"]["w"]),
+            head_b=array([d["head"]["b"]]),
+        )
+    except TypeError as exc:  # an entry of the wrong JSON type
+        raise ValueError(f"malformed xdeepfm model file: {exc}") from None
 
 
 def save_xdeepfm(model: XDeepFMModel, path) -> None:

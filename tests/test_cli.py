@@ -419,3 +419,42 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [{command}]: {detail}"), err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed_run, capsys, command):
+    # each corruption goes into one component file of the ensemble that is scored
+    out_csv = tmp_path / "preds.csv"
+    args = [command, "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]
+    args += ["--out", str(out_csv)] if command == "predict" else []
+
+    def narrow_table(d):
+        d["embeddings"][0] = [row[:-1] for row in d["embeddings"][0]]
+
+    def broken_chain(d):
+        d["deep_layers"][1]["W"] = [row[:-1] for row in d["deep_layers"][1]["W"]]
+
+    for name, corrupt, detail in [
+        ("xdeepfm.json", lambda d: d["head"]["w"].__setitem__(0, float("nan")), "non-finite"),
+        ("xdeepfm.json", narrow_table, "embedding table 0"),
+        ("xdeepfm.json", lambda d: d["cross_layers"][0]["W"].pop(), "cross layer 0"),
+        ("xdeepfm.json", broken_chain, "deep layer 1"),
+        ("xdeepfm.json", lambda d: d["head"]["w"].append(0.0), "head"),
+        ("xdeepfm.json", lambda d: d.__setitem__("cross_layers", [[1.0]]), "malformed xdeepfm model file"),
+        ("gbdt.json", lambda d: d.__setitem__("base_score", float("nan")), "base_score"),
+        ("gbdt.json", lambda d: d.__setitem__("base_score", 1.5), "base_score"),
+        ("gbdt.json", lambda d: d.__setitem__("feature_names", 3), "malformed gbdt model file"),
+        ("gbdt.json", lambda d: d.__setitem__("feature_names", [0] * len(d["feature_names"])), "strings"),
+        ("ensemble.json", lambda d: d.__setitem__("alpha", "0.5"), "malformed ensemble model file"),
+        ("ensemble.json", lambda d: d.__setitem__("search_record", 5), "malformed ensemble model file"),
+    ]:
+        for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
+            (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
+        doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        corrupt(doc)
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(args) == 2, (name, detail)
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [{command}]: ") and detail in captured.err, captured.err
+        assert "Traceback" not in captured.err and "nan" not in captured.out.lower()
+        assert not out_csv.exists()

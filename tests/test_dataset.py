@@ -56,6 +56,17 @@ def test_load_csv_normalizes_column_order(tmp_path):
     path = _write(tmp_path, "stroke,age,smoking_status\n0,10,never\n")
     ds = load_csv(path, SIMPLE)
     assert ds.rows[0] == ("10", "never", "0")
+    schema = Schema(columns=tuple((name, "numeric") for name in "abcde") + (("y", "target"),))
+    path = _write(tmp_path, "d,y,b,e,a,c\n4,1,2,5,1,3\n40,0,20,50,10,30\n", name="wide.csv")
+    rows = load_csv(path, schema).rows
+    assert rows == (("1", "2", "3", "4", "5", "1"), ("10", "20", "30", "40", "50", "0"))
+
+
+def test_load_csv_target_only_schema_yields_one_cell_tuples(tmp_path):
+    path = _write(tmp_path, "stroke\n0\n1\n")
+    ds = load_csv(path, Schema(columns=(("stroke", "target"),)))
+    assert ds.rows == (("0",), ("1",))
+    assert ds.labels().tolist() == [0, 1]
 
 
 def test_load_csv_ragged_row_names_the_row(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,3 +150,17 @@ def test_ensemble_dict_round_trip():
     )
     restored = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(model))))
     assert restored == model
+
+
+def test_ensemble_from_dict_rejects_malformed_entries():
+    d = ensemble_to_dict(EnsembleModel(0.4, "gbdt.json", "xdeepfm.json", ((0.4, 0.9),)))
+    for key, value, detail in [
+        ("alpha", math.nan, "alpha must lie in"),
+        ("alpha", 1.5, "alpha must lie in"),
+        ("alpha", "0.4", "malformed ensemble model file"),
+        ("gbdt_ref", 7, "file names"),
+        ("search_record", 5, "malformed ensemble model file"),
+        ("search_record", [[0.4]], "not enough values"),
+    ]:
+        with pytest.raises(ValueError, match=detail):
+            ensemble_from_dict({**d, key: value})

@@ -284,6 +284,53 @@ def test_from_dict_rejects_wrong_version_or_kind():
         xdeepfm_from_dict({**d, "kind": "gbdt"})
 
 
+def _set(path, value):
+    """A corruption that sets d[path[0]][path[1]]... to value."""
+
+    def corrupt(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (_set(("head", "w", 0), math.nan), "non-finite"),
+        (_set(("head", "b"), math.inf), "non-finite"),
+        (_set(("cross_layers", 0, "W", 2, 1), -math.inf), "non-finite"),
+        (_set(("embeddings", 1, 0, 1), None), "non-finite"),
+        (_set(("deep_layers", 1, "b", 0), {"a": 1}), "malformed xdeepfm model file"),
+        (_set(("cross_layers", 0), [1, 2]), "malformed xdeepfm model file"),
+        (_set(("head",), [0.0]), "malformed xdeepfm model file"),
+        (lambda d: d["embeddings"][0].__setitem__(0, [0.1]), "setting an array element"),
+        (_set(("embeddings", 0), [[0.1], [0.2], [0.3]]), "embedding table 0"),
+        (_set(("embeddings", 1), []), "embedding table 1"),
+        (lambda d: d["cross_layers"][0]["W"].pop(), "cross layer 0"),
+        (lambda d: d["cross_layers"][0]["c"].append(0.0), "cross layer 0"),
+        (_set(("n_dense",), 3), "cross layer 0"),
+        (lambda d: [row.pop() for row in d["deep_layers"][1]["W"]], "deep layer 1"),
+        (lambda d: d["deep_layers"][0]["b"].append(0.0), "deep layer 0"),
+        (_set(("deep_layers", 0, "activation"), "tanh"), "unknown activation"),
+        (_set(("deep_layers",), []), "head"),
+        (lambda d: d["head"]["w"].append(0.0), "head"),
+        (_set(("head", "b"), [0.0, 0.0]), "head"),
+        (_set(("n_dense",), -1), "n_dense"),
+        (_set(("n_dense",), "2"), "n_dense"),
+        (lambda d: (d.__setitem__("embeddings", []), d.__setitem__("n_dense", 0)), "at least one"),
+    ],
+)
+def test_from_dict_rejects_malformed_or_non_finite_parameters(corrupt, detail):
+    cfg = XDeepFMConfig(embedding_dim=2, n_cross_layers=1, deep_widths=(3, 2))
+    d = json.loads(json.dumps(xdeepfm_to_dict(init_xdeepfm((3, 4), 2, cfg))))
+    xdeepfm_from_dict(json.loads(json.dumps(d)))  # the untouched document loads
+    corrupt(d)
+    with pytest.raises(ValueError, match=detail):
+        xdeepfm_from_dict(d)
+
+
 def test_output_width_algebra():
     cfg = XDeepFMConfig(embedding_dim=3, n_cross_layers=2, deep_widths=(7, 5))
     model = init_xdeepfm((4, 6), 2, cfg)
