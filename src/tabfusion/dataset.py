@@ -5,19 +5,26 @@ on the training partition only and then applied unchanged to any other
 partition, so train and test always see the same transformation.
 
 The read path is column-wise: a dataset keeps its raw rows, and
-``fit_transform``/``apply_transform`` transpose them once per call and parse
-each numeric column in one ``float()`` pass (``_numeric_column``). Each row
-carries its 1-based data-row number from the file, so an error names the file
-row even after a shuffled split.
+``fit_transform``/``apply_transform`` transpose them once per call. A fitted
+transform derives a column plan once, when it is built: where the numeric,
+binary and categorical columns sit, their fills, means and stds as vectors,
+and the one-hot offsets. ``apply_transform`` then encodes a batch with a fixed
+number of NumPy calls however many columns there are: one ``float()`` pass over
+every numeric cell, one scaling, one vocabulary pass over every categorical
+cell and one one-hot scatter. Each row carries its 1-based data-row number
+from the file, so an error names the file row even after a shuffled split.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,18 +179,109 @@ class NumericStats:
     scaled: bool  # binary 0/1 columns pass through unscaled
 
 
+class _ColumnPlan(NamedTuple):
+    """How ``apply_transform`` lays out one transform's columns, derived once."""
+
+    numeric: tuple[int, ...]  # schema positions of the numeric and binary columns
+    fills: tuple[float, ...]  # each one's missing-value fill
+    mean: np.ndarray  # (n_numeric,) float64; 0.0 for an unscaled (binary) column
+    std: np.ndarray  # (n_numeric,) float64; 1.0 for an unscaled (binary) column
+    categorical: tuple[int, ...]  # schema positions of the categorical columns
+    vocabs: tuple[dict[str, int], ...]
+    onehot_base: np.ndarray | None  # (N,) int64 dense column of index 0; None in label mode
+    target: int
+    dense_names: tuple[str, ...]
+    cardinalities: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class FittedTransform:
     """Train-set statistics applied identically to every partition.
 
     Categorical vocabularies reserve index 0 for out-of-vocabulary and
-    missing values; observed values are indexed 1..len(vocab).
+    missing values; observed values are indexed 1..len(vocab). Building one
+    validates every statistic (DataError) and derives the column plan
+    ``apply_transform`` uses.
     """
 
     schema: Schema
     encoding_mode: str  # "one_hot" | "label"
     numeric_stats: dict[str, NumericStats]
     vocabs: dict[str, dict[str, int]]
+    _plan: _ColumnPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_plan", _column_plan(self))
+
+
+def _finite_number(value, what: str) -> float:
+    """``value`` as a float; DataError unless it is a finite int or float (bool and str are not)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise DataError(f"{what} must be a finite number, got {value!r}")
+
+
+def _column_plan(ft: FittedTransform) -> _ColumnPlan:
+    """Validate a transform's statistics and lay out its columns for ``apply_transform``.
+
+    Binary columns get mean 0.0 and std 1.0, so that every numeric column is
+    scaled by one vectorized ``(x - mean) / std``: ``x - 0.0`` and ``x / 1.0``
+    are ``x`` bit for bit, ``-0.0`` included.
+    """
+    if ft.encoding_mode not in ("one_hot", "label"):
+        raise DataError(f"encoding_mode must be 'one_hot' or 'label', got {ft.encoding_mode!r}")
+    columns = ft.schema.columns
+    numeric = tuple(j for j, (_, kind) in enumerate(columns) if kind in ("numeric", "binary"))
+    categorical = tuple(j for j, (_, kind) in enumerate(columns) if kind == "categorical")
+    num_names = [columns[j][0] for j in numeric]
+    cat_names = [columns[j][0] for j in categorical]
+    if not isinstance(ft.numeric_stats, dict) or set(ft.numeric_stats) != set(num_names):
+        raise DataError(f"numeric_stats must hold exactly the numeric and binary columns {num_names}")
+    if not isinstance(ft.vocabs, dict) or set(ft.vocabs) != set(cat_names):
+        raise DataError(f"vocabs must hold exactly the categorical columns {cat_names}")
+    fills, mean, std = [], [], []
+    for name in num_names:
+        s = ft.numeric_stats[name]
+        fill, m, sd = (
+            _finite_number(getattr(s, k), f"{k} of column {name!r}") for k in ("impute_value", "mean", "std")
+        )
+        if not isinstance(s.scaled, bool):
+            raise DataError(f"scaled of column {name!r} must be true or false, got {s.scaled!r}")
+        if s.scaled and sd <= 0.0:
+            raise DataError(f"std of scaled column {name!r} must be positive, got {s.std!r}")
+        fills.append(fill)
+        mean.append(m if s.scaled else 0.0)
+        std.append(sd if s.scaled else 1.0)
+    vocabs = tuple(ft.vocabs[name] for name in cat_names)
+    dense_names = list(num_names)
+    for name, vocab in zip(cat_names, vocabs):
+        if not isinstance(vocab, dict) or not all(isinstance(value, str) for value in vocab):
+            raise DataError(f"vocab of column {name!r} must map cell texts to indices")
+        indices = list(vocab.values())
+        if any(type(i) is not int for i in indices) or indices != list(range(1, len(vocab) + 1)):
+            raise DataError(f"vocab indices of column {name!r} must be 1..{len(vocab)} in order")
+        if ft.encoding_mode == "one_hot":
+            dense_names.extend(f"{name}={value}" for value in vocab)
+    onehot_base = None
+    if ft.encoding_mode == "one_hot":
+        sizes = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
+        onehot_base = len(numeric) + np.cumsum(sizes) - sizes - 1  # index i lands in column base + i
+    return _ColumnPlan(
+        numeric=numeric,
+        fills=tuple(fills),
+        mean=np.array(mean, dtype=np.float64),
+        std=np.array(std, dtype=np.float64),
+        categorical=categorical,
+        vocabs=vocabs,
+        onehot_base=onehot_base,
+        target=ft.schema.column_names.index(ft.schema.target),
+        dense_names=tuple(dense_names),
+        cardinalities=tuple(len(vocab) + 1 for vocab in vocabs),
+    )
 
 
 @dataclass(frozen=True)
@@ -209,6 +307,13 @@ def _parse_number(cell: str, column: str, row_number: int) -> float:
     return value
 
 
+def _check_cells(cells: Sequence[str], missing: str, column: str, row_numbers: Sequence[int]) -> None:
+    """Raise the DataError of the first cell that is not a finite number; the slow path."""
+    for c, row_number in zip(cells, row_numbers):
+        if c != missing:
+            _parse_number(c, column, row_number)
+
+
 def _numeric_column(
     cells: Sequence[str], missing: str, fill: float, column: str, row_numbers: Sequence[int]
 ) -> np.ndarray:
@@ -225,10 +330,8 @@ def _numeric_column(
     except ValueError:
         col = None
     if col is None or not np.isfinite(col).all():
-        for c, row_number in zip(cells, row_numbers):
-            if c != missing:
-                _parse_number(c, column, row_number)
-    return col  # a non-finite ``fill`` is left to the finite check on the dense matrix
+        _check_cells(cells, missing, column, row_numbers)
+    return col  # a non-finite ``fill`` is left to the caller
 
 
 def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tuple[FittedTransform, DesignMatrix]:
@@ -243,8 +346,6 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
     """
     if train.n_rows == 0:
         raise DataError("cannot fit a transform on an empty dataset")
-    if encoding_mode not in ("one_hot", "label"):
-        raise DataError(f"encoding_mode must be 'one_hot' or 'label', got {encoding_mode!r}")
     missing = train.schema.missing_token
     numeric_stats: dict[str, NumericStats] = {}
     vocabs: dict[str, dict[str, int]] = {}
@@ -288,53 +389,63 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
 
 
 def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
-    """Encode a dataset using train statistics only; unseen categories map to index 0."""
+    """Encode a dataset using train statistics only; unseen categories map to index 0.
+
+    The first cell that is not a finite number, in schema column order and
+    then row order, raises a DataError naming its file row and column.
+    """
     if ds.schema != ft.schema:
         raise DataError("dataset schema does not match the schema the transform was fit on")
+    plan = ft._plan
     n = ds.n_rows
     missing = ft.schema.missing_token
-    cells_of = dict(zip(ft.schema.column_names, ds.columns()))
-    dense_cols: list[np.ndarray] = []
-    dense_names: list[str] = []
-    for name, kind in ft.schema.columns:
-        if kind not in ("numeric", "binary"):
-            continue
-        stats = ft.numeric_stats[name]
-        col = _numeric_column(cells_of[name], missing, stats.impute_value, name, ds.row_numbers)
-        if stats.scaled:
-            col = (col - stats.mean) / stats.std
-        dense_cols.append(col)
-        dense_names.append(name)
-    cat_cols: list[np.ndarray] = []
-    cardinalities: list[int] = []
-    onehot_blocks: list[np.ndarray] = []
-    for name, kind in ft.schema.columns:
-        if kind != "categorical":
-            continue
-        vocab = ft.vocabs[name]
-        idx = np.fromiter((vocab.get(c, 0) for c in cells_of[name]), dtype=np.int64, count=n)
-        cat_cols.append(idx)
-        cardinalities.append(len(vocab) + 1)
-        if ft.encoding_mode == "one_hot":
-            block = np.zeros((n, len(vocab)))
-            seen = idx > 0
-            block[np.nonzero(seen)[0], idx[seen] - 1] = 1.0
-            onehot_blocks.append(block)
-            dense_names.extend(f"{name}={value}" for value in vocab)
-    all_cols = dense_cols + onehot_blocks
-    dense = np.column_stack(all_cols) if all_cols else np.zeros((n, 0))
-    if not np.all(np.isfinite(dense)):
+    columns = ds.columns()
+    num_cells = [columns[j] for j in plan.numeric]
+    dense = np.zeros((n, len(plan.dense_names)))
+    numeric = dense[:, : len(plan.numeric)]
+    try:
+        values = np.fromiter(
+            chain.from_iterable(
+                (fill if c == missing else float(c) for c in cells)
+                for cells, fill in zip(num_cells, plan.fills)
+            ),
+            dtype=np.float64,
+            count=n * len(num_cells),
+        )
+    except ValueError:  # a cell float() rejects; name the first bad one
+        _check_num_cells(ft, num_cells, ds.row_numbers)
+        raise
+    np.subtract(values.reshape(len(num_cells), n).T, plan.mean, out=numeric)
+    del values
+    np.divide(numeric, plan.std, out=numeric)
+    if not np.isfinite(numeric).all():  # one-hot entries are always 0 or 1
+        _check_num_cells(ft, num_cells, ds.row_numbers)
         raise DataError("dense matrix contains non-finite entries")
-    cat_indices = (
-        np.column_stack(cat_cols) if cat_cols else np.zeros((n, 0), dtype=np.int64)
-    )
+    codes = np.fromiter(
+        chain.from_iterable(
+            map(vocab.get, columns[j], repeat(0)) for j, vocab in zip(plan.categorical, plan.vocabs)
+        ),
+        dtype=np.int64,
+        count=n * len(plan.categorical),
+    ).reshape(len(plan.categorical), n)
+    if plan.onehot_base is not None:
+        # flat position in ``dense`` of each (field, row) cell's one-hot entry
+        at = np.arange(n) * dense.shape[1] + plan.onehot_base[:, None]
+        at += codes
+        dense.reshape(-1)[at[codes > 0]] = 1.0
     return DesignMatrix(
         dense=dense,
-        cat_indices=cat_indices,
-        labels=_labels(cells_of[ft.schema.target], ft.schema.positive_label),
-        dense_names=tuple(dense_names),
-        cat_cardinalities=tuple(cardinalities),
+        cat_indices=codes.T,
+        labels=_labels(columns[plan.target], ft.schema.positive_label),
+        dense_names=plan.dense_names,
+        cat_cardinalities=plan.cardinalities,
     )
+
+
+def _check_num_cells(ft: FittedTransform, num_cells, row_numbers: Sequence[int]) -> None:
+    """Raise the DataError of the first bad numeric cell, in schema column order."""
+    for j, cells in zip(ft._plan.numeric, num_cells):
+        _check_cells(cells, ft.schema.missing_token, ft.schema.columns[j][0], row_numbers)
 
 
 def transform_to_dict(ft: FittedTransform) -> dict:
@@ -360,19 +471,25 @@ def transform_to_dict(ft: FittedTransform) -> dict:
 
 
 def transform_from_dict(d: dict) -> FittedTransform:
-    schema = Schema(
-        columns=tuple((name, kind) for name, kind in d["schema"]["columns"]),
-        missing_token=d["schema"]["missing_token"],
-        positive_label=d["schema"]["positive_label"],
-    )
-    return FittedTransform(
-        schema=schema,
-        encoding_mode=d["encoding_mode"],
-        numeric_stats={
-            name: NumericStats(
-                impute_value=s["impute_value"], mean=s["mean"], std=s["std"], scaled=s["scaled"]
-            )
-            for name, s in d["numeric_stats"].items()
-        },
-        vocabs={name: {value: index for value, index in pairs} for name, pairs in d["vocabs"].items()},
-    )
+    """The transform a model document holds; DataError if any entry is malformed."""
+    try:
+        raw = d["schema"]
+        columns = tuple((name, kind) for name, kind in raw["columns"])
+        texts = [raw["missing_token"], raw["positive_label"], *(name for name, _ in columns)]
+        if not all(isinstance(t, str) for t in texts):
+            raise DataError("column names, missing_token and positive_label must be strings")
+        return FittedTransform(
+            schema=Schema(columns=columns, missing_token=texts[0], positive_label=texts[1]),
+            encoding_mode=d["encoding_mode"],
+            numeric_stats={
+                name: NumericStats(
+                    impute_value=s["impute_value"], mean=s["mean"], std=s["std"], scaled=s["scaled"]
+                )
+                for name, s in d["numeric_stats"].items()
+            },
+            vocabs={name: {value: index for value, index in pairs} for name, pairs in d["vocabs"].items()},
+        )
+    except DataError:
+        raise
+    except (TypeError, AttributeError, ValueError) as exc:  # an entry of the wrong JSON type or length
+        raise DataError(f"malformed transform: {exc}") from None

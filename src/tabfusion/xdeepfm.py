@@ -8,8 +8,11 @@ outputs produces the logit. Training minimizes mean binary cross-entropy with
 Adam updates; gradients are derived by hand and checked against finite
 differences in the test suite.
 
-``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the network's
-intermediates stay a few MiB however many rows are scored.
+The embedding tables are views into one flat vector, so h0's embedding part
+is one gather at positions computed from each row's indices, and the
+embedding gradient is one ``np.bincount`` into a vector of the same layout.
+``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the
+network's intermediates stay a few MiB however many rows are scored.
 """
 
 from __future__ import annotations
@@ -53,13 +56,70 @@ class XDeepFMConfig:
 
 @dataclass
 class EmbeddingTable:
-    """One (vocab_size x K) matrix per categorical field; row 0 is OOV/missing."""
+    """One (vocab_size x K) matrix per categorical field; row 0 is OOV/missing.
+
+    The constructor copies every table into one flat vector, ``values``, and
+    replaces ``tables`` with views of it, so an in-place edit of ``tables[f]``
+    is an edit of ``values``. With one K for every field, as in a model,
+    ``values`` is the row-major stacked (sum of vocab sizes x K) matrix.
+    ``sizes`` holds each table's row count. ``positions`` turns a batch's
+    indices into positions in ``values``, and ``gradient`` sums a batch's
+    gradient back into per-table matrices.
+    """
 
     tables: list[np.ndarray]
+
+    def __post_init__(self):
+        for f, table in enumerate(self.tables):
+            if table.ndim != 2:
+                raise ValueError(f"embedding table {f} has shape {table.shape}, expected a matrix")
+        shapes = [t.shape for t in self.tables]
+        starts = np.cumsum([0] + [m * k for m, k in shapes]).tolist()
+        self._blocks = [(o, m, k) for o, (m, k) in zip(starts, shapes)]  # (start, m, K) per table
+        self.values = np.concatenate([t.ravel() for t in self.tables] or [np.zeros(0)], dtype=np.float64)
+        self.tables = self.split(self.values)
+        self.sizes = np.array([m for m, _ in shapes], dtype=np.int64)
+        # per h0 embedding column c: its field, and its position is base[c] + index * stride[c]
+        self._field = np.array([f for f, (_, k) in enumerate(shapes) for _ in range(k)], dtype=np.int64)
+        self._stride = np.array([k for _, k in shapes for _ in range(k)], dtype=np.int64)
+        self._base = np.array([o + j for o, _, k in self._blocks for j in range(k)], dtype=np.int64)
+
+    def split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-table (m x K) views of a vector laid out like ``values``."""
+        return [vec[o : o + m * k].reshape(m, k) for o, m, k in self._blocks]
 
     @property
     def n_fields(self) -> int:
         return len(self.tables)
+
+    @property
+    def width(self) -> int:
+        """Embedding columns of h0: the sum of every table's K."""
+        return self._field.size
+
+    def positions(self, cat_idx: np.ndarray) -> np.ndarray:
+        """(n, width) positions in ``values`` of the h0 embedding entries a batch selects.
+
+        ValueError names the first field holding an index outside its table.
+        """
+        bad = (cat_idx < 0) | (cat_idx >= self.sizes)
+        if np.count_nonzero(bad):
+            f = int(bad.any(axis=0).argmax())
+            raise ValueError(f"field {f}: categorical index out of range [0, {self.sizes[f]})")
+        at = cat_idx.take(self._field, axis=1)
+        at *= self._stride
+        at += self._base
+        return at
+
+    def gradient(self, cat_idx: np.ndarray, d_emb: np.ndarray) -> list[np.ndarray]:
+        """Per-table gradients from the (n, width) gradient of the h0 entries a batch selected.
+
+        ``np.bincount`` adds its weights in input order, batch row after batch
+        row, so each entry sums the same addends in the same order as a
+        per-field ``np.add.at`` would.
+        """
+        at = self.positions(cat_idx).ravel()
+        return self.split(np.bincount(at, weights=d_emb.ravel(), minlength=self.values.size))
 
 
 @dataclass
@@ -178,14 +238,10 @@ def init_xdeepfm(vocab_sizes, n_dense: int, cfg: XDeepFMConfig = XDeepFMConfig()
 
 def _stack_batch(emb: EmbeddingTable, cat_idx: np.ndarray, dense: np.ndarray) -> np.ndarray:
     """h0 for each row: the selected embedding rows of every field, then the dense features."""
-    parts = []
-    for f, table in enumerate(emb.tables):
-        idx = cat_idx[:, f]
-        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-            raise ValueError(f"field {f}: categorical index out of range [0, {table.shape[0]})")
-        parts.append(table[idx])
-    parts.append(dense)
-    return np.concatenate(parts, axis=1)
+    h0 = np.empty((cat_idx.shape[0], emb.width + dense.shape[1]))
+    emb.values.take(emb.positions(cat_idx), out=h0[:, : emb.width])
+    h0[:, emb.width :] = dense
+    return h0
 
 
 def cross_forward(layers: list[CrossLayer], h0: np.ndarray) -> np.ndarray:
@@ -341,12 +397,8 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> Gradients:
         grad = grad @ layer.W + ds[:, None] * layer.c[None, :]
     d_h0 += grad
 
-    k = model.config.embedding_dim
-    g_emb = [np.zeros_like(t) for t in model.embeddings.tables]
-    for f in range(model.embeddings.n_fields):
-        np.add.at(g_emb[f], cat_idx[:, f], d_h0[:, f * k : (f + 1) * k])
     return Gradients(
-        embeddings=g_emb,
+        embeddings=model.embeddings.gradient(cat_idx, d_h0[:, : model.embeddings.width]),
         cross_W=g_cross_W,
         cross_b=g_cross_b,
         cross_c=g_cross_c,

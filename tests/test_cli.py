@@ -458,3 +458,29 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
         assert captured.err.startswith(f"error [{command}]: ") and detail in captured.err, captured.err
         assert "Traceback" not in captured.err and "nan" not in captured.out.lower()
         assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_malformed_transform_exits_2_without_traceback(tmp_path, completed_run, capsys, command):
+    def set_stat(key, value):
+        return lambda d: d["transform"]["numeric_stats"]["age"].__setitem__(key, value)
+
+    for corrupt, detail in [
+        (lambda d: d.__setitem__("transform", 5), "malformed transform"),
+        (lambda d: d["transform"].__setitem__("schema", 5), "malformed transform"),
+        (set_stat("mean", "x"), "mean of column 'age' must be a finite number"),
+        (set_stat("std", 0), "std of scaled column 'age' must be positive"),
+        (lambda d: d["transform"]["vocabs"]["gender"][0].__setitem__(1, "a"), "vocab indices of column"),
+    ]:
+        for name in ("gbdt.json", "xdeepfm.json"):
+            doc = json.loads((completed_run["out"] / name).read_text(encoding="utf-8"))
+            corrupt(doc)
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+            out_csv = tmp_path / "preds.csv"
+            args = [command, "--model", str(tmp_path / name), "--data", str(completed_run["data"])]
+            args += ["--out", str(out_csv)] if command == "predict" else []
+            assert cli.main(args) == 2, (name, detail)
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error [{command}]: ") and captured.err.count("\n") == 1
+            assert detail in captured.err, captured.err
+            assert not out_csv.exists() and captured.out == ""

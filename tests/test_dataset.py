@@ -1,3 +1,5 @@
+import copy
+import json
 import re
 
 import numpy as np
@@ -181,6 +183,12 @@ def test_fit_all_missing_numeric_rejected():
         fit_transform(ds)
 
 
+def test_fit_rejects_a_column_whose_statistics_overflow():
+    schema = Schema(columns=(("v", "numeric"), ("t", "target")))
+    with pytest.raises(DataError, match="^std of column 'v' must be a finite number, got inf$"):
+        fit_transform(TabularDataset(schema, (("1e300", "0"), ("-1e300", "1"))))
+
+
 def test_fit_binary_rejects_other_values():
     schema = Schema(columns=(("b", "binary"), ("t", "target")))
     ds = TabularDataset(schema, (("0", "0"), ("2", "1")))
@@ -327,6 +335,10 @@ def test_earlier_column_error_wins_over_later_row():
     rows = (("0", "x", "0"), ("y", "1", "1"))
     with pytest.raises(DataError, match="^row 2: cannot parse 'y' as a number in column 'b'$"):
         fit_transform(TabularDataset(BV_SCHEMA, rows))
+    ft, _ = fit_transform(TabularDataset(BV_SCHEMA, (("0", "1", "0"), ("1", "2", "1"))))
+    for bad in (rows, (("0", "inf", "0"), ("nan", "1", "1"))):
+        with pytest.raises(DataError, match="^row 2: .* in column 'b'$"):
+            apply_transform(ft, TabularDataset(BV_SCHEMA, bad))
 
 
 def test_split_keeps_each_rows_file_number():
@@ -372,3 +384,203 @@ def test_fit_transform_matches_a_per_cell_reference(stroke_csv, stroke_schema):
         assert stats.impute_value == float(np.median(observed))
         filled = np.array([stats.impute_value if c == "N/A" else float(c) for c in train.column(name)])
         assert (stats.mean, stats.std) == (float(filled.mean()), float(filled.std()))
+
+
+def _per_column_reference(ft, ds):
+    """apply_transform's outputs computed one column and one cell at a time."""
+    missing = ft.schema.missing_token
+    cells = dict(zip(ft.schema.column_names, ds.columns()))
+    n = ds.n_rows
+    blocks, names, indices, cardinalities = [], [], [], []
+    for name, kind in ft.schema.columns:
+        if kind in ("numeric", "binary"):
+            s = ft.numeric_stats[name]
+            col = np.array([s.impute_value if c == missing else float(c) for c in cells[name]])
+            blocks.append(((col - s.mean) / s.std if s.scaled else col).reshape(n, 1))
+            names.append(name)
+    for name, kind in ft.schema.columns:
+        if kind == "categorical":
+            vocab = ft.vocabs[name]
+            idx = [vocab.get(c, 0) for c in cells[name]]
+            indices.append(np.array(idx, dtype=np.int64).reshape(n, 1))
+            cardinalities.append(len(vocab) + 1)
+            if ft.encoding_mode == "one_hot":
+                block = np.zeros((n, len(vocab)))
+                for i, j in enumerate(idx):
+                    if j:
+                        block[i, j - 1] = 1.0
+                blocks.append(block)
+                names.extend(f"{name}={value}" for value in vocab)
+    dense = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    cat = np.hstack(indices) if indices else np.zeros((n, 0), dtype=np.int64)
+    labels = np.array([c == ft.schema.positive_label for c in cells[ft.schema.target]], dtype=np.int64)
+    return dense, cat, labels, tuple(names), tuple(cardinalities)
+
+
+def _assert_bitwise_equal(dm, expected):
+    dense, cat, labels, names, cardinalities = expected
+    assert dm.dense.dtype == np.float64 and dm.dense.shape == dense.shape
+    assert dm.dense.tobytes() == dense.tobytes()  # bit for bit: -0.0 is not 0.0
+    assert dm.cat_indices.dtype == np.int64 and dm.cat_indices.shape == cat.shape
+    assert np.array_equal(dm.cat_indices, cat)
+    assert np.array_equal(dm.labels, labels) and dm.labels.dtype == np.int64
+    assert (dm.dense_names, dm.cat_cardinalities) == (names, cardinalities)
+
+
+def _assert_rows_match_batch(ft, ds, dm):
+    """Each row encoded on its own equals its slice of the batch, bit for bit."""
+    for i, row in enumerate(ds.rows):
+        one = apply_transform(ft, TabularDataset(ds.schema, (row,)))
+        assert one.dense.tobytes() == dm.dense[i : i + 1].tobytes()
+        assert np.array_equal(one.cat_indices, dm.cat_indices[i : i + 1])
+        assert np.array_equal(one.labels, dm.labels[i : i + 1])
+
+
+@pytest.mark.parametrize("mode", ["one_hot", "label"])
+def test_apply_equals_a_per_column_reference_on_the_stroke_table(stroke_csv, stroke_schema, mode):
+    train, test = stratified_split(load_csv(stroke_csv, stroke_schema), 0.2, seed=4)
+    ft, dm = fit_transform(train, mode)
+    _assert_bitwise_equal(dm, _per_column_reference(ft, train))
+    dm_test = apply_transform(ft, test)
+    _assert_bitwise_equal(dm_test, _per_column_reference(ft, test))
+    for rows in ((), test.rows[:1]):
+        part = TabularDataset(stroke_schema, rows)
+        _assert_bitwise_equal(apply_transform(ft, part), _per_column_reference(ft, part))
+    head = TabularDataset(stroke_schema, test.rows[:40])
+    _assert_rows_match_batch(ft, head, apply_transform(ft, head))
+
+
+_CELLS = {
+    "numeric": st.one_of(
+        st.just("N/A"),
+        st.floats(-1e150, 1e150).map(repr),  # beyond, the squares in a train std may overflow
+        st.sampled_from(["-0", "-0.0", "1e-320", " 2 ", "7", "1_5"]),
+    ),
+    "binary": st.sampled_from(["0", "1", "N/A", "-0", "0.0", "1.0"]),
+    # the training vocabulary comes from a, b, c; "zz" and "" are seen only when applying
+    "categorical": st.sampled_from(["a", "b", "c", "N/A", "zz", ""]),
+}
+
+
+@st.composite
+def _fit_and_apply_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=5))
+    schema = Schema(columns=tuple((f"x{j}", kind) for j, kind in enumerate(kinds)) + (("y", "target"),))
+    row = st.tuples(*[_CELLS[kind] for kind in kinds], st.sampled_from(["0", "1"]))
+    # a first training row with a value in every column, so that every fit succeeds
+    first = tuple({"numeric": "1", "binary": "0", "categorical": "a"}[kind] for kind in kinds) + ("1",)
+    train_rows = [r for r in draw(st.lists(row, max_size=8)) if "zz" not in r and "" not in r]
+    train = TabularDataset(schema, (first, *train_rows))
+    other = TabularDataset(schema, tuple(draw(st.lists(row, max_size=10))))
+    return train, other, draw(st.sampled_from(["one_hot", "label"]))
+
+
+@given(_fit_and_apply_tables())
+@settings(max_examples=200, deadline=None)
+def test_apply_equals_a_per_column_reference_on_generated_tables(tables):
+    train, other, mode = tables
+    ft, dm = fit_transform(train, mode)
+    _assert_bitwise_equal(dm, _per_column_reference(ft, train))
+    try:
+        dm_other = apply_transform(ft, other)
+    except DataError as exc:  # scaling overflowed: the reference holds the same non-finite entry
+        assert str(exc) == "dense matrix contains non-finite entries"
+        assert not np.isfinite(_per_column_reference(ft, other)[0]).all()
+        return
+    _assert_bitwise_equal(dm_other, _per_column_reference(ft, other))
+    _assert_rows_match_batch(ft, other, dm_other)
+
+
+_SMALL_SCHEMA = Schema(
+    columns=(("age", "numeric"), ("sex", "categorical"), ("smoker", "binary"), ("stroke", "target"))
+)
+_SMALL_TRAIN = TabularDataset(
+    _SMALL_SCHEMA, (("50", "F", "1", "1"), ("N/A", "M", "0", "0"), ("30.5", "F", "N/A", "0"))
+)
+
+
+def _small_transform_dict() -> dict:
+    return json.loads(json.dumps(transform_to_dict(fit_transform(_SMALL_TRAIN)[0])))
+
+
+def _at(path, value):
+    """A corruption that sets d[path[0]][path[1]]... to value."""
+
+    def corrupt(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (_at(("schema",), 5), "malformed transform"),
+        (_at(("schema", "columns"), [["age", "numeric", "x"]]), "malformed transform"),
+        (_at(("schema", "columns", 0, 0), 5), "must be strings"),
+        (_at(("schema", "missing_token"), None), "must be strings"),
+        (_at(("encoding_mode",), "dense"), "encoding_mode must be"),
+        (_at(("numeric_stats", "age", "mean"), "x"), "mean of column 'age' must be a finite number"),
+        (_at(("numeric_stats", "age", "impute_value"), True), "impute_value of column 'age'"),
+        (_at(("numeric_stats", "age", "std"), 10**400), "std of column 'age' must be a finite number"),
+        (_at(("numeric_stats", "age", "impute_value"), float("nan")), "impute_value of column 'age'"),
+        (_at(("numeric_stats", "age", "std"), 0), "std of scaled column 'age' must be positive"),
+        (_at(("numeric_stats", "age", "std"), -2.0), "std of scaled column 'age' must be positive"),
+        (_at(("numeric_stats", "smoker", "mean"), None), "mean of column 'smoker'"),
+        (_at(("numeric_stats", "age", "scaled"), "yes"), "scaled of column 'age'"),
+        (_at(("numeric_stats", "age"), [1, 2]), "malformed transform"),
+        (lambda d: d["numeric_stats"].pop("smoker"), "numeric_stats must hold exactly"),
+        (_at(("numeric_stats", "sex"), {"impute_value": 0, "mean": 0, "std": 1, "scaled": 0}), "numeric_stats"),
+        (lambda d: d["vocabs"].pop("sex"), "vocabs must hold exactly"),
+        (_at(("vocabs",), []), "malformed transform"),
+        (_at(("vocabs", "sex", 0, 1), "a"), "vocab indices of column 'sex' must be 1..2"),
+        (_at(("vocabs", "sex", 0, 1), True), "vocab indices of column 'sex'"),
+        (_at(("vocabs", "sex", 1, 1), 1), "vocab indices of column 'sex'"),
+        (_at(("vocabs", "sex", 1, 1), 3), "vocab indices of column 'sex'"),
+        (_at(("vocabs", "sex"), [["F", 2], ["M", 1]]), "vocab indices of column 'sex'"),
+        (_at(("vocabs", "sex", 0, 0), 7), "vocab of column 'sex' must map cell texts"),
+        (_at(("vocabs", "sex", 0), ["F"]), "malformed transform"),
+    ],
+)
+def test_transform_from_dict_rejects_malformed_entries(corrupt, detail):
+    d = _small_transform_dict()
+    assert transform_from_dict(copy.deepcopy(d)) == fit_transform(_SMALL_TRAIN)[0]
+    corrupt(d)
+    with pytest.raises(DataError, match=re.escape(detail)):
+        transform_from_dict(d)
+
+
+def _leaf_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _leaf_paths(child, (*path, key))
+
+
+_SMALL_PATHS = list(_leaf_paths(_small_transform_dict()))[1:]
+
+
+@given(
+    st.sampled_from(_SMALL_PATHS),
+    st.one_of(
+        st.integers(-3, 3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([2**70, True, False, None, "", "x", "F", "numeric", "categorical", [], [1], {}]),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_transform_from_dict_fails_closed_on_any_corrupted_entry(path, replacement):
+    d = _small_transform_dict()
+    _at(path, replacement)(d)
+    try:
+        ft = transform_from_dict(d)
+    except (DataError, KeyError):
+        return
+    # the entry still describes a valid transform (a new name, token or value): it must encode
+    try:
+        dm = apply_transform(ft, TabularDataset(ft.schema, _SMALL_TRAIN.rows))
+    except DataError:
+        return
+    assert np.isfinite(dm.dense).all()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tabfusion.xdeepfm import (
     forward,
     get_flat_params,
     init_xdeepfm,
+    set_flat_params,
     train_xdeepfm,
     xdeepfm_from_dict,
     xdeepfm_to_dict,
@@ -210,6 +212,87 @@ def test_backward_matches_finite_differences():
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     assert worst < 1e-4
+
+
+def _reference_h0(model, cat, dense):
+    """h0 from the model's tables one field at a time, as the oracles build it."""
+    parts = [model.embeddings.tables[f][cat[:, f]] for f in range(model.embeddings.n_fields)]
+    return np.concatenate(parts + [dense], axis=1)
+
+
+def test_forward_sees_in_place_edits_of_the_tables():
+    """The tables are views of the gathered matrix: no stale copy of them is scored."""
+    model = init_xdeepfm((4, 6), 2, XDeepFMConfig(embedding_dim=3, seed=21))
+    rng = np.random.default_rng(4)
+    cat = np.column_stack([rng.integers(0, 4, 9), rng.integers(0, 6, 9)])
+    dense = rng.normal(size=(9, 2))
+    before = forward(model, cat, dense)
+    model.embeddings.tables[1][cat[0, 1]] += 0.5
+    after = forward(model, cat, dense)
+    assert after[0] != before[0]
+    assert np.array_equal(_stack_batch(model.embeddings, cat, dense), _reference_h0(model, cat, dense))
+    flat = get_flat_params(model)
+    flat[: model.embeddings.values.size] = 0.0  # the tables lead the parameter vector
+    set_flat_params(model, flat)
+    assert not model.embeddings.values.any()
+    assert np.array_equal(_stack_batch(model.embeddings, cat, dense)[:, :6], np.zeros((9, 6)))
+
+
+def test_model_without_categorical_fields_scores_and_trains():
+    cfg = XDeepFMConfig(embedding_dim=4, deep_widths=(5,), seed=2)
+    model = init_xdeepfm((), 3, cfg)
+    rng = np.random.default_rng(8)
+    cat, dense, y = np.zeros((6, 0), dtype=np.int64), rng.normal(size=(6, 3)), np.array([0.0, 1.0] * 3)
+    assert model.embeddings.width == 0
+    positions = model.embeddings.positions(cat)
+    assert positions.shape == (6, 0) and positions.dtype == np.int64
+    assert np.array_equal(_stack_batch(model.embeddings, cat, dense), dense)
+    p = forward(model, cat, dense)
+    assert p.shape == (6,) and np.all((p > 0.0) & (p < 1.0))
+    assert forward(model, [], dense[0]) == pytest.approx(p[0], abs=1e-15)
+    grads = backward(model, cat, dense, y)
+    assert grads.embeddings == []
+    dm = DesignMatrix(dense, cat, y.astype(np.int64), dense_names=(), cat_cardinalities=())
+    assert np.isfinite(forward(train_xdeepfm(dm, XDeepFMConfig(n_epochs=2)), cat, dense)).all()
+
+
+@pytest.mark.parametrize(
+    "cells, field, size",
+    [
+        ({(1, 0): -1}, 0, 5),
+        ({(1, 2): 7}, 2, 7),
+        ({(0, 1): 3}, 1, 3),
+        ({(0, 2): -4, (2, 0): 5}, 0, 5),  # the first bad field wins, not the first bad row
+    ],
+)
+def test_out_of_range_index_names_its_field_in_forward_and_backward(cells, field, size):
+    model = init_xdeepfm((5, 3, 7), 1, XDeepFMConfig(embedding_dim=2, seed=3))
+    cat = np.array([[1, 2, 6], [4, 0, 0], [0, 1, 3]])
+    for at, value in cells.items():
+        cat[at] = value
+    message = "^" + re.escape(f"field {field}: categorical index out of range [0, {size})") + "$"
+    dense = np.zeros((3, 1))
+    with pytest.raises(ValueError, match=message):
+        forward(model, cat, dense)
+    with pytest.raises(ValueError, match=message):
+        backward(model, cat, dense, np.array([0.0, 1.0, 1.0]))
+
+
+def test_embedding_gradient_equals_a_per_field_add_at_bitwise():
+    """One bincount over every field sums each entry's addends in batch-row order."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        sizes = tuple(int(m) for m in rng.integers(1, 5, int(rng.integers(1, 5))))
+        k = int(rng.integers(1, 4))
+        emb = EmbeddingTable(tables=[rng.normal(size=(m, k)) for m in sizes])
+        n = int(rng.integers(1, 300))
+        cat = np.column_stack([rng.integers(0, m, n) for m in sizes])
+        d_emb = rng.normal(size=(n, k * len(sizes))) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        reference = [np.zeros((m, k)) for m in sizes]
+        for f in range(len(sizes)):
+            np.add.at(reference[f], cat[:, f], d_emb[:, f * k : (f + 1) * k])
+        got = emb.gradient(cat, d_emb)
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in reference]
 
 
 def test_backward_untouched_embedding_rows_get_zero_gradient():
