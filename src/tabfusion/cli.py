@@ -40,7 +40,7 @@ from .ensemble import (
 )
 from .gbdt import GBDTConfig, feature_importance, gbdt_from_dict, gbdt_to_dict, predict_gbdt, train_gbdt
 from .metrics import evaluate, format_report_table, roc_curve, roc_points_csv
-from .xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
+from .xdeepfm import XDeepFMConfig, XDeepFMModel, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_TRAIN = 0, 1, 2, 3
 
@@ -220,6 +220,68 @@ def _fail(stage: str, exc: Exception, code: int) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _network_in_child(dm: DesignMatrix, cfg: XDeepFMConfig):
+    """Train the network in a child interpreter while the block runs; yield a function that waits for it.
+
+    The child (`_network_child`) runs on one BLAS thread, so it and a GBDT fit
+    in this process each keep one core busy; on the BLAS default the network's
+    matrix products would also take the GBDT's core. Its stderr is this
+    process's stderr. The child is killed and reaped on every way out of the block.
+    """
+    import pickle
+    import subprocess
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    with tempfile.TemporaryFile() as request:  # a pipe would block until the child reads it
+        pickle.dump((dm, cfg), request, protocol=pickle.HIGHEST_PROTOCOL)
+        request.seek(0)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from tabfusion.cli import _network_child; _network_child()"],
+            stdin=request,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+
+    def result() -> XDeepFMModel:
+        out, _ = proc.communicate()
+        if proc.returncode != 0:
+            detail = out.decode("utf-8", "replace").strip() or f"training process exited with code {proc.returncode}"
+            raise RuntimeError(f"xDeepFM: {detail}")
+        try:
+            return xdeepfm_from_dict(json.loads(out))
+        except ValueError as exc:
+            raise ValueError(f"xDeepFM: {exc}") from None
+
+    try:
+        yield result
+    finally:
+        proc.kill()  # a no-op once the child has been reaped
+        proc.wait()
+        proc.stdout.close()
+
+
+def _network_child() -> None:
+    """Child side of `_network_in_child`: a pickled (DesignMatrix, XDeepFMConfig) on stdin.
+
+    Writes the trained network's `xdeepfm_to_dict` document to stdout as JSON,
+    or one `Type: message` line, and exits 1 if training fails.
+    """
+    import pickle
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # on Ctrl-C the parent reports; the child just stops
+    try:
+        dm, cfg = pickle.load(sys.stdin.buffer)
+        doc = xdeepfm_to_dict(train_xdeepfm(dm, cfg))
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+        sys.exit(1)
+    json.dump(doc, sys.stdout)
+
+
 def cmd_run(cfg: RunConfig) -> int:
     try:
         full = load_csv(cfg.data_path, cfg.schema)
@@ -233,8 +295,9 @@ def cmd_run(cfg: RunConfig) -> int:
         return _fail("data", exc, EXIT_DATA)
 
     try:
-        gbdt_model = train_gbdt(dm_train, cfg.gbdt)
-        xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
+        with _network_in_child(dm_train, cfg.xdfm) as network:
+            gbdt_model = train_gbdt(dm_train, cfg.gbdt)  # a GBDT error wins over the network's
+            xdfm_model = network()
     except Exception as exc:
         return _fail("train", exc, EXIT_TRAIN)
 

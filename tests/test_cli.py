@@ -1,16 +1,18 @@
 import csv
+import dataclasses
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tabfusion import cli
-from tabfusion.dataset import apply_transform, load_csv, transform_from_dict
+from tabfusion.dataset import apply_transform, fit_transform, load_csv, transform_from_dict
 from tabfusion.ensemble import blend
 from tabfusion.gbdt import feature_importance, gbdt_from_dict, predict_gbdt
 from tabfusion.synth import write_stroke_csv
-from tabfusion.xdeepfm import forward, xdeepfm_from_dict
+from tabfusion.xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 
 MINI_OVERRIDES = {
     "gbdt.n_trees": "25",
@@ -62,6 +64,20 @@ def completed_run(tmp_path_factory, mini_csv):
     return {"out": out, "config": config, "data": mini_csv}
 
 
+@pytest.fixture
+def children(monkeypatch):
+    """Every process started through subprocess.Popen while the test runs."""
+    started = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    return started
+
+
 def _read_predictions(path):
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -103,10 +119,13 @@ def test_run_search_record_matches_grid(completed_run):
     assert alphas[0] == 0.0 and alphas[-1] == 1.0 and len(alphas) == 101
 
 
-def test_run_is_byte_identical_across_reruns(tmp_path, mini_csv, completed_run):
+def test_run_is_byte_identical_across_reruns(tmp_path, mini_csv, completed_run, children):
     out2 = tmp_path / "out2"
     config2 = _write_config(tmp_path, mini_csv, out2)
     assert cli.main(["run", "--config", str(config2)]) == 0
+    # the network trained in one child process, which has exited and been reaped
+    assert len(children) == 1 and "_network_child" in children[0].args[-1]
+    assert children[0].returncode == 0
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json", "report.txt", "predictions.csv"):
         assert (out2 / name).read_bytes() == (completed_run["out"] / name).read_bytes()
 
@@ -147,13 +166,62 @@ def test_run_bad_flag_exits_1():
     assert cli.main(["run", "--no-such-flag"]) == 1
 
 
-def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch):
+def _mini_matrix(mini_csv, stroke_schema):
+    return fit_transform(load_csv(mini_csv, stroke_schema), "one_hot")[1]
+
+
+def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch, capsys, children):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic training failure")
 
     monkeypatch.setattr(cli, "train_gbdt", boom)
     config = _write_config(tmp_path, mini_csv, tmp_path / "out")
     assert cli.main(["run", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == "error [train]: synthetic training failure\n"
+    assert len(children) == 1 and all(child.returncode is not None for child in children)
+
+
+def test_run_interrupted_during_training_reaps_the_network_child(tmp_path, mini_csv, monkeypatch, children):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train_gbdt", interrupt)
+    config = _write_config(tmp_path, mini_csv, tmp_path / "out")
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "--config", str(config)])
+    assert len(children) == 1 and all(child.returncode is not None for child in children)
+
+
+def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monkeypatch, capfd, children):
+    start = cli._network_in_child
+
+    def one_class(dm, cfg):  # the GBDT trains on the real labels; only the network fails
+        return start(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
+
+    monkeypatch.setattr(cli, "_network_in_child", one_class)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
+    err = capfd.readouterr().err
+    assert err == "error [train]: xDeepFM: ValueError: training requires both classes to be present\n"
+    assert not out.exists()
+    assert len(children) == 1 and children[0].returncode == 1
+
+
+def test_network_trained_in_child_equals_in_process_training(mini_csv, stroke_schema):
+    dm = _mini_matrix(mini_csv, stroke_schema)
+    cfg = XDeepFMConfig(deep_widths=(16, 8), n_epochs=6, seed=7)
+    with cli._network_in_child(dm, cfg) as network:
+        model = network()
+    # json text, not dict equality, so that a 0.0 against a -0.0 would differ too
+    assert json.dumps(xdeepfm_to_dict(model)) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg)))
+
+
+def test_network_warning_in_child_reaches_stderr(mini_csv, stroke_schema, capfd):
+    dm = _mini_matrix(mini_csv, stroke_schema)
+    dm = dataclasses.replace(dm, dense=dm.dense * 1e100)  # Adam's squared gradients overflow to inf
+    with cli._network_in_child(dm, XDeepFMConfig(n_epochs=1, seed=7)) as network:
+        network()
+    assert "RuntimeWarning: overflow encountered" in capfd.readouterr().err
 
 
 def test_predict_probabilities_in_unit_interval(completed_run, tmp_path):
