@@ -112,8 +112,6 @@ def _sub_config(kv: dict[str, str], prefix: str, config_cls, seed: int):
                 kwargs[name] = tuple(int(w) for w in value.split(",") if w.strip())
             except ValueError:
                 raise ConfigError(f"option {key!r}: expected comma-separated integers") from None
-        elif name == "hidden_activation":
-            kwargs[name] = value
         else:
             field_type = allowed[name].type
             py_type = int if "int" in str(field_type) else float if "float" in str(field_type) else str
@@ -202,6 +200,16 @@ def _write_atomic(path: Path, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _write_output(path: Path, text: str) -> int:
+    """Write one output file of `predict` or `evaluate`; an OS error fails at stage `write`."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_atomic(path, text)
+    except OSError as exc:
+        return _fail("write", exc, EXIT_DATA)
+    return EXIT_OK
 
 
 def _json_text(obj) -> str:
@@ -393,6 +401,8 @@ def _load_model_file(path: Path) -> dict:
         d = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"cannot parse model file {path}: {exc}") from None
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: a model file must be a JSON object, got {type(d).__name__}")
     if d.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported format_version {d.get('format_version')!r} "
@@ -446,10 +456,8 @@ def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int
     text = _predictions_csv(probs)
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out_path, text)
-    return EXIT_OK
+        return EXIT_OK
+    return _write_output(out_path, text)
 
 
 def cmd_importance(model_path: Path, top_k: int) -> int:
@@ -477,10 +485,9 @@ def cmd_evaluate(model_path: Path, data_path: Path, name: str | None, roc_out: P
         return _fail("evaluate", exc, EXIT_DATA)
     print(format_report_table([report]))
     print(f"n: {report.n}  positives: {report.positives}")
-    if roc_out is not None:
-        roc_out.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(roc_out, roc_points_csv(roc_curve(labels, probs)))
-    return EXIT_OK
+    if roc_out is None:
+        return EXIT_OK
+    return _write_output(roc_out, roc_points_csv(roc_curve(labels, probs)))
 
 
 class _Parser(argparse.ArgumentParser):

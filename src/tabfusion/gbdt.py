@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict
 from .dataset import DesignMatrix
 from .metrics import clip_probs, logit, sigmoid
 
@@ -495,21 +495,10 @@ def feature_importance(model: GBDTModel) -> np.ndarray:
 
 
 def gbdt_to_dict(model: GBDTModel) -> dict:
-    cfg = model.config
     return {
         "format_version": FORMAT_VERSION,
         "kind": "gbdt",
-        "config": {
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "learning_rate": cfg.learning_rate,
-            "lambda1": cfg.lambda1,
-            "lambda2": cfg.lambda2,
-            "gamma": cfg.gamma,
-            "min_child_hessian": cfg.min_child_hessian,
-            "base_score": cfg.base_score,
-            "seed": cfg.seed,
-        },
+        "config": config_to_dict(model.config),
         "base_score": model.base_score,
         "feature_names": list(model.feature_names),
         "forest": {name: getattr(model.forest, name).tolist() for name in FOREST_ARRAYS},

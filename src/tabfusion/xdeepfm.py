@@ -8,9 +8,11 @@ outputs produces the logit. Training minimizes mean binary cross-entropy with
 Adam updates; gradients are derived by hand and checked against finite
 differences in the test suite.
 
-The embedding tables are views into one flat vector, so h0's embedding part
-is one gather at positions computed from each row's indices, and the
-embedding gradient is one ``np.bincount`` into a vector of the same layout.
+Every parameter array is a view of one flat vector, ``model.params``, with
+the embedding tables first. So h0's embedding part is one gather at
+positions computed from each row's indices, ``backward`` returns one
+gradient vector of the same layout (its embedding part one ``np.bincount``),
+and an Adam step is a few whole-vector operations.
 ``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the
 network's intermediates stay a few MiB however many rows are scored.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict
 from .dataset import DesignMatrix
 from .metrics import sigmoid
 
@@ -64,7 +66,7 @@ class EmbeddingTable:
     ``values`` is the row-major stacked (sum of vocab sizes x K) matrix.
     ``sizes`` holds each table's row count. ``positions`` turns a batch's
     indices into positions in ``values``, and ``gradient`` sums a batch's
-    gradient back into per-table matrices.
+    gradient back into a vector laid out like ``values``.
     """
 
     tables: list[np.ndarray]
@@ -111,15 +113,15 @@ class EmbeddingTable:
         at += self._base
         return at
 
-    def gradient(self, cat_idx: np.ndarray, d_emb: np.ndarray) -> list[np.ndarray]:
-        """Per-table gradients from the (n, width) gradient of the h0 entries a batch selected.
+    def gradient(self, cat_idx: np.ndarray, d_emb: np.ndarray) -> np.ndarray:
+        """The gradient of ``values`` from the (n, width) gradient of the h0 entries a batch selected.
 
         ``np.bincount`` adds its weights in input order, batch row after batch
         row, so each entry sums the same addends in the same order as a
         per-field ``np.add.at`` would.
         """
         at = self.positions(cat_idx).ravel()
-        return self.split(np.bincount(at, weights=d_emb.ravel(), minlength=self.values.size))
+        return np.bincount(at, weights=d_emb.ravel(), minlength=self.values.size)
 
 
 @dataclass
@@ -143,6 +145,10 @@ class DeepNet:
 
 @dataclass
 class XDeepFMModel:
+    """The network. ``__post_init__`` copies every parameter array into one vector,
+    ``params``, and makes each array a view of it: the embedding tables, each
+    cross layer's W, b, c, each deep layer's W, b, then the head's w and b."""
+
     config: XDeepFMConfig
     n_dense: int
     embeddings: EmbeddingTable
@@ -152,7 +158,7 @@ class XDeepFMModel:
     head_b: np.ndarray  # shape (1,)
 
     def __post_init__(self):
-        """Reject parameters that are not finite or whose shapes do not chain."""
+        """Reject parameters that are not finite or whose shapes do not chain; then build ``params``."""
         k = self.config.embedding_dim
         if not isinstance(self.n_dense, (int, np.integer)) or self.n_dense < 0:
             raise ValueError(f"n_dense must be a non-negative integer, got {self.n_dense!r}")
@@ -175,24 +181,25 @@ class XDeepFMModel:
             width = out
         if self.head_w.shape != (p + width,) or self.head_b.shape != (1,):
             raise ValueError(f"the head must hold {p + width} weights and one bias")
-        if not all(np.isfinite(a).all() for a in _param_arrays(self)):
+        slots = [(self.embeddings, "values")]
+        for layer in self.cross_layers:
+            slots += [(layer, "W"), (layer, "b"), (layer, "c")]
+        for layer in self.deep.layers:
+            slots += [(layer, "W"), (layer, "b")]
+        slots += [(self, "head_w"), (self, "head_b")]
+        arrays = [getattr(owner, name) for owner, name in slots]
+        self.params = np.concatenate(arrays, axis=None, dtype=np.float64)
+        if not np.isfinite(self.params).all():
             raise ValueError("model parameters hold non-finite values")
+        start = 0
+        for (owner, name), a in zip(slots, arrays):
+            setattr(owner, name, self.params[start : start + a.size].reshape(a.shape))
+            start += a.size
+        self.embeddings.tables = self.embeddings.split(self.embeddings.values)
 
     @property
     def input_width(self) -> int:
         return self.config.embedding_dim * self.embeddings.n_fields + self.n_dense
-
-
-@dataclass
-class Gradients:
-    embeddings: list[np.ndarray]
-    cross_W: list[np.ndarray]
-    cross_b: list[np.ndarray]
-    cross_c: list[np.ndarray]
-    deep_W: list[np.ndarray]
-    deep_b: list[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -244,6 +251,12 @@ def _stack_batch(emb: EmbeddingTable, cat_idx: np.ndarray, dense: np.ndarray) ->
     return h0
 
 
+def _cross_step(layer: CrossLayer, h: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = c . h, and the layer's output W h + b + s h0."""
+    s = h @ layer.c
+    return s, h @ layer.W.T + layer.b + s[..., None] * h0
+
+
 def cross_forward(layers: list[CrossLayer], h0: np.ndarray) -> np.ndarray:
     """Apply h_{l+1} = W_l h_l + b_l + (c_l . h_l) h0 in order; width is preserved."""
     h = h0
@@ -252,7 +265,7 @@ def cross_forward(layers: list[CrossLayer], h0: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"cross layer width {layer.W.shape[1]} does not match input width {h.shape[-1]}"
             )
-        h = h @ layer.W.T + layer.b + (h @ layer.c)[..., None] * h0
+        _, h = _cross_step(layer, h, h0)
     return h
 
 
@@ -329,8 +342,8 @@ def forward(model: XDeepFMModel, cat_idx, dense):
     return float(p[0]) if single else p
 
 
-def backward(model: XDeepFMModel, cat_idx, dense, y) -> Gradients:
-    """Exact gradients of mean BCE over the batch w.r.t. every parameter.
+def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
+    """Exact gradient of mean BCE over the batch, laid out like ``model.params``.
 
     Embedding rows not referenced by the batch get exactly zero gradient.
     """
@@ -346,8 +359,7 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> Gradients:
     dots = []
     h = h0
     for layer in model.cross_layers:
-        s = h @ layer.c
-        h = h @ layer.W.T + layer.b + s[:, None] * h0
+        s, h = _cross_step(layer, h, h0)
         dots.append(s)
         hs.append(h)
     acts = [h0]
@@ -362,84 +374,49 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> Gradients:
     p = np.asarray(sigmoid(u @ model.head_w + model.head_b[0]))
 
     d_logit = (p - y) / n
-    g_head_w = u.T @ d_logit
-    g_head_b = np.array([d_logit.sum()])
+    rev = [np.array([d_logit.sum()]), u.T @ d_logit]  # gradient pieces, last parameter first
     du = d_logit[:, None] * model.head_w[None, :]
     width = h0.shape[1]
     d_h0 = np.zeros_like(h0)
 
     # deep path
-    g_deep_W: list[np.ndarray] = [np.empty(0)] * len(model.deep.layers)
-    g_deep_b: list[np.ndarray] = [np.empty(0)] * len(model.deep.layers)
     grad = du[:, width:]
     for li in reversed(range(len(model.deep.layers))):
         layer = model.deep.layers[li]
         dz = grad * _activate_grad(zs[li], layer.activation)
-        g_deep_W[li] = dz.T @ acts[li]
-        g_deep_b[li] = dz.sum(axis=0)
+        rev += [dz.sum(axis=0), dz.T @ acts[li]]
         grad = dz @ layer.W
     d_h0 += grad
 
     # cross path; each layer touches h0 directly through the interaction term
-    g_cross_W: list[np.ndarray] = [np.empty(0)] * len(model.cross_layers)
-    g_cross_b: list[np.ndarray] = [np.empty(0)] * len(model.cross_layers)
-    g_cross_c: list[np.ndarray] = [np.empty(0)] * len(model.cross_layers)
     grad = du[:, :width]
     for li in reversed(range(len(model.cross_layers))):
         layer = model.cross_layers[li]
         h_in = hs[li]
         s = dots[li]
-        g_cross_W[li] = grad.T @ h_in
-        g_cross_b[li] = grad.sum(axis=0)
         ds = (grad * h0).sum(axis=1)
-        g_cross_c[li] = h_in.T @ ds
+        rev += [h_in.T @ ds, grad.sum(axis=0), grad.T @ h_in]
         d_h0 += grad * s[:, None]
         grad = grad @ layer.W + ds[:, None] * layer.c[None, :]
     d_h0 += grad
 
-    return Gradients(
-        embeddings=model.embeddings.gradient(cat_idx, d_h0[:, : model.embeddings.width]),
-        cross_W=g_cross_W,
-        cross_b=g_cross_b,
-        cross_c=g_cross_c,
-        deep_W=g_deep_W,
-        deep_b=g_deep_b,
-        head_w=g_head_w,
-        head_b=g_head_b,
-    )
+    rev.append(model.embeddings.gradient(cat_idx, d_h0[:, : model.embeddings.width]))
+    return np.concatenate(rev[::-1], axis=None)
 
 
-def _param_arrays(model: XDeepFMModel) -> list[np.ndarray]:
-    arrays = list(model.embeddings.tables)
-    for layer in model.cross_layers:
-        arrays += [layer.W, layer.b, layer.c]
-    for layer in model.deep.layers:
-        arrays += [layer.W, layer.b]
-    arrays += [model.head_w, model.head_b]
-    return arrays
-
-
-def _grad_arrays(g: Gradients) -> list[np.ndarray]:
-    arrays = list(g.embeddings)
-    for w, b, c in zip(g.cross_W, g.cross_b, g.cross_c):
-        arrays += [w, b, c]
-    for w, b in zip(g.deep_W, g.deep_b):
-        arrays += [w, b]
-    arrays += [g.head_w, g.head_b]
-    return arrays
+def _grad_arrays(g: np.ndarray) -> list[np.ndarray]:
+    """``backward``'s gradient as the one-array list that callers concatenate."""
+    return [g]
 
 
 def get_flat_params(model: XDeepFMModel) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in _param_arrays(model)])
+    return model.params.copy()
 
 
 def set_flat_params(model: XDeepFMModel, vec: np.ndarray) -> None:
-    offset = 0
-    for a in _param_arrays(model):
-        a[...] = vec[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    if offset != vec.size:
-        raise ValueError(f"parameter vector has {vec.size} entries, model needs {offset}")
+    if vec.size != model.params.size:
+        raise ValueError(f"parameter vector has {vec.size} entries, model needs {model.params.size}")
+    model.params[...] = vec
 
 
 def train_xdeepfm(
@@ -455,46 +432,32 @@ def train_xdeepfm(
         vocab_sizes = dm.cat_cardinalities
     rng = np.random.default_rng(cfg.seed)
     model = _init_model(rng, tuple(vocab_sizes), dm.dense.shape[1], cfg)
-    params = _param_arrays(model)
-    m_state = [np.zeros_like(a) for a in params]
-    v_state = [np.zeros_like(a) for a in params]
+    theta = model.params
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     step = 0
     n = y.size
     for _ in range(cfg.n_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            grads = _grad_arrays(backward(model, dm.cat_indices[sel], dm.dense[sel], y[sel]))
+            g = backward(model, dm.cat_indices[sel], dm.dense[sel], y[sel])
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step
-            for a, ga, ma, va in zip(params, grads, m_state, v_state):
-                ma *= cfg.beta1
-                ma += (1.0 - cfg.beta1) * ga
-                va *= cfg.beta2
-                va += (1.0 - cfg.beta2) * ga * ga
-                a -= cfg.learning_rate * (ma / bias1) / (np.sqrt(va / bias2) + cfg.adam_eps)
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            theta -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
     return model
 
 
 def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
-    cfg = model.config
     return {
         "format_version": FORMAT_VERSION,
         "kind": "xdeepfm",
-        "config": {
-            "embedding_dim": cfg.embedding_dim,
-            "n_cross_layers": cfg.n_cross_layers,
-            "deep_widths": list(cfg.deep_widths),
-            "hidden_activation": cfg.hidden_activation,
-            "learning_rate": cfg.learning_rate,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "adam_eps": cfg.adam_eps,
-            "batch_size": cfg.batch_size,
-            "n_epochs": cfg.n_epochs,
-            "seed": cfg.seed,
-        },
+        "config": config_to_dict(model.config),
         "n_dense": model.n_dense,
         "embeddings": [t.tolist() for t in model.embeddings.tables],
         "cross_layers": [

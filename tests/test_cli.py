@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from tabfusion import cli
+from tabfusion.artifact import config_from_dict, config_to_dict
 from tabfusion.dataset import apply_transform, fit_transform, load_csv, transform_from_dict
-from tabfusion.ensemble import blend
-from tabfusion.gbdt import feature_importance, gbdt_from_dict, predict_gbdt
+from tabfusion.ensemble import blend, ensemble_from_dict
+from tabfusion.gbdt import GBDTConfig, feature_importance, gbdt_from_dict, predict_gbdt
 from tabfusion.synth import write_stroke_csv
 from tabfusion.xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 
@@ -552,3 +553,59 @@ def test_malformed_transform_exits_2_without_traceback(tmp_path, completed_run, 
             assert captured.err.startswith(f"error [{command}]: ") and captured.err.count("\n") == 1
             assert detail in captured.err, captured.err
             assert not out_csv.exists() and captured.out == ""
+
+
+@pytest.mark.parametrize("doc", [[], 1, "x", None])
+def test_model_file_that_is_not_an_object_exits_2_without_traceback(tmp_path, completed_run, capsys, doc):
+    data = str(completed_run["data"])
+    for part in ("ensemble.json", "xdeepfm.json"):
+        (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
+    (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")  # an ensemble component
+    expected = f"a model file must be a JSON object, got {type(doc).__name__}\n"
+    for args in [
+        ["predict", "--model", str(tmp_path / "gbdt.json"), "--data", data],
+        ["predict", "--model", str(tmp_path / "ensemble.json"), "--data", data],
+        ["importance", "--model", str(tmp_path / "gbdt.json")],
+        ["evaluate", "--model", str(tmp_path / "gbdt.json"), "--data", data],
+    ]:
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.err == f"error [{args[0]}]: {tmp_path / 'gbdt.json'}: {expected}"
+        assert captured.out == ""
+    for reader in (gbdt_from_dict, xdeepfm_from_dict, ensemble_from_dict):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            reader(doc)
+
+
+@pytest.mark.parametrize("command, flag", [("predict", "--out"), ("evaluate", "--roc-csv")])
+def test_output_path_that_is_a_directory_exits_2_at_write(tmp_path, completed_run, capsys, command, flag):
+    target = tmp_path / "taken"
+    target.mkdir()
+    model = str(completed_run["out"] / "gbdt.json")
+    assert cli.main([command, "--model", model, "--data", str(completed_run["data"]), flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [write]: ") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(target.iterdir())
+
+
+def test_config_to_dict_lists_fields_in_order_and_round_trips():
+    for cfg in [
+        GBDTConfig(n_trees=7, lambda1=0.5, base_score=0.25, seed=3),
+        GBDTConfig(),
+        XDeepFMConfig(deep_widths=(5, 2), hidden_activation="sigmoid", n_epochs=4),
+    ]:
+        d = config_to_dict(cfg)
+        assert list(d) == [f.name for f in dataclasses.fields(cfg)]
+        assert config_from_dict(type(cfg), json.loads(json.dumps(d))) == cfg
+    assert config_to_dict(XDeepFMConfig(deep_widths=(5, 2)))["deep_widths"] == [5, 2]
+
+
+@pytest.mark.parametrize("value", ["relu", "sigmoid", "tanh"])
+def test_hidden_activation_option_is_read_as_a_string(tmp_path, value):
+    kv = cli.parse_kv_file(_write_config(tmp_path, tmp_path / "x.csv", tmp_path / "out"))
+    kv["xdfm.hidden_activation"] = value
+    if value == "tanh":
+        with pytest.raises(cli.ConfigError, match="hidden_activation must be"):
+            cli.build_run_config(kv)
+    else:
+        assert cli.build_run_config(kv).xdfm.hidden_activation == value

@@ -14,7 +14,7 @@ from tabfusion.xdeepfm import (
     EmbeddingTable,
     XDeepFMConfig,
     _BLOCK_ROWS,
-    _grad_arrays,
+    _init_model,
     _stack_batch,
     backward,
     cross_forward,
@@ -195,9 +195,8 @@ def test_backward_near_zero_at_perfect_predictions():
     model = init_xdeepfm((3,), 1, XDeepFMConfig(embedding_dim=2, seed=1))
     model.head_w[...] = 0.0
     model.head_b[...] = 30.0  # p = 1 - 1e-13, labels all 1
-    grads = backward(model, np.array([[1], [2]]), np.array([[0.1], [0.2]]), np.array([1.0, 1.0]))
-    flat = np.concatenate([a.ravel() for a in _grad_arrays(grads)])
-    assert np.max(np.abs(flat)) < 1e-6
+    grad = backward(model, np.array([[1], [2]]), np.array([[0.1], [0.2]]), np.array([1.0, 1.0]))
+    assert np.max(np.abs(grad)) < 1e-6
 
 
 def test_backward_matches_finite_differences():
@@ -205,9 +204,7 @@ def test_backward_matches_finite_differences():
     worst = 0.0
     for _ in range(12):
         model, cat_idx, dense, y = random_small_model(rng)
-        analytic = np.concatenate(
-            [a.ravel() for a in _grad_arrays(backward(model, cat_idx, dense, y))]
-        )
+        analytic = backward(model, cat_idx, dense, y)
         numeric = finite_difference_gradients(model, cat_idx, dense, y)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
@@ -250,8 +247,9 @@ def test_model_without_categorical_fields_scores_and_trains():
     p = forward(model, cat, dense)
     assert p.shape == (6,) and np.all((p > 0.0) & (p < 1.0))
     assert forward(model, [], dense[0]) == pytest.approx(p[0], abs=1e-15)
-    grads = backward(model, cat, dense, y)
-    assert grads.embeddings == []
+    assert model.embeddings.values.size == 0
+    grad = backward(model, cat, dense, y)
+    assert grad.shape == model.params.shape and np.isfinite(grad).all()
     dm = DesignMatrix(dense, cat, y.astype(np.int64), dense_names=(), cat_cardinalities=())
     assert np.isfinite(forward(train_xdeepfm(dm, XDeepFMConfig(n_epochs=2)), cat, dense)).all()
 
@@ -292,15 +290,92 @@ def test_embedding_gradient_equals_a_per_field_add_at_bitwise():
         for f in range(len(sizes)):
             np.add.at(reference[f], cat[:, f], d_emb[:, f * k : (f + 1) * k])
         got = emb.gradient(cat, d_emb)
-        assert [g.tobytes() for g in got] == [r.tobytes() for r in reference]
+        assert got.shape == emb.values.shape
+        assert got.tobytes() == np.concatenate([r.ravel() for r in reference]).tobytes()
 
 
 def test_backward_untouched_embedding_rows_get_zero_gradient():
     model = init_xdeepfm((5,), 1, XDeepFMConfig(embedding_dim=2, seed=4))
-    grads = backward(model, np.array([[2], [2]]), np.array([[1.0], [2.0]]), np.array([0.0, 1.0]))
-    touched = grads.embeddings[0]
+    grad = backward(model, np.array([[2], [2]]), np.array([[1.0], [2.0]]), np.array([0.0, 1.0]))
+    touched = grad[: model.embeddings.values.size].reshape(5, 2)  # the table leads the gradient
     assert np.all(touched[[0, 1, 3, 4]] == 0.0)
     assert np.any(touched[2] != 0.0)
+    assert np.any(grad[touched.size :] != 0.0)
+
+
+def test_every_parameter_array_is_a_view_of_params():
+    model = init_xdeepfm((4, 3), 2, XDeepFMConfig(embedding_dim=2, deep_widths=(5, 3), seed=13))
+    arrays = list(model.embeddings.tables)
+    for layer in model.cross_layers:
+        arrays += [layer.W, layer.b, layer.c]
+    for layer in model.deep.layers:
+        arrays += [layer.W, layer.b]
+    arrays += [model.head_w, model.head_b]
+    assert all(np.shares_memory(a, model.params) for a in arrays)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), model.params)  # in this order
+    cat, dense = np.array([[1, 2], [3, 0]]), np.array([[0.5, -1.0], [2.0, 0.1]])
+    before, params_before = forward(model, cat, dense), model.params.copy()
+    model.cross_layers[1].W[0, 3] += 0.25
+    # 7 x 2 table entries, then cross layer 0's W, b, c (36 + 6 + 6), then row 0 of layer 1's W
+    assert np.flatnonzero(model.params != params_before).tolist() == [14 + 48 + 3]
+    assert not np.array_equal(forward(model, cat, dense), before)
+    flat = get_flat_params(model)
+    flat[-1] += 1.0  # the head bias
+    set_flat_params(model, flat)
+    assert model.head_b[0] == flat[-1]
+    assert np.all(forward(model, cat, dense) > before)
+    with pytest.raises(ValueError, match="model needs"):
+        set_flat_params(model, flat[:-1])
+
+
+def _per_array_adam(dm, cfg):
+    """train_xdeepfm with Adam run array by array, on per-array slices of each gradient."""
+    rng = np.random.default_rng(cfg.seed)
+    model = _init_model(rng, dm.cat_cardinalities, dm.dense.shape[1], cfg)
+    arrays = list(model.embeddings.tables)
+    for layer in model.cross_layers:
+        arrays += [layer.W, layer.b, layer.c]
+    for layer in model.deep.layers:
+        arrays += [layer.W, layer.b]
+    arrays += [model.head_w, model.head_b]
+    m_state = [np.zeros_like(a) for a in arrays]
+    v_state = [np.zeros_like(a) for a in arrays]
+    ends = np.cumsum([a.size for a in arrays])[:-1]
+    y = dm.labels.astype(np.float64)
+    step = 0
+    for _ in range(cfg.n_epochs):
+        order = rng.permutation(y.size)
+        for start in range(0, y.size, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            grads = np.split(backward(model, dm.cat_indices[sel], dm.dense[sel], y[sel]), ends)
+            step += 1
+            bias1 = 1.0 - cfg.beta1**step
+            bias2 = 1.0 - cfg.beta2**step
+            for a, ga, ma, va in zip(arrays, grads, m_state, v_state):
+                ga = ga.reshape(a.shape)
+                ma *= cfg.beta1
+                ma += (1.0 - cfg.beta1) * ga
+                va *= cfg.beta2
+                va += (1.0 - cfg.beta2) * ga * ga
+                a -= cfg.learning_rate * (ma / bias1) / (np.sqrt(va / bias2) + cfg.adam_eps)
+    return model
+
+
+def test_whole_vector_adam_equals_per_array_adam_bitwise():
+    xor = xor_design_matrix(n_per_cell=12, seed=5)
+    rng = np.random.default_rng(17)
+    dm = DesignMatrix(
+        dense=rng.normal(size=(xor.labels.size, 3)),
+        cat_indices=xor.cat_indices,
+        labels=xor.labels,
+        dense_names=("a", "b", "c"),
+        cat_cardinalities=xor.cat_cardinalities,
+    )
+    cfg = XDeepFMConfig(embedding_dim=3, deep_widths=(6, 4), learning_rate=0.01, batch_size=10, n_epochs=3, seed=4)
+    trained = train_xdeepfm(dm, cfg)
+    reference = _per_array_adam(dm, cfg)
+    assert get_flat_params(trained).tobytes() == get_flat_params(reference).tobytes()
+    assert not np.array_equal(get_flat_params(trained), get_flat_params(init_xdeepfm((3, 3), 3, cfg)))
 
 
 def test_train_learns_xor_interaction():
