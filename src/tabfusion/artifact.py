@@ -1,6 +1,11 @@
-"""The format version of every tabfusion artifact, and the checks its readers make."""
+"""The format version of every tabfusion artifact, the checks its readers make, and its one writer."""
 
+import contextlib
+import json
+import os
+import tempfile
 from dataclasses import asdict, fields
+from pathlib import Path
 
 FORMAT_VERSION = 2  # 2: gbdt.json holds its trees as per-node arrays
 
@@ -37,3 +42,24 @@ def config_from_dict(config_cls, raw):
         return config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
     except TypeError as exc:
         raise ValueError(f"invalid config: {exc}") from None
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a uniquely named temp file in the target directory, then rename."""
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """Write a document atomically as compact JSON: whitespace is not part of the format."""
+    _write_atomic(Path(path), json.dumps(doc, separators=(",", ":")) + "\n")

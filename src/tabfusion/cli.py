@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION
+from .artifact import FORMAT_VERSION, _write_atomic, write_json
 from .dataset import (
     DataError,
     DesignMatrix,
@@ -186,22 +186,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a uniquely named temp file in the target directory, then rename."""
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _write_output(path: Path, text: str) -> int:
     """Write one output file of `predict` or `evaluate`; an OS error fails at stage `write`."""
     try:
@@ -210,10 +194,6 @@ def _write_output(path: Path, text: str) -> int:
     except OSError as exc:
         return _fail("write", exc, EXIT_DATA)
     return EXIT_OK
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _predictions_csv(probs: np.ndarray) -> str:
@@ -234,48 +214,53 @@ def _network_in_child(dm: DesignMatrix, cfg: XDeepFMConfig):
 
     The child (`_network_child`) runs on one BLAS thread, so it and a GBDT fit
     in this process each keep one core busy; on the BLAS default the network's
-    matrix products would also take the GBDT's core. Its stderr is this
-    process's stderr. The child is killed and reaped on every way out of the block.
+    matrix products would also take the GBDT's core. It keeps 16 MiB of freed
+    heap, which glibc would otherwise trim and fault back in on every Adam step.
+    Its stderr is this process's stderr. The child is killed and reaped on every
+    way out of the block.
     """
     import pickle
     import subprocess
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["MALLOC_TRIM_THRESHOLD_"] = str(16 << 20)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    with tempfile.TemporaryFile() as request:  # a pipe would block until the child reads it
+    # on pipes the child would block until this process reads its request, or its reply after the GBDT fit
+    with tempfile.TemporaryFile() as request, tempfile.TemporaryFile() as reply:
         pickle.dump((dm, cfg), request, protocol=pickle.HIGHEST_PROTOCOL)
         request.seek(0)
         proc = subprocess.Popen(
             [sys.executable, "-c", "from tabfusion.cli import _network_child; _network_child()"],
             stdin=request,
-            stdout=subprocess.PIPE,
+            stdout=reply,
             env=env,
         )
 
-    def result() -> XDeepFMModel:
-        out, _ = proc.communicate()
-        if proc.returncode != 0:
-            detail = out.decode("utf-8", "replace").strip() or f"training process exited with code {proc.returncode}"
-            raise RuntimeError(f"xDeepFM: {detail}")
-        try:
-            return xdeepfm_from_dict(json.loads(out))
-        except ValueError as exc:
-            raise ValueError(f"xDeepFM: {exc}") from None
+        def result() -> XDeepFMModel:
+            proc.wait()
+            reply.seek(0)
+            out = reply.read()
+            if proc.returncode != 0:
+                detail = out.decode("utf-8", "replace").strip() or f"training process exited with code {proc.returncode}"
+                raise RuntimeError(f"xDeepFM: {detail}")
+            try:
+                return xdeepfm_from_dict(json.loads(out))
+            except ValueError as exc:
+                raise ValueError(f"xDeepFM: {exc}") from None
 
-    try:
-        yield result
-    finally:
-        proc.kill()  # a no-op once the child has been reaped
-        proc.wait()
-        proc.stdout.close()
+        try:
+            yield result
+        finally:
+            proc.kill()  # a no-op once the child has been reaped
+            proc.wait()
 
 
 def _network_child() -> None:
     """Child side of `_network_in_child`: a pickled (DesignMatrix, XDeepFMConfig) on stdin.
 
-    Writes the trained network's `xdeepfm_to_dict` document to stdout as JSON,
-    or one `Type: message` line, and exits 1 if training fails.
+    Writes the trained network's `xdeepfm_to_dict` document to stdout as JSON
+    in one write, or one `Type: message` line, and exits 1 if training fails.
     """
     import pickle
     import signal
@@ -287,7 +272,7 @@ def _network_child() -> None:
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}")
         sys.exit(1)
-    json.dump(doc, sys.stdout)
+    sys.stdout.write(json.dumps(doc))  # json.dump would make one write per token
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -359,9 +344,9 @@ def cmd_run(cfg: RunConfig) -> int:
         )
         ens_dict = ensemble_to_dict(ens)
         ens_dict["seeds"] = {"gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
-        _write_atomic(out / "gbdt.json", _json_text(gbdt_dict))
-        _write_atomic(out / "xdeepfm.json", _json_text(xdfm_dict))
-        _write_atomic(out / "ensemble.json", _json_text(ens_dict))
+        write_json(out / "gbdt.json", gbdt_dict)
+        write_json(out / "xdeepfm.json", xdfm_dict)
+        write_json(out / "ensemble.json", ens_dict)
         _write_atomic(out / "predictions.csv", _predictions_csv(test_blended))
         record_lines = ["alpha,auc"] + [f"{a!r},{s!r}" for a, s in record]
         _write_atomic(out / "search_record.csv", "\n".join(record_lines) + "\n")
@@ -386,7 +371,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 "report.txt",
             ],
         }
-        _write_atomic(out / "manifest.json", _json_text(manifest))
+        write_json(out / "manifest.json", manifest)
     except OSError as exc:
         return _fail("write", exc, EXIT_DATA)
 

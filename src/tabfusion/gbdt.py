@@ -7,8 +7,8 @@ of that objective (lambda2 only) minus a per-leaf penalty gamma.
 
 Split search is exact and histogram-based. Each column of the training
 matrix is ranked once per fit, with one bin per distinct value. At each
-node, one ``np.bincount`` over the node's bin ids gives the row counts,
-one the gradient sums and one the hessian sums, for all columns at once.
+node, one ``np.bincount`` over the node's bin ids gives the row counts (the
+root holds every bin), one the gradient sums and one the hessian sums.
 A candidate split lies between two consecutive bins of one column that
 both hold rows of the node. Those two bins are adjacent distinct values
 of the node's rows, so the candidates and their midpoint thresholds are
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, write_json
 from .dataset import DesignMatrix
 from .metrics import clip_probs, logit, sigmoid
 
@@ -216,6 +216,11 @@ class RankedMatrix:
     bins: np.ndarray
     values: np.ndarray
     feature: np.ndarray
+    multi_bin: np.ndarray = field(init=False, repr=False)  # the columns with more than two bins
+
+    def __post_init__(self):
+        counts = np.bincount(self.feature, minlength=self.bins.shape[1])
+        object.__setattr__(self, "multi_bin", np.flatnonzero(counts > 2))
 
 
 def rank_features(dense) -> RankedMatrix:
@@ -251,9 +256,12 @@ def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndar
     h_total = float(h.sum())
     parent_term = g_total**2 / (h_total + cfg.lambda2) if h_total + cfg.lambda2 > 0.0 else np.inf
     n_bins = ranked.values.size
-    d = ranked.bins.shape[1]
-    flat = ranked.bins[idx].ravel()
-    present = np.flatnonzero(np.bincount(flat, minlength=n_bins))
+    n, d = ranked.bins.shape
+    if idx.size == n:  # the root: rows stay in order, and every bin holds some row
+        flat, present = ranked.bins.ravel(), np.arange(n_bins)
+    else:
+        flat = ranked.bins[idx].ravel()
+        present = np.flatnonzero(np.bincount(flat, minlength=n_bins))
     feature = ranked.feature[present]
     cand = np.flatnonzero(feature[:-1] == feature[1:])
     if cand.size == 0:
@@ -267,9 +275,10 @@ def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndar
     )
     # Prefix sums start from zero for each feature: one running sum across
     # all features, minus each feature's base, rounds differently. A feature's
-    # last bin is never a candidate, so features with two bins need no sums.
-    bounds = np.searchsorted(feature, np.arange(d + 1))
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    # last bin is never a candidate, so features with two bins need no sums,
+    # and a node holds no more of a feature's bins than the root.
+    bounds = np.searchsorted(feature, [ranked.multi_bin, ranked.multi_bin + 1]).tolist()
+    for a, b in zip(*bounds):
         if b - a > 2:
             prefix[a:b].cumsum(axis=0, out=prefix[a:b])
     gl, hl = prefix[cand, 0], prefix[cand, 1]
@@ -522,7 +531,7 @@ def gbdt_from_dict(d: dict) -> GBDTModel:
 
 
 def save_gbdt(model: GBDTModel, path) -> None:
-    Path(path).write_text(json.dumps(gbdt_to_dict(model), indent=2), encoding="utf-8")
+    write_json(path, gbdt_to_dict(model))
 
 
 def load_gbdt(path) -> GBDTModel:

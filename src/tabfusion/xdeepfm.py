@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, write_json
 from .dataset import DesignMatrix
 from .metrics import sigmoid
 
@@ -500,7 +500,7 @@ def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
 
 
 def save_xdeepfm(model: XDeepFMModel, path) -> None:
-    Path(path).write_text(json.dumps(xdeepfm_to_dict(model), indent=2), encoding="utf-8")
+    write_json(path, xdeepfm_to_dict(model))
 
 
 def load_xdeepfm(path) -> XDeepFMModel:

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +69,13 @@ def completed_run(tmp_path_factory, mini_csv):
 
 @pytest.fixture
 def children(monkeypatch):
-    """Every process started through subprocess.Popen while the test runs."""
+    """Every process started through subprocess.Popen while the test runs, with the `env` it was given."""
     started = []
 
     class Spy(subprocess.Popen):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.env = kwargs.get("env")
             started.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Spy)
@@ -123,10 +126,16 @@ def test_run_search_record_matches_grid(completed_run):
 def test_run_is_byte_identical_across_reruns(tmp_path, mini_csv, completed_run, children):
     out2 = tmp_path / "out2"
     config2 = _write_config(tmp_path, mini_csv, out2)
+    environ = dict(os.environ)
     assert cli.main(["run", "--config", str(config2)]) == 0
     # the network trained in one child process, which has exited and been reaped
     assert len(children) == 1 and "_network_child" in children[0].args[-1]
     assert children[0].returncode == 0
+    # one BLAS thread and a kept heap in the child only
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert children[0].env[name] == "1"
+    assert int(children[0].env["MALLOC_TRIM_THRESHOLD_"]) > 0
+    assert dict(os.environ) == environ
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json", "report.txt", "predictions.csv"):
         assert (out2 / name).read_bytes() == (completed_run["out"] / name).read_bytes()
 
@@ -206,6 +215,25 @@ def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monke
     assert err == "error [train]: xDeepFM: ValueError: training requires both classes to be present\n"
     assert not out.exists()
     assert len(children) == 1 and children[0].returncode == 1
+
+
+def test_network_reply_never_waits_for_the_gbdt(tmp_path, mini_csv, monkeypatch, children):
+    train_gbdt = cli.train_gbdt
+
+    def after_the_network_child_exits(*args, **kwargs):
+        deadline = time.monotonic() + 60.0
+        while children[0].poll() is None:
+            if time.monotonic() > deadline:
+                raise TimeoutError("the network child did not exit while the GBDT waited")
+            time.sleep(0.02)
+        return train_gbdt(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_gbdt", after_the_network_child_exits)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 0
+    doc = json.loads((out / "xdeepfm.json").read_text(encoding="utf-8"))
+    reply = json.dumps(xdeepfm_to_dict(xdeepfm_from_dict(doc)))  # what the child wrote
+    assert len(reply) > 64 * 1024  # more than a pipe buffer holds
 
 
 def test_network_trained_in_child_equals_in_process_training(mini_csv, stroke_schema):
@@ -440,6 +468,27 @@ def test_evaluate_prints_metrics_and_writes_roc(completed_run, tmp_path, capsys)
     lines = roc_csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "fpr,tpr,threshold"
     assert len(lines) > 2
+
+
+def test_indented_model_files_give_the_same_outputs_as_compact_ones(completed_run, tmp_path, capsys):
+    # run writes compact JSON; older builds wrote the same format with indent=2
+    indented = tmp_path / "indented"
+    indented.mkdir()
+    for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
+        text = (completed_run["out"] / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        (indented / name).write_text(json.dumps(json.loads(text), indent=2), encoding="utf-8")
+    data = str(completed_run["data"])
+
+    def outputs(model_dir, tag):
+        ens = str(model_dir / "ensemble.json")
+        preds, roc = tmp_path / f"{tag}-preds.csv", tmp_path / f"{tag}-roc.csv"
+        assert cli.main(["predict", "--model", ens, "--data", data, "--out", str(preds)]) == 0
+        assert cli.main(["evaluate", "--model", ens, "--data", data, "--roc-csv", str(roc)]) == 0
+        assert cli.main(["importance", "--model", str(model_dir / "gbdt.json")]) == 0
+        return preds.read_bytes(), roc.read_bytes(), capsys.readouterr().out
+
+    assert outputs(indented, "indented") == outputs(completed_run["out"], "compact")
 
 
 REPO_STROKE_CSV = Path(__file__).resolve().parents[1] / "data" / "stroke.csv"

@@ -284,6 +284,59 @@ def test_build_tree_matches_brute_force_randomized():
     assert hessian_bound >= 5, "min_child_hessian constrained too few of the compared trees"
 
 
+def _node_rows(tree: Forest, X) -> list:
+    """The rows that reach each node of a one-tree forest, by node id."""
+    rows = [None] * tree.feature.size
+
+    def visit(i: int, idx: np.ndarray) -> None:
+        rows[i] = idx
+        if tree.feature[i] >= 0:
+            low = X[idx, tree.feature[i]] < tree.threshold[i]
+            visit(tree.left[i], idx[low])
+            visit(tree.right[i], idx[~low])
+
+    visit(0, np.arange(X.shape[0]))
+    return rows
+
+
+def test_build_tree_on_mixed_bin_counts_matches_brute_force():
+    # The split search reuses the root's bins and takes prefix sums only over
+    # columns with more than two bins at the root. Tables mix a constant
+    # column, two-valued columns and many-valued columns, one of which takes
+    # only two values where the first two-valued column is 1.
+    rng = np.random.default_rng(4321)
+    pair_nodes = 0  # searched non-root nodes that hold two values of a many-valued column
+    for trial in range(40):
+        n = int(rng.integers(8, 41))
+        flag = rng.integers(0, 2, size=n).astype(float)
+        columns = [np.full(n, 0.25), flag]
+        columns += [rng.integers(0, 2, size=n).astype(float) for _ in range(int(rng.integers(0, 3)))]
+        columns.append(np.where(flag == 1, rng.integers(0, 2, size=n), rng.integers(2, 6, size=n)).astype(float))
+        columns.append(np.round(rng.normal(size=n), 1))
+        columns.append(rng.integers(0, int(rng.integers(3, 8)), size=n).astype(float))
+        X = np.stack([columns[k] for k in rng.permutation(len(columns))], axis=1)
+        # g on a 1/32 grid (exact sums in any order), pulled apart by the flag
+        g = (rng.integers(-16, 17, size=n) + np.where(flag == 1, -40, 40)) / 32.0
+        h = rng.integers(2, 33, size=n) / 32.0
+        cfg = GBDTConfig(
+            max_depth=int(rng.integers(2, 4)),
+            lambda1=float(rng.uniform(0.0, 0.5)),
+            lambda2=float(rng.uniform(0.0, 2.0)),
+            min_child_hessian=0.0 if trial % 2 == 0 else float(rng.uniform(0.2, 1.5)),
+        )
+        tree = build_tree(X, g, h, cfg)
+        oracle = brute_force_tree(X, g, h, cfg)
+        assert _same_tree(tree, oracle), f"trial {trial} diverged from exhaustive search"
+        many_valued = [f for f in range(X.shape[1]) if np.unique(X[:, f]).size > 2]
+        depth = {0: 0}
+        for i, idx in enumerate(_node_rows(tree, X)):
+            if tree.feature[i] >= 0:
+                depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+            searched = 0 < depth[i] < cfg.max_depth and idx.size >= 2
+            pair_nodes += searched and any(np.unique(X[idx, f]).size == 2 for f in many_valued)
+    assert pair_nodes >= 10, "too few searched nodes held two values of a many-valued column"
+
+
 def test_ranked_training_path_matches_raw_build_tree():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(80, 4))
