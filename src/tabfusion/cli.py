@@ -12,12 +12,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, _write_atomic, write_json
+from .artifact import FORMAT_VERSION, _write_atomic, coerce, config_from_dict, read_model_file, write_json
 from .dataset import (
     DataError,
     DesignMatrix,
@@ -84,42 +84,22 @@ def parse_kv_file(path: Path) -> dict[str, str]:
     return out
 
 
-def _coerce(key: str, value: str, target_type):
+def _option(kv: dict[str, str], key: str, default: str, hint):
+    """A top-level option's value, read by the config rule of `tabfusion.artifact`."""
     try:
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"option {key!r}: cannot parse {value!r} as {target_type.__name__}") from None
-
-
-def _sub_config(kv: dict[str, str], prefix: str, config_cls, seed: int):
-    """Build a model config dataclass from `prefix.field` keys."""
-    allowed = {f.name: f for f in fields(config_cls)}
-    kwargs = {"seed": seed}
-    for key, value in kv.items():
-        if not key.startswith(prefix + "."):
-            continue
-        name = key[len(prefix) + 1 :]
-        if name not in allowed:
-            raise ConfigError(f"unknown option {key!r}")
-        if name == "base_score" and value.lower() in ("none", "auto"):
-            kwargs[name] = None
-        elif name == "deep_widths":
-            try:
-                kwargs[name] = tuple(int(w) for w in value.split(",") if w.strip())
-            except ValueError:
-                raise ConfigError(f"option {key!r}: expected comma-separated integers") from None
-        else:
-            field_type = allowed[name].type
-            py_type = int if "int" in str(field_type) else float if "float" in str(field_type) else str
-            kwargs[name] = _coerce(key, value, py_type)
-    try:
-        return config_cls(**kwargs)
+        return coerce(hint, kv.get(key, default), text=True)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"option {key!r}: {exc}") from None
+
+
+def _sub_config(kv: dict[str, str], prefix: str, config_cls, **defaults):
+    """Build a config dataclass from `prefix.field` keys over `defaults`, by the one config rule."""
+    raw = dict(defaults)
+    raw.update((key[len(prefix) + 1 :], value) for key, value in kv.items() if key.startswith(prefix + "."))
+    try:
+        return config_from_dict(config_cls, raw, text=True)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
 
 
 _TOP_KEYS = {
@@ -158,20 +138,12 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     encoding_mode = kv.get("encoding_mode", "one_hot")
     if encoding_mode not in ("one_hot", "label"):
         raise ConfigError(f"encoding_mode must be 'one_hot' or 'label', got {encoding_mode!r}")
-    test_fraction = _coerce("test_fraction", kv.get("test_fraction", "0.2"), float)
-    val_fraction = _coerce("val_fraction", kv.get("val_fraction", "0.2"), float)
+    test_fraction = _option(kv, "test_fraction", "0.2", float)
+    val_fraction = _option(kv, "val_fraction", "0.2", float)
     for name, fraction in (("test_fraction", test_fraction), ("val_fraction", val_fraction)):
         if not 0.0 < fraction < 1.0:
             raise ConfigError(f"{name} must lie in (0, 1), got {fraction}")
-    seed = _coerce("seed", kv.get("seed", "0"), int)
-    blend_step = _coerce("blend.grid_step", kv.get("blend.grid_step", "0.01"), float)
-    try:
-        blend_cfg = BlendConfig(grid_step=blend_step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    for key in kv:
-        if key.startswith("blend.") and key != "blend.grid_step":
-            raise ConfigError(f"unknown option {key!r}")
+    seed = _option(kv, "seed", "0", int)
     return RunConfig(
         data_path=Path(kv["data"]),
         out_dir=Path(kv.get("out_dir", "runs/out")),
@@ -180,9 +152,9 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         test_fraction=test_fraction,
         val_fraction=val_fraction,
         seed=seed,
-        gbdt=_sub_config(kv, "gbdt", GBDTConfig, _coerce("gbdt.seed", kv.get("gbdt.seed", str(seed)), int)),
-        xdfm=_sub_config(kv, "xdfm", XDeepFMConfig, _coerce("xdfm.seed", kv.get("xdfm.seed", str(seed)), int)),
-        blend=blend_cfg,
+        gbdt=_sub_config(kv, "gbdt", GBDTConfig, seed=seed),
+        xdfm=_sub_config(kv, "xdfm", XDeepFMConfig, seed=seed),
+        blend=_sub_config(kv, "blend", BlendConfig),
     )
 
 
@@ -194,6 +166,19 @@ def _write_output(path: Path, text: str) -> int:
     except OSError as exc:
         return _fail("write", exc, EXIT_DATA)
     return EXIT_OK
+
+
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout, or raise. Unbuffered, ``sys.stdout.write`` drops
+    what a pipe did not take when its reader went; writing the rest raises BrokenPipeError."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stdout, e.g. under contextlib.redirect_stdout(io.StringIO())
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode("utf-8"))
+    while data:
+        data = data[buffer.write(data) :]
 
 
 def _predictions_csv(probs: np.ndarray) -> str:
@@ -379,36 +364,19 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_model_file(path: Path) -> dict:
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    try:
-        d = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"cannot parse model file {path}: {exc}") from None
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: a model file must be a JSON object, got {type(d).__name__}")
-    if d.get("format_version") != FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported format_version {d.get('format_version')!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    return d
-
-
 def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarray, np.ndarray]:
     """The model's kind, and its probabilities and the 0/1 labels of every row of data_path.
 
     An ensemble scores both components from one parse of the CSV, and each
     distinct fitted transform is applied once: a run writes the same one into both.
     """
-    d = _load_model_file(model_path)
+    d = read_model_file(model_path)
     kind = d.get("kind")
     parts = [(model_path, d)]
     if kind == "ensemble":
         ens = ensemble_from_dict(d)
         paths = [model_path.parent / ens.gbdt_ref, model_path.parent / ens.xdeepfm_ref]
-        parts = [(path, _load_model_file(path)) for path in paths]
+        parts = [(path, read_model_file(path)) for path in paths]
     datasets: dict[Schema, TabularDataset] = {}
     matrices: list[tuple[dict, DesignMatrix]] = []  # one per distinct fitted transform
     for path, doc in parts:
@@ -440,17 +408,14 @@ def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int
         return _fail("predict", exc, EXIT_DATA)
     text = _predictions_csv(probs)
     if out_path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return EXIT_OK
     return _write_output(out_path, text)
 
 
 def cmd_importance(model_path: Path, top_k: int) -> int:
     try:
-        d = _load_model_file(model_path)
-        if d.get("kind") != "gbdt":
-            raise DataError(f"{model_path}: feature importance needs a gbdt model file")
-        model = gbdt_from_dict(d)
+        model = gbdt_from_dict(read_model_file(model_path))  # ValueError for another kind
     except (DataError, ValueError, KeyError) as exc:
         return _fail("importance", exc, EXIT_DATA)
     scores = feature_importance(model)
@@ -516,9 +481,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             kv = parse_kv_file(args.config)
             if args.data is not None:
@@ -534,17 +498,20 @@ def main(argv: list[str] | None = None) -> int:
                     raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
                 key, _, value = item.partition("=")
                 kv[key.strip()] = value.strip()
-            cfg = build_run_config(kv)
-            return cmd_run(cfg)
-        if args.command == "predict":
-            return cmd_predict(args.model, args.data, args.out)
-        if args.command == "importance":
-            return cmd_importance(args.model, args.top)
-        if args.command == "evaluate":
-            return cmd_evaluate(args.model, args.data, args.name, args.roc_csv)
-        raise ConfigError(f"unknown command {args.command!r}")
+            code = cmd_run(build_run_config(kv))
+        elif args.command == "predict":
+            code = cmd_predict(args.model, args.data, args.out)
+        elif args.command == "importance":
+            code = cmd_importance(args.model, args.top)
+        else:  # the parser takes no other command
+            code = cmd_evaluate(args.model, args.data, args.name, args.roc_csv)
+        sys.stdout.flush()  # a closed stdout then fails here, not at interpreter exit
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
+    except BrokenPipeError as exc:  # the reader of stdout has gone, e.g. `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes there
+        return _fail("write", exc, EXIT_DATA)
+    return code
 
 
 if __name__ == "__main__":

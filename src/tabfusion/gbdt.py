@@ -30,15 +30,14 @@ depend on the core count.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, write_json
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, flat_array
+from .artifact import read_model_file, write_json
 from .dataset import DesignMatrix
 from .metrics import clip_probs, logit, sigmoid
 
@@ -68,19 +67,8 @@ class GBDTConfig:
 
 # The per-node arrays of a Forest, as gbdt.json stores them: node ids and
 # features are integers, the rest finite floats.
-FOREST_ARRAYS = ("roots", "feature", "threshold", "gain", "left", "right", "value")
-_NODE_IDS = ("roots", "left", "right")
-
-
-def _node_array(name: str, values) -> np.ndarray:
-    integer = name in _NODE_IDS or name == "feature"
-    a = np.asarray(values)
-    if a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
-        kind = "integers" if integer else "numbers"
-        raise ValueError(f"forest array {name!r} must be a flat list of {kind}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"forest array {name!r} holds non-finite values")
-    return a.astype(np.intp if integer else np.float64)
+FOREST_ARRAYS = ("roots", "feature", "threshold", "gain", "right", "value")
+_NODE_IDS = ("roots", "right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,19 +77,19 @@ class Forest:
 
     Node ids are forest-wide. Tree ``t`` holds the nodes from ``roots[t]`` up
     to the next root, numbered in preorder, so each child's id is greater
-    than its parent's. A split (``feature >= 0``) sends a row to ``left``
-    when ``x[feature] < threshold`` and to ``right`` otherwise. A leaf has
-    ``feature == -1``, its weight in ``value``, and itself as both children,
-    so ``depth`` steps from the roots land every row on a leaf of every tree.
-    Unused entries (a split's value, a leaf's threshold and gain) are 0.0.
-    Construction rejects any arrays that do not encode such trees.
+    than its parent's. A split (``feature >= 0``) sends a row to its left
+    child, the next node, when ``x[feature] < threshold`` and to ``right``
+    otherwise. A leaf has ``feature == -1``, its weight in ``value``, and
+    itself as both children, so ``depth`` steps from the roots land every row
+    on a leaf of every tree. Unused entries (a split's value, a leaf's
+    threshold and gain) are 0.0. Construction rejects any arrays that do not
+    encode such trees.
     """
 
     roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     gain: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
     depth: int = field(init=False)  # splits on the longest root-to-leaf path
@@ -109,7 +97,8 @@ class Forest:
 
     def __post_init__(self):
         for name in FOREST_ARRAYS:
-            object.__setattr__(self, name, _node_array(name, getattr(self, name)))
+            integer = name in _NODE_IDS or name == "feature"
+            object.__setattr__(self, name, flat_array(f"forest array {name!r}", getattr(self, name), integer))
         n = self.feature.size
         if any(getattr(self, name).size != n for name in FOREST_ARRAYS[1:]):
             raise ValueError("forest arrays differ in length")
@@ -120,19 +109,18 @@ class Forest:
         ids = np.arange(n)
         tree_end = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
         split = self.feature >= 0
+        left = np.where(split, ids + 1, ids)  # in the tree whenever right is: ids < left <= right
         children_ok = np.where(
-            split,
-            (self.left > ids) & (self.right > ids) & (self.left < tree_end) & (self.right < tree_end),
-            (self.feature == -1) & (self.left == ids) & (self.right == ids),
+            split, (self.right > ids) & (self.right < tree_end), (self.feature == -1) & (self.right == ids)
         )
         if not children_ok.all():
             raise ValueError("a split's children must follow it in its tree; a leaf's must be itself")
         depth, frontier = 0, roots
         while (frontier := frontier[split[frontier]]).size:
-            frontier = np.unique(np.concatenate([self.left[frontier], self.right[frontier]]))
+            frontier = np.unique(np.concatenate([left[frontier], self.right[frontier]]))
             depth += 1
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "children", np.stack([self.left, self.right], axis=1).ravel())
+        object.__setattr__(self, "children", np.stack([left, self.right], axis=1).ravel())
 
     @property
     def n_leaves(self) -> int:
@@ -312,7 +300,7 @@ def _grow(
 ) -> None:
     """Append the subtree over rows ``idx`` to ``nodes`` in preorder.
 
-    A node is (feature, threshold, gain, left, right, value), ids counted from the tree's root.
+    A node is (feature, threshold, gain, right, value), ids counted from the tree's root.
     """
     i = len(nodes)
     g_node, h_node = g[idx], h[idx]
@@ -325,10 +313,10 @@ def _grow(
             _grow(ranked, idx[mask], g, h, depth + 1, cfg, nodes)
             right = len(nodes)
             _grow(ranked, idx[~mask], g, h, depth + 1, cfg, nodes)
-            nodes[i] = (feature, threshold, gain, i + 1, right, 0.0)
+            nodes[i] = (feature, threshold, gain, right, 0.0)
             return
     weight = leaf_weight(float(g_node.sum()), float(h_node.sum()), cfg.lambda1, cfg.lambda2)
-    nodes.append((-1, 0.0, 0.0, i, i, weight))
+    nodes.append((-1, 0.0, 0.0, i, weight))
 
 
 def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
@@ -535,4 +523,4 @@ def save_gbdt(model: GBDTModel, path) -> None:
 
 
 def load_gbdt(path) -> GBDTModel:
-    return gbdt_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return gbdt_from_dict(read_model_file(path))

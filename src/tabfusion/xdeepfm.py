@@ -19,14 +19,13 @@ network's intermediates stay a few MiB however many rows are scored.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, write_json
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, flat_array
+from .artifact import read_model_file, write_json
 from .dataset import DesignMatrix
 from .metrics import sigmoid
 
@@ -72,9 +71,6 @@ class EmbeddingTable:
     tables: list[np.ndarray]
 
     def __post_init__(self):
-        for f, table in enumerate(self.tables):
-            if table.ndim != 2:
-                raise ValueError(f"embedding table {f} has shape {table.shape}, expected a matrix")
         shapes = [t.shape for t in self.tables]
         starts = np.cumsum([0] + [m * k for m, k in shapes]).tolist()
         self._blocks = [(o, m, k) for o, (m, k) in zip(starts, shapes)]  # (start, m, K) per table
@@ -158,29 +154,7 @@ class XDeepFMModel:
     head_b: np.ndarray  # shape (1,)
 
     def __post_init__(self):
-        """Reject parameters that are not finite or whose shapes do not chain; then build ``params``."""
-        k = self.config.embedding_dim
-        if not isinstance(self.n_dense, (int, np.integer)) or self.n_dense < 0:
-            raise ValueError(f"n_dense must be a non-negative integer, got {self.n_dense!r}")
-        for f, table in enumerate(self.embeddings.tables):
-            if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != k:
-                raise ValueError(f"embedding table {f} has shape {table.shape}, expected (>= 1, {k})")
-        p = self.input_width
-        if p == 0:
-            raise ValueError("model needs at least one categorical or dense feature")
-        for i, layer in enumerate(self.cross_layers):
-            if layer.W.shape != (p, p) or layer.b.shape != (p,) or layer.c.shape != (p,):
-                raise ValueError(f"cross layer {i} needs W of shape ({p}, {p}) and b, c of shape ({p},)")
-        width = p
-        for i, layer in enumerate(self.deep.layers):
-            out = layer.W.shape[0] if layer.W.ndim == 2 else 0
-            if out < 1 or layer.W.shape != (out, width) or layer.b.shape != (out,):
-                raise ValueError(f"deep layer {i} needs W of shape (out >= 1, {width}) and b of shape (out,)")
-            if layer.activation not in ("relu", "sigmoid"):
-                raise ValueError(f"deep layer {i} has unknown activation {layer.activation!r}")
-            width = out
-        if self.head_w.shape != (p + width,) or self.head_b.shape != (1,):
-            raise ValueError(f"the head must hold {p + width} weights and one bias")
+        """Build ``params``; reject parameters that are not finite."""
         slots = [(self.embeddings, "values")]
         for layer in self.cross_layers:
             slots += [(layer, "W"), (layer, "b"), (layer, "c")]
@@ -208,35 +182,42 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_model(
-    rng: np.random.Generator, vocab_sizes: tuple[int, ...], n_dense: int, cfg: XDeepFMConfig
-) -> XDeepFMModel:
+def _shapes(vocab_sizes, n_dense: int, cfg: XDeepFMConfig) -> list[tuple[int, ...]]:
+    """The shape of every parameter array of a model, in ``params`` order."""
     k = cfg.embedding_dim
-    tables = [rng.uniform(-0.05, 0.05, (m, k)) for m in vocab_sizes]
     p = k * len(vocab_sizes) + n_dense
     if p == 0:
         raise ValueError("model needs at least one categorical or dense feature")
-    cross = [
-        CrossLayer(W=_glorot(rng, (p, p)), b=np.zeros(p), c=_glorot(rng, (p,)))
-        for _ in range(cfg.n_cross_layers)
-    ]
-    deep_layers: list[DeepLayer] = []
+    shapes = [(m, k) for m in vocab_sizes] + [(p, p), (p,), (p,)] * cfg.n_cross_layers
     w_in = p
     for w_out in cfg.deep_widths:
-        deep_layers.append(
-            DeepLayer(W=_glorot(rng, (w_out, w_in)), b=np.zeros(w_out), activation=cfg.hidden_activation)
-        )
+        shapes += [(w_out, w_in), (w_out,)]
         w_in = w_out
-    head_w = _glorot(rng, (p + w_in,))
-    return XDeepFMModel(
-        config=cfg,
-        n_dense=n_dense,
-        embeddings=EmbeddingTable(tables=tables),
-        cross_layers=cross,
-        deep=DeepNet(layers=deep_layers),
-        head_w=head_w,
-        head_b=np.zeros(1),
-    )
+    return shapes + [(p + w_in,), (1,)]
+
+
+def _model(cfg: XDeepFMConfig, n_dense: int, n_fields: int, arrays: list[np.ndarray]) -> XDeepFMModel:
+    """The model made of ``arrays``, its parameter arrays in ``params`` order."""
+    rest = iter(arrays[n_fields:])
+    cross = [CrossLayer(W=next(rest), b=next(rest), c=next(rest)) for _ in range(cfg.n_cross_layers)]
+    deep = [DeepLayer(W=next(rest), b=next(rest), activation=cfg.hidden_activation) for _ in cfg.deep_widths]
+    head_w, head_b = rest
+    tables = EmbeddingTable(tables=list(arrays[:n_fields]))
+    return XDeepFMModel(cfg, n_dense, tables, cross, DeepNet(layers=deep), head_w, head_b)
+
+
+def _init_model(
+    rng: np.random.Generator, vocab_sizes: tuple[int, ...], n_dense: int, cfg: XDeepFMConfig
+) -> XDeepFMModel:
+    """Small uniform tables, Glorot-uniform weights and zero biases, drawn in ``params`` order."""
+    shapes = iter(_shapes(vocab_sizes, n_dense, cfg))
+    arrays = [rng.uniform(-0.05, 0.05, next(shapes)) for _ in vocab_sizes]
+    for _ in range(cfg.n_cross_layers):
+        arrays += [_glorot(rng, next(shapes)), np.zeros(next(shapes)), _glorot(rng, next(shapes))]
+    for _ in cfg.deep_widths:
+        arrays += [_glorot(rng, next(shapes)), np.zeros(next(shapes))]
+    arrays += [_glorot(rng, next(shapes)), np.zeros(next(shapes))]
+    return _model(cfg, n_dense, len(vocab_sizes), arrays)
 
 
 def init_xdeepfm(vocab_sizes, n_dense: int, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDeepFMModel:
@@ -339,6 +320,8 @@ def forward(model: XDeepFMModel, cat_idx, dense):
             [cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0)], axis=1
         )
         p[lo:hi] = sigmoid(u @ model.head_w + model.head_b[0])
+    if np.isnan(p).any():  # some layer met inf - inf or inf * 0
+        raise ValueError("the network's output is NaN: its parameters or inputs overflow")
     return float(p[0]) if single else p
 
 
@@ -454,49 +437,35 @@ def train_xdeepfm(
 
 
 def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
+    """The model document: the sizes that fix the layout, then ``model.params`` as one list."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": "xdeepfm",
         "config": config_to_dict(model.config),
         "n_dense": model.n_dense,
-        "embeddings": [t.tolist() for t in model.embeddings.tables],
-        "cross_layers": [
-            {"W": l.W.tolist(), "b": l.b.tolist(), "c": l.c.tolist()} for l in model.cross_layers
-        ],
-        "deep_layers": [
-            {"W": l.W.tolist(), "b": l.b.tolist(), "activation": l.activation}
-            for l in model.deep.layers
-        ],
-        "head": {"w": model.head_w.tolist(), "b": float(model.head_b[0])},
+        "vocab_sizes": model.embeddings.sizes.tolist(),
+        "params": model.params.tolist(),
     }
 
 
 def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
-    """The model a document describes; ValueError if its parameters are malformed or non-finite."""
+    """The model a document describes; ValueError if its sizes or parameters are malformed or non-finite."""
     check_header(d, "xdeepfm")
-
-    def array(values) -> np.ndarray:
-        return np.array(values, dtype=np.float64)
-
-    try:
-        return XDeepFMModel(
-            config=config_from_dict(XDeepFMConfig, d["config"]),
-            n_dense=d["n_dense"],
-            embeddings=EmbeddingTable(tables=[array(t) for t in d["embeddings"]]),
-            cross_layers=[
-                CrossLayer(W=array(l["W"]), b=array(l["b"]), c=array(l["c"])) for l in d["cross_layers"]
-            ],
-            deep=DeepNet(
-                layers=[
-                    DeepLayer(W=array(l["W"]), b=array(l["b"]), activation=l["activation"])
-                    for l in d["deep_layers"]
-                ]
-            ),
-            head_w=array(d["head"]["w"]),
-            head_b=array([d["head"]["b"]]),
-        )
-    except TypeError as exc:  # an entry of the wrong JSON type
-        raise ValueError(f"malformed xdeepfm model file: {exc}") from None
+    cfg = config_from_dict(XDeepFMConfig, d["config"])
+    n_dense, vocab_sizes = d["n_dense"], d["vocab_sizes"]
+    if type(n_dense) is not int or n_dense < 0:
+        raise ValueError(f"n_dense must be a non-negative integer, got {n_dense!r}")
+    if not isinstance(vocab_sizes, list) or any(type(m) is not int or m < 1 for m in vocab_sizes):
+        raise ValueError("'vocab_sizes' must be a list of integers >= 1")
+    params = flat_array("'params'", d["params"])
+    if 3 * cfg.n_cross_layers > params.size:  # checked first: _shapes lists 3 shapes per cross layer
+        raise ValueError(f"'params' has {params.size} entries, too few for {cfg.n_cross_layers} cross layers")
+    shapes = _shapes(vocab_sizes, n_dense, cfg)
+    sizes = [math.prod(shape) for shape in shapes]
+    if params.size != sum(sizes):
+        raise ValueError(f"'params' has {params.size} entries, the model needs {sum(sizes)}")
+    arrays = [a.reshape(shape) for a, shape in zip(np.split(params, np.cumsum(sizes)[:-1]), shapes)]
+    return _model(cfg, n_dense, len(vocab_sizes), arrays)  # copies the views into the model's own `params`
 
 
 def save_xdeepfm(model: XDeepFMModel, path) -> None:
@@ -504,4 +473,4 @@ def save_xdeepfm(model: XDeepFMModel, path) -> None:
 
 
 def load_xdeepfm(path) -> XDeepFMModel:
-    return xdeepfm_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return xdeepfm_from_dict(read_model_file(path))

@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,9 +14,9 @@ import numpy as np
 import pytest
 
 from tabfusion import cli
-from tabfusion.artifact import config_from_dict, config_to_dict
+from tabfusion.artifact import coerce, config_from_dict, config_to_dict
 from tabfusion.dataset import apply_transform, fit_transform, load_csv, transform_from_dict
-from tabfusion.ensemble import blend, ensemble_from_dict
+from tabfusion.ensemble import BlendConfig, blend, ensemble_from_dict
 from tabfusion.gbdt import GBDTConfig, feature_importance, gbdt_from_dict, predict_gbdt
 from tabfusion.synth import write_stroke_csv
 from tabfusion.xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
@@ -326,14 +330,14 @@ def test_predict_rejects_unsupported_version(tmp_path, completed_run):
 
 
 def _nested_tree(forest: dict, i: int) -> dict:
-    """Node i of a forest in the nested form of format version 1."""
+    """Node i of a forest in the nested form of format version 1; a split's left child is node i + 1."""
     if forest["feature"][i] < 0:
         return {"weight": forest["value"][i]}
     return {
         "feature": forest["feature"][i],
         "threshold": forest["threshold"][i],
         "gain": forest["gain"][i],
-        "left": _nested_tree(forest, forest["left"][i]),
+        "left": _nested_tree(forest, i + 1),
         "right": _nested_tree(forest, forest["right"][i]),
     }
 
@@ -347,13 +351,48 @@ def test_predict_rejects_a_version_1_gbdt_file(tmp_path, completed_run, capsys):
     assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [predict]: ")
-    assert "format_version 1" in err and "version 2" in err
+    assert "format_version 1" in err and "version 3" in err
+
+
+def _format_2(name: str, doc: dict) -> dict:
+    """A format-3 gbdt.json or xdeepfm.json document as format version 2 wrote it."""
+    if name == "gbdt.json":
+        forest = doc["forest"]
+        left = [i + 1 if f >= 0 else i for i, f in enumerate(forest["feature"])]
+        arrays = {**forest, "left": left}
+        forest = {k: arrays[k] for k in ("roots", "feature", "threshold", "gain", "left", "right", "value")}
+        return {**doc, "format_version": 2, "forest": forest}
+    model = xdeepfm_from_dict({k: v for k, v in doc.items() if k != "transform"})
+    old = {k: v for k, v in doc.items() if k not in ("vocab_sizes", "params")}
+    old.update(
+        format_version=2,
+        embeddings=[t.tolist() for t in model.embeddings.tables],
+        cross_layers=[{"W": l.W.tolist(), "b": l.b.tolist(), "c": l.c.tolist()} for l in model.cross_layers],
+        deep_layers=[
+            {"W": l.W.tolist(), "b": l.b.tolist(), "activation": l.activation} for l in model.deep.layers
+        ],
+        head={"w": model.head_w.tolist(), "b": float(model.head_b[0])},
+    )
+    return old
+
+
+@pytest.mark.parametrize("name", ["gbdt.json", "xdeepfm.json"])
+def test_predict_rejects_a_version_2_model_file(tmp_path, completed_run, capsys, name):
+    doc = json.loads((completed_run["out"] / name).read_text(encoding="utf-8"))
+    old = tmp_path / name
+    old.write_text(json.dumps(_format_2(name, doc)), encoding="utf-8")
+    assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error [predict]: {old}: unsupported format_version 2 (this build reads version 3)\n"
+    )
+    assert captured.out == ""
 
 
 def test_predict_malformed_tree_arrays_exit_2_without_traceback(tmp_path, completed_run, capsys):
     doc = json.loads((completed_run["out"] / "gbdt.json").read_text(encoding="utf-8"))
     bad = tmp_path / "gbdt.json"
-    for name, entry, value in [("left", 0, 0), ("right", 0, 10**6), ("feature", 0, 999), ("feature", 0, -5)]:
+    for name, entry, value in [("right", 0, 0), ("right", 0, 10**6), ("feature", 0, 999), ("feature", 0, -5)]:
         corrupt = json.loads(json.dumps(doc))
         corrupt["forest"][name][entry] = value
         bad.write_text(json.dumps(corrupt), encoding="utf-8")
@@ -421,7 +460,6 @@ def test_importance_single_split_model_has_one_nonzero_row(tmp_path, capsys):
         feature=[1, -1, -1],
         threshold=[0.5, 0.0, 0.0],
         gain=[2.0, 0.0, 0.0],
-        left=[1, 1, 2],
         right=[2, 1, 2],
         value=[0.0, 0.1, -0.1],
     )
@@ -532,6 +570,10 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         ({**doc["config"], "bogus": 1}, "unknown config key 'bogus'"),
         ([1, 2], "'config' must be an object"),
         ({**doc["config"], "learning_rate": "fast"}, "invalid config"),
+        ({**doc["config"], "learning_rate": True}, "invalid config: learning_rate"),
+        ({**doc["config"], "seed": "x"}, "invalid config: seed"),
+        ({**doc["config"], "learning_rate": "0.1"}, "invalid config: learning_rate"),
+        ({**doc["config"], "seed": "0"}, "invalid config: seed"),
     ]:
         (tmp_path / model).write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
         assert cli.main(args) == 2
@@ -539,6 +581,7 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         assert err.startswith(f"error [{command}]: {detail}"), err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge cross weights overflow, as they should
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed_run, capsys, command):
     # each corruption goes into one component file of the ensemble that is scored
@@ -546,19 +589,20 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
     args = [command, "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]
     args += ["--out", str(out_csv)] if command == "predict" else []
 
-    def narrow_table(d):
-        d["embeddings"][0] = [row[:-1] for row in d["embeddings"][0]]
-
-    def broken_chain(d):
-        d["deep_layers"][1]["W"] = [row[:-1] for row in d["deep_layers"][1]["W"]]
+    def huge_cross_weights(d):  # finite, but (c . h) overflows to +inf and -inf in the first cross layer
+        k, n_fields, n_dense = d["config"]["embedding_dim"], len(d["vocab_sizes"]), d["n_dense"]
+        p = k * n_fields + n_dense
+        c = k * sum(d["vocab_sizes"]) + p * p + p  # where the first cross layer's c starts
+        d["params"][c : c + p] = [sys.float_info.max] * p
 
     for name, corrupt, detail in [
-        ("xdeepfm.json", lambda d: d["head"]["w"].__setitem__(0, float("nan")), "non-finite"),
-        ("xdeepfm.json", narrow_table, "embedding table 0"),
-        ("xdeepfm.json", lambda d: d["cross_layers"][0]["W"].pop(), "cross layer 0"),
-        ("xdeepfm.json", broken_chain, "deep layer 1"),
-        ("xdeepfm.json", lambda d: d["head"]["w"].append(0.0), "head"),
-        ("xdeepfm.json", lambda d: d.__setitem__("cross_layers", [[1.0]]), "malformed xdeepfm model file"),
+        ("xdeepfm.json", lambda d: d["params"].__setitem__(-1, float("nan")), "non-finite"),
+        ("xdeepfm.json", lambda d: d["params"].pop(), "'params' has"),
+        ("xdeepfm.json", lambda d: d["vocab_sizes"].__setitem__(0, d["vocab_sizes"][0] + 1), "'params' has"),
+        ("xdeepfm.json", lambda d: d["vocab_sizes"].__setitem__(0, 0), "vocab_sizes"),
+        ("xdeepfm.json", lambda d: d.__setitem__("n_dense", True), "n_dense"),
+        ("xdeepfm.json", lambda d: d.__setitem__("params", [[1.0]]), "'params' must be a flat list"),
+        ("xdeepfm.json", huge_cross_weights, "NaN"),
         ("gbdt.json", lambda d: d.__setitem__("base_score", float("nan")), "base_score"),
         ("gbdt.json", lambda d: d.__setitem__("base_score", 1.5), "base_score"),
         ("gbdt.json", lambda d: d.__setitem__("feature_names", 3), "malformed gbdt model file"),
@@ -658,3 +702,98 @@ def test_hidden_activation_option_is_read_as_a_string(tmp_path, value):
             cli.build_run_config(kv)
     else:
         assert cli.build_run_config(kv).xdfm.hidden_activation == value
+
+
+def test_one_config_rule_for_conf_text_and_json_values():
+    assert coerce(int, "7", text=True) == coerce(int, 7) == 7
+    assert coerce(float, "0.1", text=True) == coerce(float, 0.1) == 0.1 and type(coerce(float, 1)) is float
+    assert coerce(float | None, "auto", text=True) is coerce(float | None, "None", text=True) is None
+    assert coerce(float | None, None) is None and coerce(float | None, "0.25", text=True) == 0.25
+    assert coerce(tuple[int, ...], "64,32", text=True) == coerce(tuple[int, ...], [64, 32]) == (64, 32)
+    assert coerce(tuple[int, ...], "", text=True) == ()
+    assert coerce(str, "relu") == coerce(str, "relu", text=True) == "relu"
+    rejected = [
+        (int, True), (int, 1.5), (int, None), (int, "7"),
+        (float, True), (float, math.nan), (float, 10**400), (float, [0.1]), (float, "0.1"),
+        (float | None, "auto"), (tuple[int, ...], [64, True]), (tuple[int, ...], 64), (tuple[int, ...], "64,32"),
+        (str, 5),
+    ]  # fmt: skip
+    rejected_text = [
+        (int, "1.5"), (int, "x"), (float, "inf"), (float, "-inf"), (float | None, "nan"), (tuple[int, ...], "64,x"),
+    ]  # fmt: skip
+    for hint, value, text in [(h, v, False) for h, v in rejected] + [(h, v, True) for h, v in rejected_text]:
+        with pytest.raises(ValueError, match="expected"):
+            coerce(hint, value, text)
+            pytest.fail(f"{hint} accepted {value!r}")
+    for raw in [{"learning_rate": True}, {"n_trees": 1.5}, {"seed": "x"}, {"lambda2": math.inf}]:
+        with pytest.raises(ValueError, match=f"invalid config: {next(iter(raw))}"):
+            config_from_dict(GBDTConfig, raw)
+
+
+@pytest.mark.parametrize("setting", ["xdfm.learning_rate=inf", "gbdt.lambda2=nan", "blend.grid_step=inf"])
+def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_csv, capsys, children, setting):
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, mini_csv, out)
+    assert cli.main(["run", "--config", str(config), "--set", setting]) == 1
+    prefix, _, rest = setting.partition(".")
+    field, _, value = rest.partition("=")
+    expected = f"error [config]: {prefix}: invalid config: {field}: expected a finite number, got {value!r}\n"
+    assert capsys.readouterr().err == expected
+    assert children == [] and not out.exists()
+
+
+def test_stock_config_parses_through_the_one_rule():
+    cfg = cli.build_run_config(cli.parse_kv_file(Path(__file__).resolve().parents[1] / "configs" / "stroke.conf"))
+    assert cfg.gbdt.base_score is None  # gbdt.base_score = auto
+    assert cfg.xdfm.deep_widths == (64, 32)  # xdfm.deep_widths = 64,32
+    assert cfg.blend == BlendConfig(grid_step=0.01)
+    assert cfg.gbdt.seed == cfg.xdfm.seed == cfg.seed == 7  # the run seed, unless gbdt.seed/xdfm.seed is set
+
+
+def _tabfusion(args, unbuffered: bool, **kwargs) -> subprocess.Popen:
+    """`python -m tabfusion args` from this source tree, with stdout unbuffered or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "tabfusion", *args], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_run_to_a_closed_stdout_exits_2_at_write_without_traceback(tmp_path, mini_csv, completed_run, unbuffered):
+    # `run` prints its report in one write at the end, so its reader has gone before it writes
+    out = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    config = _write_config(tmp_path, mini_csv, out)
+    proc = _tabfusion(["run", "--config", str(config)], unbuffered, stdout=write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (2, b"error [write]: [Errno 32] Broken pipe\n")
+    for name in ("gbdt.json", "xdeepfm.json", "predictions.csv"):  # written before the report
+        assert (out / name).read_bytes() == (completed_run["out"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_predict_to_stdout_closed_after_one_line_exits_2_at_write(tmp_path_factory, completed_run, unbuffered):
+    data = tmp_path_factory.getbasetemp() / "big.csv"
+    if not data.exists():
+        write_stroke_csv(data, n_rows=10_000, seed=3)  # about 250 KB of predictions: more than a pipe holds
+    model = completed_run["out"] / "gbdt.json"
+    proc = _tabfusion(["predict", "--model", str(model), "--data", str(data)], unbuffered, stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"row_id,probability\n"
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"error [write]: [Errno 32] Broken pipe\n")
+
+
+def test_predict_to_a_text_only_stdout_writes_the_same_rows(tmp_path, completed_run, capsys):
+    # as an in-process caller runs the CLI: sys.stdout is a StringIO, with no binary buffer
+    args = ["predict", "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(completed_run["data"])]
+    assert cli.main(args + ["--out", str(tmp_path / "preds.csv")]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(args) == 0
+    assert out.getvalue() == (tmp_path / "preds.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == ""

@@ -56,7 +56,7 @@ def _logistic(z: float) -> float:
 
 def _leaf(weight: float) -> Forest:
     """A one-tree forest that is a single leaf."""
-    return Forest(roots=[0], feature=[-1], threshold=[0.0], gain=[0.0], left=[0], right=[0], value=[weight])
+    return Forest(roots=[0], feature=[-1], threshold=[0.0], gain=[0.0], right=[0], value=[weight])
 
 
 def _stump(feature: int, threshold: float, gain: float, low: float = 0.0, high: float = 0.0) -> Forest:
@@ -66,7 +66,6 @@ def _stump(feature: int, threshold: float, gain: float, low: float = 0.0, high: 
         feature=[feature, -1, -1],
         threshold=[threshold, 0.0, 0.0],
         gain=[gain, 0.0, 0.0],
-        left=[1, 1, 2],
         right=[2, 1, 2],
         value=[0.0, low, high],
     )
@@ -77,15 +76,15 @@ def _tree(forest: Forest, k: int) -> dict:
     ends = np.append(forest.roots[1:], forest.feature.size)
     lo, hi = forest.roots[k], ends[k]
     arrays = {name: getattr(forest, name)[lo:hi] for name in FOREST_ARRAYS if name != "roots"}
-    arrays.update(roots=np.array([0]), left=arrays["left"] - lo, right=arrays["right"] - lo)
+    arrays.update(roots=np.array([0]), right=arrays["right"] - lo)
     return arrays
 
 
 def _walk_by_hand(tree: dict, row) -> float:
-    """The leaf weight one row reaches, following left/right one node at a time."""
+    """The leaf weight one row reaches, one node at a time; a split's left child is the next node."""
     i = 0
     while tree["feature"][i] >= 0:
-        i = tree["left"][i] if row[tree["feature"][i]] < tree["threshold"][i] else tree["right"][i]
+        i = i + 1 if row[tree["feature"][i]] < tree["threshold"][i] else tree["right"][i]
     return float(tree["value"][i])
 
 
@@ -171,7 +170,7 @@ def test_split_gain_matches_objective_difference(gl, hl, gr, hr, lambda2, gamma)
 def test_build_tree_zero_gradients_single_leaf():
     X = np.arange(8.0).reshape(-1, 1)
     tree = build_tree(X, np.zeros(8), np.full(8, 0.25), GBDTConfig(min_child_hessian=0.0))
-    assert tree.feature.tolist() == [-1] and tree.left.tolist() == tree.right.tolist() == [0]
+    assert tree.feature.tolist() == [-1] and tree.right.tolist() == [0] and tree.children.tolist() == [0, 0]
     assert tree.value[0] == 0.0
     assert tree.n_leaves == 1 and tree.depth == 0
 
@@ -227,22 +226,22 @@ def _oracle_arrays(oracle) -> dict:
         i = len(nodes)
         nodes.append(None)
         if node[0] == "leaf":
-            nodes[i] = (-1, 0.0, i, i, node[1])
+            nodes[i] = (-1, 0.0, i, node[1])
             return
-        add(node[3])
+        add(node[3])  # the left child is the next node
         right = len(nodes)
         add(node[4])
-        nodes[i] = (node[1], node[2], i + 1, right, 0.0)
+        nodes[i] = (node[1], node[2], right, 0.0)
 
     add(oracle)
-    return {k: np.array(v) for k, v in zip(("feature", "threshold", "left", "right", "value"), zip(*nodes))}
+    return {k: np.array(v) for k, v in zip(("feature", "threshold", "right", "value"), zip(*nodes))}
 
 
 def _same_tree(tree, oracle) -> bool:
     """Same layout, features and thresholds, node for node, and leaf weights within 1e-9."""
     want = _oracle_arrays(oracle)
     return all(
-        np.array_equal(getattr(tree, k), want[k]) for k in ("feature", "threshold", "left", "right")
+        np.array_equal(getattr(tree, k), want[k]) for k in ("feature", "threshold", "right")
     ) and bool(np.allclose(tree.value, want["value"], rtol=0.0, atol=1e-9))
 
 
@@ -292,7 +291,7 @@ def _node_rows(tree: Forest, X) -> list:
         rows[i] = idx
         if tree.feature[i] >= 0:
             low = X[idx, tree.feature[i]] < tree.threshold[i]
-            visit(tree.left[i], idx[low])
+            visit(i + 1, idx[low])  # the left child is the next node
             visit(tree.right[i], idx[~low])
 
     visit(0, np.arange(X.shape[0]))
@@ -331,7 +330,7 @@ def test_build_tree_on_mixed_bin_counts_matches_brute_force():
         depth = {0: 0}
         for i, idx in enumerate(_node_rows(tree, X)):
             if tree.feature[i] >= 0:
-                depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+                depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
             searched = 0 < depth[i] < cfg.max_depth and idx.size >= 2
             pair_nodes += searched and any(np.unique(X[idx, f]).size == 2 for f in many_valued)
     assert pair_nodes >= 10, "too few searched nodes held two values of a many-valued column"
@@ -452,7 +451,10 @@ def test_serialization_round_trip_preserves_predictions():
     X = rng.normal(size=(30, 3))
     y = (X[:, 2] > 0).astype(int)
     model = train_gbdt(_dm(X, y), GBDTConfig(n_trees=12, min_child_hessian=0.0))
-    restored = gbdt_from_dict(json.loads(json.dumps(gbdt_to_dict(model))))
+    d = gbdt_to_dict(model)
+    assert list(d["forest"]) == list(FOREST_ARRAYS) and "left" not in FOREST_ARRAYS
+    restored = gbdt_from_dict(json.loads(json.dumps(d)))
+    assert np.array_equal(restored.forest.children, model.forest.children)  # left derived again
     assert np.array_equal(predict_gbdt(model, X), predict_gbdt(restored, X))
 
 
@@ -508,7 +510,8 @@ def test_predict_zero_tree_and_single_leaf_models():
     expected = sigmoid(logit(0.3) + 0.5 * 0.8 + 0.5 * -0.2)
     assert np.array_equal(predict_gbdt(leaves, X), np.full(X.shape[0], expected))
     mixed = GBDTModel(cfg, 0.3, stack_trees([_leaf(0.8), _stump(1, 0.0, 1.0, low=-1.0, high=2.0)]), ("a", "b"))
-    assert mixed.forest.roots.tolist() == [0, 1] and mixed.forest.left.tolist() == [0, 2, 2, 3]
+    assert mixed.forest.roots.tolist() == [0, 1] and mixed.forest.right.tolist() == [0, 3, 2, 3]
+    assert mixed.forest.children.tolist() == [0, 0, 2, 3, 2, 2, 3, 3]  # [left, right] per node
     assert np.signbit(stack_trees([_leaf(0.8), _leaf(-0.0)]).value[1])  # weights are stacked as stored
     margins = logit(0.3) + 0.5 * 0.8 + 0.5 * np.where(X[:, 1] < 0.0, -1.0, 2.0)
     assert np.array_equal(predict_gbdt(mixed, X), sigmoid(margins))
@@ -618,11 +621,15 @@ def test_from_dict_rejects_malformed_forest_arrays():
     n = len(forest["feature"])
     corruptions = {
         "unequal lengths": ("gain", forest["gain"][:-1]),
-        "child points back (a cycle)": ("left", forest["left"][:1] + [0] + forest["left"][2:]),
+        "child points back (a cycle)": ("right", forest["right"][:1] + [0] + forest["right"][2:]),
         "child equals its parent": ("right", [0] + forest["right"][1:]),
         "child in the next tree": ("right", [second] + forest["right"][1:]),
         "child past the end": ("right", [n if i == last_split else r for i, r in enumerate(forest["right"])]),
-        "leaf with a child": ("left", [l + (i == leaf) for i, l in enumerate(forest["left"])]),
+        "leaf with a child": ("right", [r + (i == leaf) for i, r in enumerate(forest["right"])]),
+        "a split as the last node of its tree": (
+            "feature",
+            forest["feature"][: second - 1] + [0] + forest["feature"][second:],
+        ),
         "feature below -1": ("feature", [-2] + forest["feature"][1:]),
         "feature beyond the width": ("feature", [3] + forest["feature"][1:]),
         "nan threshold": ("threshold", [math.nan] + forest["threshold"][1:]),
@@ -630,7 +637,7 @@ def test_from_dict_rejects_malformed_forest_arrays():
         "roots not from node 0": ("roots", [1] + forest["roots"][1:]),
         "roots out of order": ("roots", [0, forest["roots"][2], forest["roots"][1]]),
         "a tree listed twice": ("roots", [0, second, second]),
-        "float node id": ("left", [float(i) for i in forest["left"]]),
+        "float node id": ("right", [float(i) for i in forest["right"]]),
         "nested array": ("value", [forest["value"]]),
     }
     for what, (name, values) in corruptions.items():

@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradients, random_small_model
 from tabfusion.dataset import DesignMatrix
@@ -15,6 +18,7 @@ from tabfusion.xdeepfm import (
     XDeepFMConfig,
     _BLOCK_ROWS,
     _init_model,
+    _shapes,
     _stack_batch,
     backward,
     cross_forward,
@@ -453,40 +457,132 @@ def _set(path, value):
     return corrupt
 
 
+def _small_doc() -> dict:
+    cfg = XDeepFMConfig(embedding_dim=2, n_cross_layers=1, deep_widths=(3, 2))
+    return json.loads(json.dumps(xdeepfm_to_dict(init_xdeepfm((3, 4), 2, cfg))))
+
+
+def test_model_file_holds_the_sizes_and_params_in_order():
+    model = train_xdeepfm(xor_design_matrix(), XDeepFMConfig(embedding_dim=3, n_epochs=2, seed=4))
+    d = xdeepfm_to_dict(model)
+    assert list(d) == ["format_version", "kind", "config", "n_dense", "vocab_sizes", "params"]
+    assert d["vocab_sizes"] == [3, 3] and d["n_dense"] == 0
+    assert d["params"] == model.params.tolist()  # model.params order: tables, cross, deep, head
+    restored = xdeepfm_from_dict(json.loads(json.dumps(d)))
+    assert np.array_equal(restored.params, model.params)
+    for a, b in zip(restored.deep.layers, model.deep.layers):
+        assert a.activation == b.activation and np.array_equal(a.W, b.W)
+
+
+def test_shapes_give_the_layout_of_params():
+    for sizes, n_dense, cfg in [
+        ((3, 4), 2, XDeepFMConfig(embedding_dim=2, n_cross_layers=1, deep_widths=(3, 2))),
+        ((), 5, XDeepFMConfig(n_cross_layers=0, deep_widths=())),
+        ((7,), 0, XDeepFMConfig(embedding_dim=3, n_cross_layers=3, deep_widths=(4,))),
+    ]:
+        model = init_xdeepfm(sizes, n_dense, cfg)
+        arrays = list(model.embeddings.tables)
+        for layer in model.cross_layers:
+            arrays += [layer.W, layer.b, layer.c]
+        for layer in model.deep.layers:
+            arrays += [layer.W, layer.b]
+        arrays += [model.head_w, model.head_b]
+        assert [a.shape for a in arrays] == _shapes(sizes, n_dense, cfg)
+
+
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
-        (_set(("head", "w", 0), math.nan), "non-finite"),
-        (_set(("head", "b"), math.inf), "non-finite"),
-        (_set(("cross_layers", 0, "W", 2, 1), -math.inf), "non-finite"),
-        (_set(("embeddings", 1, 0, 1), None), "non-finite"),
-        (_set(("deep_layers", 1, "b", 0), {"a": 1}), "malformed xdeepfm model file"),
-        (_set(("cross_layers", 0), [1, 2]), "malformed xdeepfm model file"),
-        (_set(("head",), [0.0]), "malformed xdeepfm model file"),
-        (lambda d: d["embeddings"][0].__setitem__(0, [0.1]), "setting an array element"),
-        (_set(("embeddings", 0), [[0.1], [0.2], [0.3]]), "embedding table 0"),
-        (_set(("embeddings", 1), []), "embedding table 1"),
-        (lambda d: d["cross_layers"][0]["W"].pop(), "cross layer 0"),
-        (lambda d: d["cross_layers"][0]["c"].append(0.0), "cross layer 0"),
-        (_set(("n_dense",), 3), "cross layer 0"),
-        (lambda d: [row.pop() for row in d["deep_layers"][1]["W"]], "deep layer 1"),
-        (lambda d: d["deep_layers"][0]["b"].append(0.0), "deep layer 0"),
-        (_set(("deep_layers", 0, "activation"), "tanh"), "unknown activation"),
-        (_set(("deep_layers",), []), "head"),
-        (lambda d: d["head"]["w"].append(0.0), "head"),
-        (_set(("head", "b"), [0.0, 0.0]), "head"),
+        (_set(("params", 0), math.nan), "non-finite"),
+        (_set(("params", -1), math.inf), "non-finite"),
+        (_set(("params", 5), None), "flat list of numbers"),
+        (_set(("params", 3), "0.5"), "flat list of numbers"),
+        (_set(("params", 3), [0.5]), "setting an array element"),
+        (_set(("params",), {"a": 1}), "flat list of numbers"),
+        (lambda d: d["params"].pop(), "'params' has"),
+        (lambda d: d["params"].append(0.0), "'params' has"),
+        (_set(("vocab_sizes", 0), 4), "'params' has"),
+        (_set(("vocab_sizes", 0), 2**70), "'params' has"),
+        (_set(("vocab_sizes", 0), 0), "vocab_sizes"),
+        (_set(("vocab_sizes", 0), True), "vocab_sizes"),
+        (_set(("vocab_sizes", 0), 3.0), "vocab_sizes"),
+        (_set(("vocab_sizes",), 3), "vocab_sizes"),
+        (_set(("n_dense",), 3), "'params' has"),
+        (_set(("n_dense",), 10**9), "'params' has"),
         (_set(("n_dense",), -1), "n_dense"),
         (_set(("n_dense",), "2"), "n_dense"),
-        (lambda d: (d.__setitem__("embeddings", []), d.__setitem__("n_dense", 0)), "at least one"),
+        (_set(("n_dense",), True), "n_dense"),
+        (_set(("config", "deep_widths"), [3]), "'params' has"),
+        (_set(("config", "deep_widths"), [2**70]), "'params' has"),
+        (_set(("config", "n_cross_layers"), 2**70), "'params' has"),
+        (_set(("config", "n_cross_layers"), 10**9), "'params' has"),
+        (_set(("config", "embedding_dim"), 10**9), "'params' has"),
+        (lambda d: d["config"].update(n_cross_layers=2**70, deep_widths=[]), "too few for"),
+        (_set(("config", "hidden_activation"), "tanh"), "hidden_activation must be"),
+        (_set(("config", "learning_rate"), True), "invalid config"),
+        (_set(("config",), [1]), "'config' must be an object"),
+        (lambda d: d.update(vocab_sizes=[], n_dense=0), "at least one"),
     ],
 )
 def test_from_dict_rejects_malformed_or_non_finite_parameters(corrupt, detail):
-    cfg = XDeepFMConfig(embedding_dim=2, n_cross_layers=1, deep_widths=(3, 2))
-    d = json.loads(json.dumps(xdeepfm_to_dict(init_xdeepfm((3, 4), 2, cfg))))
+    d = _small_doc()
     xdeepfm_from_dict(json.loads(json.dumps(d)))  # the untouched document loads
     corrupt(d)
     with pytest.raises(ValueError, match=detail):
         xdeepfm_from_dict(d)
+
+
+_FUZZ_DOC = _small_doc()
+_FUZZ_BATCH = (np.array([[0, 0], [2, 3], [1, 1]]), np.array([[0.5, -1.0], [0.0, 0.0], [3.0, 2.0]]))
+
+
+@given(
+    st.sampled_from(["params", "vocab_sizes", "n_dense", "config"]),
+    st.integers(0, 10_000),
+    st.one_of(
+        st.integers(-3, 60),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([2**70, True, False, None, "1", "relu", [1], [], {}]),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_dict_fails_closed_on_any_corrupted_entry(name, entry, replacement, drop):
+    d = copy.deepcopy(_FUZZ_DOC)
+    if name == "n_dense":
+        container, key = d, "n_dense"
+    elif name == "config":
+        container = d["config"]
+        key = sorted(container)[entry % len(container)]
+    else:
+        container = d[name]
+        key = entry % len(container)
+    if drop:
+        del container[key]
+    else:
+        container[key] = replacement
+    try:
+        model = xdeepfm_from_dict(d)
+    except (ValueError, KeyError):
+        return
+    # the entry still describes a model of this layout: it must score, or, if a
+    # finite but huge weight overflows to NaN, say so
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = forward(model, *_FUZZ_BATCH)
+    except ValueError as exc:
+        assert "NaN" in str(exc)
+        return
+    assert p.shape == (3,) and np.isfinite(p).all()
+
+
+def test_forward_raises_where_a_huge_finite_weight_would_give_nan():
+    d = copy.deepcopy(_FUZZ_DOC)
+    d["params"][2] = 1e308  # an embedding entry of field 0; the third row selects it
+    model = xdeepfm_from_dict(d)
+    assert np.isfinite(forward(model, *(a[:2] for a in _FUZZ_BATCH))).all()
+    with pytest.raises(ValueError, match="NaN"), np.errstate(over="ignore", invalid="ignore"):
+        forward(model, *_FUZZ_BATCH)
 
 
 def test_output_width_algebra():
