@@ -38,9 +38,10 @@ def read_model_file(path) -> dict:
 
 
 def flat_array(what: str, values, integer: bool = False) -> np.ndarray:
-    """A JSON list as a 1-D array of finite numbers (intp if ``integer``, else float64)."""
+    """A JSON list as a 1-D array of finite numbers (intp if ``integer``, else float64); a bool is no number."""
     a = np.asarray(values)
-    if a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
+    has_bool = isinstance(values, list) and bool in set(map(type, values))  # [0.5, true] reads as float64
+    if has_bool or a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
         raise ValueError(f"{what} must be a flat list of {'integers' if integer else 'numbers'}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} holds non-finite values")

@@ -194,15 +194,15 @@ def _fail(stage: str, exc: Exception, code: int) -> int:
 
 
 @contextlib.contextmanager
-def _network_in_child(dm: DesignMatrix, cfg: XDeepFMConfig):
-    """Train the network in a child interpreter while the block runs; yield a function that waits for it.
+def _network_in_child():
+    """Start a child interpreter to train the network; yield ``train(dm, cfg)``, which hands it
+    its request and returns a function that waits for the trained network.
 
-    The child (`_network_child`) runs on one BLAS thread, so it and a GBDT fit
-    in this process each keep one core busy; on the BLAS default the network's
-    matrix products would also take the GBDT's core. It keeps 16 MiB of freed
-    heap, which glibc would otherwise trim and fault back in on every Adam step.
-    Its stderr is this process's stderr. The child is killed and reaped on every
-    way out of the block.
+    ``train`` writes the request to a file and closes the child's stdin, which the child
+    waits on, so this process never blocks on the child. The child (`_network_child`) runs on
+    one BLAS thread, so it and a GBDT fit here each keep one core busy, and keeps 16 MiB of
+    freed heap, which glibc would otherwise trim and fault back in on every Adam step. Its
+    stderr is this process's stderr. It is killed and reaped on every way out of the block.
     """
     import pickle
     import subprocess
@@ -211,16 +211,21 @@ def _network_in_child(dm: DesignMatrix, cfg: XDeepFMConfig):
     env["MALLOC_TRIM_THRESHOLD_"] = str(16 << 20)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    # on pipes the child would block until this process reads its request, or its reply after the GBDT fit
+    # on a pipe the child would block until this process reads its reply, after the GBDT fit
     with tempfile.TemporaryFile() as request, tempfile.TemporaryFile() as reply:
-        pickle.dump((dm, cfg), request, protocol=pickle.HIGHEST_PROTOCOL)
-        request.seek(0)
         proc = subprocess.Popen(
-            [sys.executable, "-c", "from tabfusion.cli import _network_child; _network_child()"],
-            stdin=request,
+            [sys.executable, "-c", f"from tabfusion.cli import _network_child; _network_child({request.fileno()})"],
+            stdin=subprocess.PIPE,
             stdout=reply,
             env=env,
+            pass_fds=(request.fileno(),),
         )
+
+        def train(dm: DesignMatrix, cfg: XDeepFMConfig):
+            pickle.dump((dm, cfg), request, protocol=pickle.HIGHEST_PROTOCOL)
+            request.seek(0)  # flushes; the child reads from the shared offset
+            proc.stdin.close()  # the child's cue; closing never blocks, even once the child is gone
+            return result
 
         def result() -> XDeepFMModel:
             proc.wait()
@@ -235,14 +240,15 @@ def _network_in_child(dm: DesignMatrix, cfg: XDeepFMConfig):
                 raise ValueError(f"xDeepFM: {exc}") from None
 
         try:
-            yield result
+            yield train
         finally:
             proc.kill()  # a no-op once the child has been reaped
             proc.wait()
+            proc.stdin.close()
 
 
-def _network_child() -> None:
-    """Child side of `_network_in_child`: a pickled (DesignMatrix, XDeepFMConfig) on stdin.
+def _network_child(request_fd: int) -> None:
+    """Child side of `_network_in_child`: once stdin closes, a pickled (DesignMatrix, XDeepFMConfig) in ``request_fd``.
 
     Writes the trained network's `xdeepfm_to_dict` document to stdout as JSON
     in one write, or one `Type: message` line, and exits 1 if training fails.
@@ -251,8 +257,9 @@ def _network_child() -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_DFL)  # on Ctrl-C the parent reports; the child just stops
+    sys.stdin.buffer.read()  # returns once the parent has written the request
     try:
-        dm, cfg = pickle.load(sys.stdin.buffer)
+        dm, cfg = pickle.load(os.fdopen(request_fd, "rb"))
         doc = xdeepfm_to_dict(train_xdeepfm(dm, cfg))
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}")
@@ -261,23 +268,28 @@ def _network_child() -> None:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    try:
-        full = load_csv(cfg.data_path, cfg.schema)
-        train_all, test = stratified_split(full, cfg.test_fraction, cfg.seed)
-        # validation rows for the blend coefficient never touch model training
-        fit_train, val = stratified_split(train_all, cfg.val_fraction, cfg.seed + 1)
-        ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
-        dm_val = apply_transform(ft, val)
-        dm_test = apply_transform(ft, test)
-    except DataError as exc:
-        return _fail("data", exc, EXIT_DATA)
+    with contextlib.ExitStack() as child:
+        try:  # the network child starts first, so its start-up overlaps the data stage
+            train_network = child.enter_context(_network_in_child())
+        except OSError as exc:
+            return _fail("train", exc, EXIT_TRAIN)
+        try:
+            full = load_csv(cfg.data_path, cfg.schema)
+            train_all, test = stratified_split(full, cfg.test_fraction, cfg.seed)
+            # validation rows for the blend coefficient never touch model training
+            fit_train, val = stratified_split(train_all, cfg.val_fraction, cfg.seed + 1)
+            ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
+            dm_val = apply_transform(ft, val)
+            dm_test = apply_transform(ft, test)
+        except DataError as exc:
+            return _fail("data", exc, EXIT_DATA)
 
-    try:
-        with _network_in_child(dm_train, cfg.xdfm) as network:
+        try:
+            network = train_network(dm_train, cfg.xdfm)
             gbdt_model = train_gbdt(dm_train, cfg.gbdt)  # a GBDT error wins over the network's
             xdfm_model = network()
-    except Exception as exc:
-        return _fail("train", exc, EXIT_TRAIN)
+        except Exception as exc:
+            return _fail("train", exc, EXIT_TRAIN)
 
     try:
         val_g = predict_gbdt(gbdt_model, dm_val.dense)

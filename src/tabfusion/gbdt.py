@@ -7,15 +7,17 @@ of that objective (lambda2 only) minus a per-leaf penalty gamma.
 
 Split search is exact and histogram-based. Each column of the training
 matrix is ranked once per fit, with one bin per distinct value. At each
-node, one ``np.bincount`` over the node's bin ids gives the row counts (the
-root holds every bin), one the gradient sums and one the hessian sums.
-A candidate split lies between two consecutive bins of one column that
-both hold rows of the node. Those two bins are adjacent distinct values
+node, one ``np.bincount`` over the node's bin ids gives the hessian sums and
+one the gradient sums; every hessian is positive, so the bins that hold rows
+of the node are those with a positive hessian sum. A candidate split lies
+between two consecutive bins of one column that both hold rows of the node. Those two bins are adjacent distinct values
 of the node's rows, so the candidates and their midpoint thresholds are
 those of an exhaustive search over sorted values. Candidates are scored
 in (column, threshold) order and the first maximum wins: ties go to the
 lowest column, then the lowest threshold. Quantile binning would change
 the candidates, and sibling subtraction the sums, so the search uses neither.
+A node with ``h_total - min_child_hessian < min_child_hessian`` is not
+searched: rounding is monotone, so no candidate's right child reaches the bound.
 
 Trees are parallel per-node arrays (``Forest``), each tree's nodes in the
 preorder the search grows them in; a model holds all its trees stacked in
@@ -236,31 +238,25 @@ def rank_features(dense) -> RankedMatrix:
 def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig):
     """Best (feature, midpoint) split of the rows ``idx`` (see the module docstring).
 
-    ``g`` and ``h`` hold the node's rows only. Returns (feature, threshold,
-    gain) or None when no candidate has positive gain and admissible child
-    hessians.
+    ``g`` and ``h`` hold the node's rows only, every ``h`` positive. Returns
+    (feature, threshold, gain) or None when no candidate has positive gain and
+    admissible child hessians. Call it where divide and invalid warnings are off.
     """
     g_total = float(g.sum())
     h_total = float(h.sum())
+    if h_total - cfg.min_child_hessian < cfg.min_child_hessian:  # then every candidate's hr is too
+        return None
     parent_term = g_total**2 / (h_total + cfg.lambda2) if h_total + cfg.lambda2 > 0.0 else np.inf
     n_bins = ranked.values.size
-    n, d = ranked.bins.shape
-    if idx.size == n:  # the root: rows stay in order, and every bin holds some row
-        flat, present = ranked.bins.ravel(), np.arange(n_bins)
-    else:
-        flat = ranked.bins[idx].ravel()
-        present = np.flatnonzero(np.bincount(flat, minlength=n_bins))
+    d = ranked.bins.shape[1]
+    flat = ranked.bins.ravel() if idx.size == ranked.bins.shape[0] else ranked.bins[idx].ravel()
+    hist_h = np.bincount(flat, weights=np.repeat(h, d), minlength=n_bins)
+    present = (hist_h > 0.0).nonzero()[0]  # every h > 0: the bins holding rows of the node
     feature = ranked.feature[present]
     cand = np.flatnonzero(feature[:-1] == feature[1:])
     if cand.size == 0:
         return None
-    prefix = np.stack(
-        [
-            np.bincount(flat, weights=np.repeat(g, d), minlength=n_bins)[present],
-            np.bincount(flat, weights=np.repeat(h, d), minlength=n_bins)[present],
-        ],
-        axis=1,
-    )
+    gl, hl = np.bincount(flat, weights=np.repeat(g, d), minlength=n_bins)[present], hist_h[present]
     # Prefix sums start from zero for each feature: one running sum across
     # all features, minus each feature's base, rounds differently. A feature's
     # last bin is never a candidate, so features with two bins need no sums,
@@ -268,8 +264,9 @@ def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndar
     bounds = np.searchsorted(feature, [ranked.multi_bin, ranked.multi_bin + 1]).tolist()
     for a, b in zip(*bounds):
         if b - a > 2:
-            prefix[a:b].cumsum(axis=0, out=prefix[a:b])
-    gl, hl = prefix[cand, 0], prefix[cand, 1]
+            gl[a:b].cumsum(out=gl[a:b])
+            hl[a:b].cumsum(out=hl[a:b])
+    gl, hl = gl[cand], hl[cand]
     gr, hr = g_total - gl, h_total - hl
     ok = (
         (hl >= cfg.min_child_hessian)
@@ -277,8 +274,7 @@ def _best_split(ranked: RankedMatrix, idx: np.ndarray, g: np.ndarray, h: np.ndar
         & (hl + cfg.lambda2 > 0.0)
         & (hr + cfg.lambda2 > 0.0)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (gl**2 / (hl + cfg.lambda2) + gr**2 / (hr + cfg.lambda2) - parent_term) - cfg.gamma
+    gains = 0.5 * (gl**2 / (hl + cfg.lambda2) + gr**2 / (hr + cfg.lambda2) - parent_term) - cfg.gamma
     gains = np.where(ok, gains, -np.inf)
     k = int(np.argmax(gains))  # first occurrence = lowest feature, then lowest threshold
     gain = float(gains[k])
@@ -297,10 +293,11 @@ def _grow(
     depth: int,
     cfg: GBDTConfig,
     nodes: list,
+    leaves: list,
 ) -> None:
-    """Append the subtree over rows ``idx`` to ``nodes`` in preorder.
+    """Append the subtree over rows ``idx`` to ``nodes`` in preorder, and (rows, weight) of each leaf to ``leaves``.
 
-    A node is (feature, threshold, gain, right, value), ids counted from the tree's root.
+    A node is (feature, threshold, gain, right, value), ids counted from the start of ``nodes``.
     """
     i = len(nodes)
     g_node, h_node = g[idx], h[idx]
@@ -310,20 +307,21 @@ def _grow(
             feature, threshold, gain = found
             mask = ranked.values[ranked.bins[idx, feature]] < threshold
             nodes.append(None)  # set once the right child's id is known
-            _grow(ranked, idx[mask], g, h, depth + 1, cfg, nodes)
+            _grow(ranked, idx[mask], g, h, depth + 1, cfg, nodes, leaves)
             right = len(nodes)
-            _grow(ranked, idx[~mask], g, h, depth + 1, cfg, nodes)
+            _grow(ranked, idx[~mask], g, h, depth + 1, cfg, nodes, leaves)
             nodes[i] = (feature, threshold, gain, right, 0.0)
             return
     weight = leaf_weight(float(g_node.sum()), float(h_node.sum()), cfg.lambda1, cfg.lambda2)
     nodes.append((-1, 0.0, 0.0, i, weight))
+    leaves.append((idx, weight))
 
 
 def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
     """Grow one regression tree by greedy histogram split search; returns a one-tree Forest.
 
-    ``dense`` is a raw feature matrix or the ``RankedMatrix`` of one; a raw
-    matrix is ranked here, so boosting ranks its training matrix once instead.
+    ``dense`` is a raw feature matrix or the ``RankedMatrix`` of one. Every
+    hessian must be positive, as the logistic loss's are.
     """
     ranked = dense if isinstance(dense, RankedMatrix) else rank_features(dense)
     n = ranked.bins.shape[0]
@@ -331,10 +329,11 @@ def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
     h = np.asarray(h, dtype=np.float64)
     if g.shape != (n,) or h.shape != (n,):
         raise ValueError("g and h must be row-aligned with the feature matrix")
-    if not (np.isfinite(g).all() and np.isfinite(h).all()):
-        raise ValueError("g and h must be finite")
+    if not (np.isfinite(g).all() and np.isfinite(h).all() and (h > 0.0).all()):
+        raise ValueError("g must be finite, and h finite and positive")
     nodes: list = []
-    _grow(ranked, np.arange(n), g, h, 0, cfg, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _grow(ranked, np.arange(n), g, h, 0, cfg, nodes, [])
     return Forest((0,), *zip(*nodes))
 
 
@@ -376,7 +375,7 @@ def _tree_values(tree: Forest, X: np.ndarray) -> np.ndarray:
 
 
 def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig()) -> GBDTModel:
-    """Boost cfg.n_trees trees, shrinking each tree's output by learning_rate."""
+    """Boost cfg.n_trees trees, shrinking each tree's output by learning_rate; validate one forest at the end."""
     X = dm.dense
     y = dm.labels.astype(np.float64)
     if y.size == 0:
@@ -386,16 +385,18 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig()) -> GBDTModel:
     base = float(y.mean()) if cfg.base_score is None else cfg.base_score
     raw = np.full(y.size, logit(base))
     ranked = rank_features(X)
-    trees: list[Forest] = []
+    roots, nodes = [], []  # every tree's nodes in one list, so node ids are forest-wide
     for _ in range(cfg.n_trees):
         p = clip_probs(sigmoid(raw))
-        g, h = grad_hess(y, p)
-        tree = build_tree(ranked, g, h, cfg)
-        trees.append(tree)
-        raw += cfg.learning_rate * _tree_values(tree, X)
-    return GBDTModel(
-        config=cfg, base_score=base, forest=stack_trees(trees), feature_names=tuple(dm.dense_names)
-    )
+        g, h = grad_hess(y, p)  # every h is positive: p is clipped away from 0 and 1
+        roots.append(len(nodes))
+        leaves: list = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _grow(ranked, np.arange(y.size), g, h, 0, cfg, nodes, leaves)
+        for idx, weight in leaves:  # the rows _walk sends to each leaf, so the margins are predict_gbdt's
+            raw[idx] += cfg.learning_rate * weight
+    forest = Forest(roots, *(zip(*nodes) if nodes else [()] * 5))  # no trees: five empty node arrays
+    return GBDTModel(config=cfg, base_score=base, forest=forest, feature_names=tuple(dm.dense_names))
 
 
 def _usable_cores() -> int:

@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -209,8 +212,10 @@ def test_run_interrupted_during_training_reaps_the_network_child(tmp_path, mini_
 def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monkeypatch, capfd, children):
     start = cli._network_in_child
 
-    def one_class(dm, cfg):  # the GBDT trains on the real labels; only the network fails
-        return start(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
+    @contextlib.contextmanager
+    def one_class():  # the GBDT trains on the real labels; only the network fails
+        with start() as train:
+            yield lambda dm, cfg: train(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
 
     monkeypatch.setattr(cli, "_network_in_child", one_class)
     out = tmp_path / "out"
@@ -243,8 +248,8 @@ def test_network_reply_never_waits_for_the_gbdt(tmp_path, mini_csv, monkeypatch,
 def test_network_trained_in_child_equals_in_process_training(mini_csv, stroke_schema):
     dm = _mini_matrix(mini_csv, stroke_schema)
     cfg = XDeepFMConfig(deep_widths=(16, 8), n_epochs=6, seed=7)
-    with cli._network_in_child(dm, cfg) as network:
-        model = network()
+    with cli._network_in_child() as train:
+        model = train(dm, cfg)()
     # json text, not dict equality, so that a 0.0 against a -0.0 would differ too
     assert json.dumps(xdeepfm_to_dict(model)) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg)))
 
@@ -252,9 +257,117 @@ def test_network_trained_in_child_equals_in_process_training(mini_csv, stroke_sc
 def test_network_warning_in_child_reaches_stderr(mini_csv, stroke_schema, capfd):
     dm = _mini_matrix(mini_csv, stroke_schema)
     dm = dataclasses.replace(dm, dense=dm.dense * 1e100)  # Adam's squared gradients overflow to inf
-    with cli._network_in_child(dm, XDeepFMConfig(n_epochs=1, seed=7)) as network:
-        network()
+    with cli._network_in_child() as train:
+        train(dm, XDeepFMConfig(n_epochs=1, seed=7))()
     assert "RuntimeWarning: overflow encountered" in capfd.readouterr().err
+
+
+def _main_within(seconds: float, argv: list) -> int:
+    """``cli.main(argv)`` on a thread that must return within ``seconds``: a hang fails the test."""
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(cli.main(argv)), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"`tabfusion {' '.join(argv)}` did not return within {seconds} s"
+    return codes[0]
+
+
+def test_network_child_starts_before_the_data_is_read(tmp_path, mini_csv, monkeypatch, children):
+    load_csv = cli.load_csv
+    started = []
+
+    def after_the_child_starts(*args, **kwargs):
+        started.append(len(children) == 1 and children[0].poll() is None)  # running, waiting for its request
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", after_the_child_starts)
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, tmp_path / "out"))]) == 0
+    assert started == [True]
+    assert len(children) == 1 and children[0].returncode == 0
+
+
+def _with_bad_cell(tmp_path, mini_csv):
+    with mini_csv.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][rows[0].index("bmi")] = "12..5"
+    data = tmp_path / "bad.csv"
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return data, "row 3: cannot parse '12..5' as a number in column 'bmi'"
+
+
+@pytest.mark.parametrize("failure", ["missing file", "bad cell"])
+def test_run_data_error_exits_2_and_reaps_the_started_child(tmp_path, mini_csv, capsys, children, failure):
+    if failure == "missing file":
+        data, message = tmp_path / "absent.csv", "absent.csv"
+    else:
+        data, message = _with_bad_cell(tmp_path, mini_csv)
+    out = tmp_path / "out"
+    assert _main_within(60.0, ["run", "--config", str(_write_config(tmp_path, data, out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [data]: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+    # the child was started before the data stage and never got a request; it is gone
+    assert len(children) == 1 and children[0].returncode is not None
+
+
+def test_network_child_that_dies_before_its_request_exits_3_without_a_hang(
+    tmp_path, mini_csv, monkeypatch, capsys, children
+):
+    fit_transform = cli.fit_transform
+
+    def after_the_child_dies(*args, **kwargs):
+        children[0].kill()
+        children[0].wait()
+        return fit_transform(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_transform", after_the_child_dies)
+    out = tmp_path / "out"
+    assert _main_within(60.0, ["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
+    assert capsys.readouterr().err == "error [train]: xDeepFM: training process exited with code -9\n"
+    assert not out.exists()
+
+
+def test_network_child_that_cannot_start_exits_3_at_train_before_the_data_stage(
+    tmp_path, mini_csv, monkeypatch, capsys
+):
+    def no_process(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the data stage ran without a network child")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(cli, "load_csv", never)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
+    assert capsys.readouterr().err == "error [train]: [Errno 11] Resource temporarily unavailable\n"
+    assert not out.exists()
+
+
+def test_request_never_blocks_on_a_child_that_is_not_reading(tmp_path, mini_csv, monkeypatch, children):
+    # a stopped child reads nothing; the request (more than a pipe buffer) goes to a file
+    load_csv, train_gbdt = cli.load_csv, cli.train_gbdt
+    reached = []
+
+    def after_stopping_the_child(*args, **kwargs):
+        os.kill(children[0].pid, signal.SIGSTOP)
+        return load_csv(*args, **kwargs)
+
+    def resume_the_child(dm, cfg):  # the request is written by now
+        reached.append(len(pickle.dumps((dm, XDeepFMConfig()), protocol=pickle.HIGHEST_PROTOCOL)))
+        os.kill(children[0].pid, signal.SIGCONT)
+        return train_gbdt(dm, cfg)
+
+    monkeypatch.setattr(cli, "load_csv", after_stopping_the_child)
+    monkeypatch.setattr(cli, "train_gbdt", resume_the_child)
+    config = _write_config(tmp_path, mini_csv, tmp_path / "out")
+    try:
+        assert _main_within(60.0, ["run", "--config", str(config)]) == 0
+    finally:
+        for child in children:
+            child.kill()
+    assert len(reached) == 1 and reached[0] > 64 * 1024
 
 
 def test_predict_probabilities_in_unit_interval(completed_run, tmp_path):

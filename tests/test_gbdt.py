@@ -364,6 +364,98 @@ def test_build_tree_large_lambda1_zeroes_all_leaves():
     assert np.all(tree.value[tree.feature < 0] == 0.0)
 
 
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=3),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_bins_with_a_positive_hessian_sum_are_the_bins_holding_rows(table):
+    # the split search finds a node's bins from its hessian sums, never from row counts
+    columns, keep, h = table
+    ranked = gbdt.rank_features(np.array(columns, dtype=np.float64).T)
+    idx = np.flatnonzero(keep)
+    flat = ranked.bins[idx].ravel()
+    n_bins = ranked.values.size
+    by_hessian = np.bincount(flat, weights=np.repeat(np.array(h)[idx], ranked.bins.shape[1]), minlength=n_bins) > 0.0
+    assert np.array_equal(by_hessian, np.bincount(flat, minlength=n_bins) > 0)
+
+
+def test_node_below_twice_min_child_hessian_is_not_searched_and_agrees_with_brute_force():
+    # h_total - min_child_hessian < min_child_hessian returns before any histogram;
+    # at h_total == 2 * min_child_hessian the search still runs and may split evenly
+    X = np.array([[0.0], [1.0]])
+    g, h = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    assert build_tree(X, g, h, GBDTConfig(max_depth=1, min_child_hessian=0.5)).feature.tolist() == [0, -1, -1]
+    assert build_tree(X, g, h, GBDTConfig(max_depth=1, min_child_hessian=np.nextafter(0.5, 1.0))).n_leaves == 1
+    rng = np.random.default_rng(77)
+    searched = split = 0
+    for trial in range(120):
+        n = int(rng.integers(2, 13))
+        X = rng.integers(0, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
+        g = rng.integers(-64, 65, size=n) / 32.0  # dyadic: every sum is exact, so hr == h_total - hl
+        h = rng.integers(1, 33, size=n) / 32.0
+        if trial % 2:  # equal hessians over distinct values: an even split meets the bound exactly
+            X[:, 0], h = rng.permutation(n), np.full(n, h[0])
+        half = float(h.sum()) / 2.0
+        for bound in (half - 1 / 32, np.nextafter(half, 0.0), half, np.nextafter(half, np.inf), half + 1 / 32):
+            cfg = GBDTConfig(max_depth=int(rng.integers(1, 4)), lambda2=1.0, min_child_hessian=float(bound))
+            tree = build_tree(X, g, h, cfg)
+            assert _same_tree(tree, brute_force_tree(X, g, h, cfg)), f"trial {trial}, bound {bound!r}"
+            searched += bound <= half
+            split += bound == half and tree.n_leaves > 1
+    assert searched >= 300 and split >= 10, "too few roots split at exactly twice the bound"
+
+
+def test_build_tree_rejects_a_zero_or_negative_hessian():
+    X = np.arange(6.0).reshape(3, 2)
+    g = np.array([-1.0, 0.0, 1.0])
+    build_tree(X, g, np.full(3, 5e-324), GBDTConfig(min_child_hessian=0.0))  # any positive hessian is fine
+    for bad in (0.0, -0.0, -1e-300, -0.25):
+        with pytest.raises(ValueError, match="positive"):
+            build_tree(X, g, np.where(np.arange(3) == 1, bad, 0.25), GBDTConfig(min_child_hessian=0.0))
+
+
+def _boost_with_build_tree(X, y, cfg: GBDTConfig) -> list:
+    """The trees of a boosting run made one ``build_tree`` call and one ``_tree_values`` walk per step."""
+    raw = np.full(len(y), logit(float(np.mean(y))))
+    trees = []
+    for _ in range(cfg.n_trees):
+        g, h = grad_hess(y, clip_probs(sigmoid(raw)))
+        trees.append(build_tree(X, g, h, cfg))
+        raw += cfg.learning_rate * _tree_values(trees[-1], X)
+    return trees
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GBDTConfig(n_trees=12, max_depth=3, lambda1=0.05, min_child_hessian=0.3),
+        GBDTConfig(n_trees=6, max_depth=4, min_child_hessian=0.0, learning_rate=1.0),
+        GBDTConfig(n_trees=0),
+        GBDTConfig(n_trees=5, max_depth=0),
+    ],
+    ids=["stock-like", "deep-full-rate", "no-trees", "stumps-of-depth-0"],
+)
+def test_train_gbdt_forest_equals_stacked_per_step_build_tree_trees(cfg):
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(90, 4))
+    X[:, 1] = rng.integers(0, 3, size=90)
+    X[:, 2] = np.round(X[:, 2], 1)
+    y = (X[:, 0] + 0.4 * X[:, 1] + rng.normal(size=90) > 0.5).astype(int)
+    forest = train_gbdt(_dm(X, y), cfg).forest
+    stacked = stack_trees(_boost_with_build_tree(X, y, cfg))
+    for name in FOREST_ARRAYS:  # bytes, so a -0.0 against a 0.0 would differ too
+        got, want = getattr(forest, name), getattr(stacked, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (forest.depth, forest.children.tobytes()) == (stacked.depth, stacked.children.tobytes())
+    assert forest.roots.size == cfg.n_trees
+
+
 def test_train_separable_toy_reaches_perfect_training_auc():
     x = np.linspace(0.0, 1.0, 20).reshape(-1, 1)
     y = (x[:, 0] > 0.5).astype(int)
@@ -639,6 +731,9 @@ def test_from_dict_rejects_malformed_forest_arrays():
         "a tree listed twice": ("roots", [0, second, second]),
         "float node id": ("right", [float(i) for i in forest["right"]]),
         "nested array": ("value", [forest["value"]]),
+        "a bool among the thresholds": ("threshold", forest["threshold"][:-1] + [True]),
+        "a bool among the weights": ("value", [False] + forest["value"][1:]),
+        "a bool among the features": ("feature", [True] + forest["feature"][1:]),
     }
     for what, (name, values) in corruptions.items():
         d = copy.deepcopy(SMALL_MODEL)

@@ -497,6 +497,7 @@ def test_shapes_give_the_layout_of_params():
         (_set(("params", -1), math.inf), "non-finite"),
         (_set(("params", 5), None), "flat list of numbers"),
         (_set(("params", 3), "0.5"), "flat list of numbers"),
+        (_set(("params", 3), True), "flat list of numbers"),  # NumPy alone would read it as 1.0
         (_set(("params", 3), [0.5]), "setting an array element"),
         (_set(("params",), {"a": 1}), "flat list of numbers"),
         (lambda d: d["params"].pop(), "'params' has"),
