@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 3  # 3: gbdt.json drops `left`; xdeepfm.json holds one flat `params` list
+FORMAT_VERSION = 4  # 4: a model file's transform holds the `fill`, `mean`, `std` and `vocabs` lists
 
 
 def check_header(d, kind: str | None = None) -> None:
@@ -38,9 +38,9 @@ def read_model_file(path) -> dict:
 
 
 def flat_array(what: str, values, integer: bool = False) -> np.ndarray:
-    """A JSON list as a 1-D array of finite numbers (intp if ``integer``, else float64); a bool is no number."""
+    """A JSON list or a tuple as a 1-D array of finite numbers (intp if ``integer``, else float64); no bools."""
     a = np.asarray(values)
-    has_bool = isinstance(values, list) and bool in set(map(type, values))  # [0.5, true] reads as float64
+    has_bool = isinstance(values, (list, tuple)) and bool in set(map(type, values))  # [0.5, true] reads as float64
     if has_bool or a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
         raise ValueError(f"{what} must be a flat list of {'integers' if integer else 'numbers'}")
     if not np.isfinite(a).all():

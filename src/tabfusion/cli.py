@@ -21,6 +21,7 @@ from .artifact import FORMAT_VERSION, _write_atomic, coerce, config_from_dict, r
 from .dataset import (
     DataError,
     DesignMatrix,
+    FittedTransform,
     Schema,
     TabularDataset,
     apply_transform,
@@ -390,19 +391,20 @@ def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarr
         paths = [model_path.parent / ens.gbdt_ref, model_path.parent / ens.xdeepfm_ref]
         parts = [(path, read_model_file(path)) for path in paths]
     datasets: dict[Schema, TabularDataset] = {}
-    matrices: list[tuple[dict, DesignMatrix]] = []  # one per distinct fitted transform
+    matrices: dict[FittedTransform, DesignMatrix] = {}  # one per distinct fitted transform
+    dms = []  # each part's design matrix
     for path, doc in parts:
         if "transform" not in doc:
             raise DataError(f"{path}: model file carries no fitted transform")
-        if all(t != doc["transform"] for t, _ in matrices):
-            ft = transform_from_dict(doc["transform"])
+        ft = transform_from_dict(doc["transform"])
+        if ft not in matrices:
             if ft.schema not in datasets:
                 datasets[ft.schema] = load_csv(data_path, ft.schema)
-            matrices.append((doc["transform"], apply_transform(ft, datasets[ft.schema])))
+            matrices[ft] = apply_transform(ft, datasets[ft.schema])
+        dms.append(matrices[ft])
     datasets.clear()  # the parsed cells outweigh the matrices; free them before scoring
     probs = []
-    for path, doc in parts:
-        dm = next(m for t, m in matrices if t == doc["transform"])
+    for (path, doc), dm in zip(parts, dms):
         if doc.get("kind") == "gbdt":
             probs.append(predict_gbdt(gbdt_from_dict(doc), dm.dense))
         elif doc.get("kind") == "xdeepfm":
@@ -410,7 +412,7 @@ def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarr
         else:
             raise DataError(f"{path}: unknown model kind {doc.get('kind')!r}")
     p = blend(probs[0], probs[1], ens.alpha) if kind == "ensemble" else probs[0]
-    return kind, p, matrices[0][1].labels
+    return kind, p, dms[0].labels
 
 
 def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int:

@@ -4,15 +4,22 @@ All statistics (imputation values, vocabularies, scaling parameters) are fit
 on the training partition only and then applied unchanged to any other
 partition, so train and test always see the same transformation.
 
+A fitted transform holds exactly what ``apply_transform`` reads: ``fill``,
+``mean`` and ``std``, one number per numeric or binary column in schema order,
+and ``vocabs``, one tuple of cell texts per categorical column. A model file
+stores these as plain lists. When a transform is built it derives, once, a
+column plan: where the numeric, binary and categorical columns sit, the mean
+and std as vectors, each vocabulary's text-to-index dict and the one-hot
+offsets.
+
 The read path is column-wise: a dataset keeps its raw rows, and
-``fit_transform``/``apply_transform`` transpose them once per call. A fitted
-transform derives a column plan once, when it is built: where the numeric,
-binary and categorical columns sit, their fills, means and stds as vectors,
-and the one-hot offsets. ``apply_transform`` then encodes a batch with a fixed
-number of NumPy calls however many columns there are: one ``float()`` pass over
-every numeric cell, one scaling, one vocabulary pass over every categorical
-cell and one one-hot scatter. Each row carries its 1-based data-row number
-from the file, so an error names the file row even after a shuffled split.
+``fit_transform``/``apply_transform`` transpose them once per call. Both read
+the numeric cells through one parser, a single ``float()`` pass over every
+numeric cell. ``apply_transform`` then encodes a batch with a fixed number of
+NumPy calls however many columns there are: that pass, one scaling, one
+vocabulary pass over every categorical cell and one one-hot scatter. Each row
+carries its 1-based data-row number from the file, so an error names the file
+row even after a shuffled split.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .artifact import flat_array
 
 COLUMN_KINDS = ("numeric", "categorical", "binary", "target")
 
@@ -61,9 +70,6 @@ class Schema:
     @property
     def target(self) -> str:
         return next(name for name, kind in self.columns if kind == "target")
-
-    def names_of(self, kind: str) -> tuple[str, ...]:
-        return tuple(name for name, k in self.columns if k == kind)
 
 
 @dataclass(frozen=True)
@@ -171,23 +177,14 @@ def stratified_split(
     return subset(~mask), subset(mask)
 
 
-@dataclass(frozen=True)
-class NumericStats:
-    impute_value: float
-    mean: float
-    std: float
-    scaled: bool  # binary 0/1 columns pass through unscaled
-
-
 class _ColumnPlan(NamedTuple):
     """How ``apply_transform`` lays out one transform's columns, derived once."""
 
     numeric: tuple[int, ...]  # schema positions of the numeric and binary columns
-    fills: tuple[float, ...]  # each one's missing-value fill
-    mean: np.ndarray  # (n_numeric,) float64; 0.0 for an unscaled (binary) column
-    std: np.ndarray  # (n_numeric,) float64; 1.0 for an unscaled (binary) column
+    mean: np.ndarray  # (k,) float64 ``FittedTransform.mean``
+    std: np.ndarray  # (k,) float64 ``FittedTransform.std``
     categorical: tuple[int, ...]  # schema positions of the categorical columns
-    vocabs: tuple[dict[str, int], ...]
+    codes: tuple[dict[str, int], ...]  # each categorical column's cell text -> index
     onehot_base: np.ndarray | None  # (N,) int64 dense column of index 0; None in label mode
     target: int
     dense_names: tuple[str, ...]
@@ -198,89 +195,74 @@ class _ColumnPlan(NamedTuple):
 class FittedTransform:
     """Train-set statistics applied identically to every partition.
 
-    Categorical vocabularies reserve index 0 for out-of-vocabulary and
-    missing values; observed values are indexed 1..len(vocab). Building one
-    validates every statistic (DataError) and derives the column plan
-    ``apply_transform`` uses.
+    ``fill``, ``mean`` and ``std`` hold one number per numeric or binary
+    column, in schema order: a missing cell becomes ``fill``, then every cell
+    ``(x - mean) / std``. A binary column keeps mean 0.0 and std 1.0, and
+    ``x - 0.0`` and ``x / 1.0`` are ``x`` bit for bit, ``-0.0`` included.
+    ``vocabs`` holds one tuple of distinct cell texts per categorical column:
+    text ``i`` has index ``i + 1``, and index 0 is out-of-vocabulary or
+    missing. Building one checks every entry (DataError) and derives the
+    column plan ``apply_transform`` uses; a transform is hashable and compares
+    by value.
     """
 
     schema: Schema
     encoding_mode: str  # "one_hot" | "label"
-    numeric_stats: dict[str, NumericStats]
-    vocabs: dict[str, dict[str, int]]
+    fill: tuple[float, ...]
+    mean: tuple[float, ...]
+    std: tuple[float, ...]
+    vocabs: tuple[tuple[str, ...], ...]
     _plan: _ColumnPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_plan", _column_plan(self))
 
 
-def _finite_number(value, what: str) -> float:
-    """``value`` as a float; DataError unless it is a finite int or float (bool and str are not)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise DataError(f"{what} must be a finite number, got {value!r}")
-
-
 def _column_plan(ft: FittedTransform) -> _ColumnPlan:
-    """Validate a transform's statistics and lay out its columns for ``apply_transform``.
-
-    Binary columns get mean 0.0 and std 1.0, so that every numeric column is
-    scaled by one vectorized ``(x - mean) / std``: ``x - 0.0`` and ``x / 1.0``
-    are ``x`` bit for bit, ``-0.0`` included.
-    """
+    """Check a transform's entries and lay out its columns for ``apply_transform``."""
     if ft.encoding_mode not in ("one_hot", "label"):
         raise DataError(f"encoding_mode must be 'one_hot' or 'label', got {ft.encoding_mode!r}")
     columns = ft.schema.columns
     numeric = tuple(j for j, (_, kind) in enumerate(columns) if kind in ("numeric", "binary"))
     categorical = tuple(j for j, (_, kind) in enumerate(columns) if kind == "categorical")
-    num_names = [columns[j][0] for j in numeric]
-    cat_names = [columns[j][0] for j in categorical]
-    if not isinstance(ft.numeric_stats, dict) or set(ft.numeric_stats) != set(num_names):
-        raise DataError(f"numeric_stats must hold exactly the numeric and binary columns {num_names}")
-    if not isinstance(ft.vocabs, dict) or set(ft.vocabs) != set(cat_names):
-        raise DataError(f"vocabs must hold exactly the categorical columns {cat_names}")
-    fills, mean, std = [], [], []
-    for name in num_names:
-        s = ft.numeric_stats[name]
-        fill, m, sd = (
-            _finite_number(getattr(s, k), f"{k} of column {name!r}") for k in ("impute_value", "mean", "std")
-        )
-        if not isinstance(s.scaled, bool):
-            raise DataError(f"scaled of column {name!r} must be true or false, got {s.scaled!r}")
-        if s.scaled and sd <= 0.0:
-            raise DataError(f"std of scaled column {name!r} must be positive, got {s.std!r}")
-        fills.append(fill)
-        mean.append(m if s.scaled else 0.0)
-        std.append(sd if s.scaled else 1.0)
-    vocabs = tuple(ft.vocabs[name] for name in cat_names)
-    dense_names = list(num_names)
-    for name, vocab in zip(cat_names, vocabs):
-        if not isinstance(vocab, dict) or not all(isinstance(value, str) for value in vocab):
-            raise DataError(f"vocab of column {name!r} must map cell texts to indices")
-        indices = list(vocab.values())
-        if any(type(i) is not int for i in indices) or indices != list(range(1, len(vocab) + 1)):
-            raise DataError(f"vocab indices of column {name!r} must be 1..{len(vocab)} in order")
+    dense_names = [columns[j][0] for j in numeric]
+    stats = []
+    for what in ("fill", "mean", "std"):
+        try:
+            a = flat_array(f"transform {what!r}", getattr(ft, what))
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+        if a.size != len(numeric):
+            raise DataError(f"transform {what!r} must hold one number per numeric or binary column {dense_names}")
+        stats.append(a)
+    _, mean, std = stats
+    if not (std > 0.0).all():
+        raise DataError(f"std of column {dense_names[int(np.argmin(std > 0.0))]!r} must be positive")
+    if len(ft.vocabs) != len(categorical):
+        raise DataError("transform 'vocabs' must hold one vocabulary per categorical column")
+    codes = []
+    for j, vocab in zip(categorical, ft.vocabs):
+        name = columns[j][0]
+        code = {text: i for i, text in enumerate(vocab, start=1) if isinstance(text, str)}
+        if len(code) != len(vocab):
+            raise DataError(f"vocab of column {name!r} must hold distinct cell texts")
+        codes.append(code)
         if ft.encoding_mode == "one_hot":
-            dense_names.extend(f"{name}={value}" for value in vocab)
+            dense_names.extend(f"{name}={text}" for text in vocab)
     onehot_base = None
     if ft.encoding_mode == "one_hot":
-        sizes = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
+        sizes = np.array([len(code) for code in codes], dtype=np.int64)
         onehot_base = len(numeric) + np.cumsum(sizes) - sizes - 1  # index i lands in column base + i
     return _ColumnPlan(
         numeric=numeric,
-        fills=tuple(fills),
-        mean=np.array(mean, dtype=np.float64),
-        std=np.array(std, dtype=np.float64),
+        mean=mean,
+        std=std,
         categorical=categorical,
-        vocabs=vocabs,
+        codes=tuple(codes),
         onehot_base=onehot_base,
         target=ft.schema.column_names.index(ft.schema.target),
         dense_names=tuple(dense_names),
-        cardinalities=tuple(len(vocab) + 1 for vocab in vocabs),
+        cardinalities=tuple(len(code) + 1 for code in codes),
     )
 
 
@@ -295,43 +277,39 @@ class DesignMatrix:
     cat_cardinalities: tuple[int, ...]  # vocab sizes including the reserved OOV index
 
 
-def _parse_number(cell: str, column: str, row_number: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(
-            f"row {row_number}: cannot parse {cell!r} as a number in column {column!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise DataError(f"row {row_number}: non-finite value {cell!r} in column {column!r}")
-    return value
+def _numeric_values(ds: TabularDataset, columns, positions: Sequence[int], fills: Sequence[float]) -> np.ndarray:
+    """The cells of the columns at schema ``positions`` as a (k, n) float64 array, each column's
+    missing cells set to its fill.
 
-
-def _check_cells(cells: Sequence[str], missing: str, column: str, row_numbers: Sequence[int]) -> None:
-    """Raise the DataError of the first cell that is not a finite number; the slow path."""
-    for c, row_number in zip(cells, row_numbers):
-        if c != missing:
-            _parse_number(c, column, row_number)
-
-
-def _numeric_column(
-    cells: Sequence[str], missing: str, fill: float, column: str, row_numbers: Sequence[int]
-) -> np.ndarray:
-    """A numeric column as float64, its missing cells set to ``fill``.
-
-    One ``float()`` pass parses the column; only when a cell fails to parse or
-    is non-finite is it rescanned cell by cell, so that the error names the
-    first bad cell, its file row and its column.
+    One ``float()`` pass parses every cell. Only when a cell fails to parse or
+    is non-finite are the cells rescanned one by one, so that the error names
+    the first bad cell in column order, then row order, with its file row and
+    its column.
     """
+    missing = ds.schema.missing_token
     try:
-        col = np.fromiter(
-            (fill if c == missing else float(c) for c in cells), dtype=np.float64, count=len(cells)
+        values = np.fromiter(
+            chain.from_iterable(
+                (fill if c == missing else float(c) for c in columns[j]) for j, fill in zip(positions, fills)
+            ),
+            dtype=np.float64,
+            count=len(positions) * ds.n_rows,
         )
     except ValueError:
-        col = None
-    if col is None or not np.isfinite(col).all():
-        _check_cells(cells, missing, column, row_numbers)
-    return col  # a non-finite ``fill`` is left to the caller
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for j in positions:
+            name = ds.schema.columns[j][0]
+            for c, row_number in zip(columns[j], ds.row_numbers):
+                if c == missing:
+                    continue
+                try:
+                    value = float(c)
+                except ValueError:
+                    raise DataError(f"row {row_number}: cannot parse {c!r} as a number in column {name!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"row {row_number}: non-finite value {c!r} in column {name!r}")
+    return values.reshape(len(positions), ds.n_rows)  # a non-finite fill is left to the caller
 
 
 def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tuple[FittedTransform, DesignMatrix]:
@@ -346,45 +324,36 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
     """
     if train.n_rows == 0:
         raise DataError("cannot fit a transform on an empty dataset")
-    missing = train.schema.missing_token
-    numeric_stats: dict[str, NumericStats] = {}
-    vocabs: dict[str, dict[str, int]] = {}
-    for (name, kind), cells in zip(train.schema.columns, train.columns()):
-        if kind == "categorical":
-            vocab: dict[str, int] = {}
-            for c in cells:
-                if c != missing and c not in vocab:
-                    vocab[c] = len(vocab) + 1
-            vocabs[name] = vocab
-        if kind not in ("numeric", "binary"):
-            continue
-        present = np.fromiter((c != missing for c in cells), dtype=bool, count=len(cells))
-        values = _numeric_column(cells, missing, 0.0, name, train.row_numbers)
+    schema = train.schema
+    columns = train.columns()
+    numeric = tuple(j for j, (_, kind) in enumerate(schema.columns) if kind in ("numeric", "binary"))
+    fill, mean, std = [], [], []
+    for j, values in zip(numeric, _numeric_values(train, columns, numeric, (0.0,) * len(numeric))):
+        name, kind = schema.columns[j]
+        present = np.fromiter((c != schema.missing_token for c in columns[j]), dtype=bool, count=train.n_rows)
         observed = values[present]
         if observed.size == 0:
             raise DataError(f"{kind} column {name!r} has no non-missing values")
         if kind == "numeric":
             impute = float(np.median(observed))
             filled = np.where(present, values, impute)
-            std = float(filled.std())
-            numeric_stats[name] = NumericStats(
-                impute_value=impute,
-                mean=float(filled.mean()),
-                std=std if std > 0.0 else 1.0,
-                scaled=True,
-            )
+            sd = float(filled.std())
+            fill.append(impute)
+            mean.append(float(filled.mean()))
+            std.append(sd if sd > 0.0 else 1.0)
         else:
             if np.any((observed != 0.0) & (observed != 1.0)):
                 raise DataError(f"binary column {name!r} contains values outside {{0, 1}}")
             ones = np.count_nonzero(observed)
-            majority = 1.0 if ones > observed.size - ones else 0.0
-            numeric_stats[name] = NumericStats(impute_value=majority, mean=0.0, std=1.0, scaled=False)
-    ft = FittedTransform(
-        schema=train.schema,
-        encoding_mode=encoding_mode,
-        numeric_stats=numeric_stats,
-        vocabs=vocabs,
+            fill.append(1.0 if ones > observed.size - ones else 0.0)
+            mean.append(0.0)
+            std.append(1.0)
+    vocabs = tuple(
+        tuple(dict.fromkeys(c for c in cells if c != schema.missing_token))  # first-seen order
+        for (_, kind), cells in zip(schema.columns, columns)
+        if kind == "categorical"
     )
+    ft = FittedTransform(schema, encoding_mode, tuple(fill), tuple(mean), tuple(std), vocabs)
     return ft, apply_transform(ft, train)
 
 
@@ -398,33 +367,17 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
         raise DataError("dataset schema does not match the schema the transform was fit on")
     plan = ft._plan
     n = ds.n_rows
-    missing = ft.schema.missing_token
     columns = ds.columns()
-    num_cells = [columns[j] for j in plan.numeric]
     dense = np.zeros((n, len(plan.dense_names)))
     numeric = dense[:, : len(plan.numeric)]
-    try:
-        values = np.fromiter(
-            chain.from_iterable(
-                (fill if c == missing else float(c) for c in cells)
-                for cells, fill in zip(num_cells, plan.fills)
-            ),
-            dtype=np.float64,
-            count=n * len(num_cells),
-        )
-    except ValueError:  # a cell float() rejects; name the first bad one
-        _check_num_cells(ft, num_cells, ds.row_numbers)
-        raise
-    np.subtract(values.reshape(len(num_cells), n).T, plan.mean, out=numeric)
+    values = _numeric_values(ds, columns, plan.numeric, ft.fill)
+    np.subtract(values.T, plan.mean, out=numeric)
     del values
     np.divide(numeric, plan.std, out=numeric)
-    if not np.isfinite(numeric).all():  # one-hot entries are always 0 or 1
-        _check_num_cells(ft, num_cells, ds.row_numbers)
+    if not np.isfinite(numeric).all():  # every cell is finite, so the scaling overflowed
         raise DataError("dense matrix contains non-finite entries")
     codes = np.fromiter(
-        chain.from_iterable(
-            map(vocab.get, columns[j], repeat(0)) for j, vocab in zip(plan.categorical, plan.vocabs)
-        ),
+        chain.from_iterable(map(code.get, columns[j], repeat(0)) for j, code in zip(plan.categorical, plan.codes)),
         dtype=np.int64,
         count=n * len(plan.categorical),
     ).reshape(len(plan.categorical), n)
@@ -442,14 +395,8 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
     )
 
 
-def _check_num_cells(ft: FittedTransform, num_cells, row_numbers: Sequence[int]) -> None:
-    """Raise the DataError of the first bad numeric cell, in schema column order."""
-    for j, cells in zip(ft._plan.numeric, num_cells):
-        _check_cells(cells, ft.schema.missing_token, ft.schema.columns[j][0], row_numbers)
-
-
 def transform_to_dict(ft: FittedTransform) -> dict:
-    """JSON-ready form; vocab order is preserved via pair lists."""
+    """JSON-ready form: every entry a plain list, in the order ``apply_transform`` reads it."""
     return {
         "schema": {
             "columns": [[name, kind] for name, kind in ft.schema.columns],
@@ -457,17 +404,17 @@ def transform_to_dict(ft: FittedTransform) -> dict:
             "positive_label": ft.schema.positive_label,
         },
         "encoding_mode": ft.encoding_mode,
-        "numeric_stats": {
-            name: {
-                "impute_value": s.impute_value,
-                "mean": s.mean,
-                "std": s.std,
-                "scaled": s.scaled,
-            }
-            for name, s in ft.numeric_stats.items()
-        },
-        "vocabs": {name: [[value, index] for value, index in vocab.items()] for name, vocab in ft.vocabs.items()},
+        "fill": list(ft.fill),
+        "mean": list(ft.mean),
+        "std": list(ft.std),
+        "vocabs": [list(vocab) for vocab in ft.vocabs],
     }
+
+
+def _tuple(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(value)
 
 
 def transform_from_dict(d: dict) -> FittedTransform:
@@ -481,13 +428,10 @@ def transform_from_dict(d: dict) -> FittedTransform:
         return FittedTransform(
             schema=Schema(columns=columns, missing_token=texts[0], positive_label=texts[1]),
             encoding_mode=d["encoding_mode"],
-            numeric_stats={
-                name: NumericStats(
-                    impute_value=s["impute_value"], mean=s["mean"], std=s["std"], scaled=s["scaled"]
-                )
-                for name, s in d["numeric_stats"].items()
-            },
-            vocabs={name: {value: index for value, index in pairs} for name, pairs in d["vocabs"].items()},
+            fill=_tuple(d["fill"]),
+            mean=_tuple(d["mean"]),
+            std=_tuple(d["std"]),
+            vocabs=tuple(map(_tuple, _tuple(d["vocabs"]))),
         )
     except DataError:
         raise

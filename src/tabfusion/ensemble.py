@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header
+from .artifact import FORMAT_VERSION, check_header, coerce
 from .metrics import auc
 
 
@@ -89,13 +89,11 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
 
 
 def ensemble_from_dict(d: dict) -> EnsembleModel:
+    """The ensemble a model document holds; ValueError if any entry is malformed."""
     check_header(d, "ensemble")
     try:
-        return EnsembleModel(
-            alpha=d["alpha"],
-            gbdt_ref=d["gbdt_ref"],
-            xdeepfm_ref=d["xdeepfm_ref"],
-            search_record=tuple((alpha, score) for alpha, score in d["search_record"]),
-        )
-    except TypeError as exc:  # an entry of the wrong JSON type
+        alpha = coerce(float, d["alpha"])
+        record = tuple((coerce(float, a), coerce(float, score)) for a, score in d["search_record"])
+    except (TypeError, ValueError) as exc:  # an entry of the wrong JSON type, or not a finite number
         raise ValueError(f"malformed ensemble model file: {exc}") from None
+    return EnsembleModel(alpha=alpha, gbdt_ref=d["gbdt_ref"], xdeepfm_ref=d["xdeepfm_ref"], search_record=record)

@@ -464,7 +464,7 @@ def test_predict_rejects_a_version_1_gbdt_file(tmp_path, completed_run, capsys):
     assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [predict]: ")
-    assert "format_version 1" in err and "version 3" in err
+    assert "format_version 1" in err and "version 4" in err
 
 
 def _format_2(name: str, doc: dict) -> dict:
@@ -497,9 +497,40 @@ def test_predict_rejects_a_version_2_model_file(tmp_path, completed_run, capsys,
     assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error [predict]: {old}: unsupported format_version 2 (this build reads version 3)\n"
+        f"error [predict]: {old}: unsupported format_version 2 (this build reads version 4)\n"
     )
     assert captured.out == ""
+
+
+def _format_3_transform(t: dict) -> dict:
+    """A format-4 transform as format version 3 wrote it: per-column statistics, indexed vocabularies."""
+    columns = t["schema"]["columns"]
+    numeric = [(name, kind) for name, kind in columns if kind in ("numeric", "binary")]
+    categorical = [name for name, kind in columns if kind == "categorical"]
+    stats = {
+        name: {"impute_value": fill, "mean": mean, "std": std, "scaled": kind == "numeric"}
+        for (name, kind), fill, mean, std in zip(numeric, t["fill"], t["mean"], t["std"])
+    }
+    vocabs = {name: [[text, i] for i, text in enumerate(v, start=1)] for name, v in zip(categorical, t["vocabs"])}
+    return {"schema": t["schema"], "encoding_mode": t["encoding_mode"], "numeric_stats": stats, "vocabs": vocabs}
+
+
+@pytest.mark.parametrize("name", ["gbdt.json", "xdeepfm.json", "ensemble.json"])
+def test_predict_rejects_a_version_3_model_file(tmp_path, completed_run, capsys, name):
+    for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
+        (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
+    doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+    doc["format_version"] = 3
+    if "transform" in doc:
+        doc["transform"] = _format_3_transform(doc["transform"])
+    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    for model in sorted({name, "ensemble.json"}):  # read alone, and as a component of the ensemble
+        assert cli.main(["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error [predict]: {tmp_path / name}: unsupported format_version 3 (this build reads version 4)\n"
+        )
+        assert captured.out == ""
 
 
 def test_predict_malformed_tree_arrays_exit_2_without_traceback(tmp_path, completed_run, capsys):
@@ -536,7 +567,7 @@ def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
         (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
     doc = json.loads((tmp_path / "gbdt.json").read_text(encoding="utf-8"))
-    doc["transform"]["numeric_stats"]["age"]["mean"] += 1.0
+    doc["transform"]["mean"][0] += 1.0
     (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]) == 0
     assert calls == {"load_csv": 3, "apply_transform": 4}
@@ -737,15 +768,18 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_malformed_transform_exits_2_without_traceback(tmp_path, completed_run, capsys, command):
-    def set_stat(key, value):
-        return lambda d: d["transform"]["numeric_stats"]["age"].__setitem__(key, value)
+    def set_entry(key, i, value):
+        return lambda d: d["transform"][key].__setitem__(i, value)
 
     for corrupt, detail in [
         (lambda d: d.__setitem__("transform", 5), "malformed transform"),
         (lambda d: d["transform"].__setitem__("schema", 5), "malformed transform"),
-        (set_stat("mean", "x"), "mean of column 'age' must be a finite number"),
-        (set_stat("std", 0), "std of scaled column 'age' must be positive"),
-        (lambda d: d["transform"]["vocabs"]["gender"][0].__setitem__(1, "a"), "vocab indices of column"),
+        (set_entry("mean", 0, "x"), "transform 'mean' must be a flat list of numbers"),
+        (set_entry("fill", 4, True), "transform 'fill' must be a flat list of numbers"),
+        (set_entry("std", 0, 0), "std of column 'age' must be positive"),
+        (lambda d: d["transform"]["fill"].pop(), "transform 'fill' must hold one number per"),
+        (lambda d: d["transform"]["vocabs"][0].append("Male"), "vocab of column 'gender' must hold distinct"),
+        (set_entry("vocabs", 0, {"Male": 1}), "malformed transform"),
     ]:
         for name in ("gbdt.json", "xdeepfm.json"):
             doc = json.loads((completed_run["out"] / name).read_text(encoding="utf-8"))

@@ -11,7 +11,7 @@ from tabfusion.dataset import (
     DataError,
     Schema,
     TabularDataset,
-    _numeric_column,
+    _numeric_values,
     apply_transform,
     fit_transform,
     load_csv,
@@ -27,6 +27,19 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _stats(ft, name):
+    """The fill, mean and std of one numeric or binary column."""
+    names = [n for n, kind in ft.schema.columns if kind in ("numeric", "binary")]
+    i = names.index(name)
+    return ft.fill[i], ft.mean[i], ft.std[i]
+
+
+def _vocab(ft, name):
+    """One categorical column's vocabulary."""
+    names = [n for n, kind in ft.schema.columns if kind == "categorical"]
+    return ft.vocabs[names.index(name)]
 
 
 def _toy(labels, values=None) -> TabularDataset:
@@ -153,7 +166,7 @@ def test_fit_numeric_median_impute_and_zscore():
     schema = Schema(columns=(("v", "numeric"), ("t", "target")))
     ds = TabularDataset(schema, (("1", "0"), ("2", "1"), ("N/A", "0"), ("3", "1")))
     ft, dm = fit_transform(ds)
-    assert ft.numeric_stats["v"].impute_value == 2.0
+    assert ft.fill == (2.0,)
     col = dm.dense[:, 0]
     assert abs(col.mean()) < 1e-12
     assert abs(col.std() - 1.0) < 1e-12
@@ -163,7 +176,7 @@ def test_fit_vocab_reserves_index_zero():
     schema = Schema(columns=(("c", "categorical"), ("t", "target")))
     ds = TabularDataset(schema, (("a", "0"), ("b", "1"), ("a", "0")))
     ft, dm = fit_transform(ds)
-    assert ft.vocabs["c"] == {"a": 1, "b": 2}
+    assert ft.vocabs == (("a", "b"),)
     assert dm.cat_indices[:, 0].tolist() == [1, 2, 1]
     assert dm.cat_cardinalities == (3,)
 
@@ -172,7 +185,7 @@ def test_fit_constant_numeric_column_stays_finite():
     schema = Schema(columns=(("v", "numeric"), ("t", "target")))
     ds = TabularDataset(schema, (("5", "0"), ("5", "1")))
     ft, dm = fit_transform(ds)
-    assert ft.numeric_stats["v"].std == 1.0
+    assert ft.std == (1.0,)
     assert np.all(dm.dense == 0.0)
 
 
@@ -185,7 +198,7 @@ def test_fit_all_missing_numeric_rejected():
 
 def test_fit_rejects_a_column_whose_statistics_overflow():
     schema = Schema(columns=(("v", "numeric"), ("t", "target")))
-    with pytest.raises(DataError, match="^std of column 'v' must be a finite number, got inf$"):
+    with pytest.raises(DataError, match="^transform 'std' holds non-finite values$"):
         fit_transform(TabularDataset(schema, (("1e300", "0"), ("-1e300", "1"))))
 
 
@@ -202,7 +215,7 @@ def test_bmi_impute_matches_sort_and_pick_oracle(stroke_csv, stroke_schema):
     observed = sorted(float(v) for v in ds.column("bmi") if v != "N/A")
     mid = len(observed) // 2
     median = observed[mid] if len(observed) % 2 else (observed[mid - 1] + observed[mid]) / 2.0
-    assert ft.numeric_stats["bmi"].impute_value == median
+    assert _stats(ft, "bmi")[0] == median
 
 
 def test_apply_to_fit_data_is_bit_identical():
@@ -252,15 +265,12 @@ def test_no_leakage_stats_recomputable_from_train(stroke_csv, stroke_schema):
     mid = len(observed) // 2
     median = observed[mid] if len(observed) % 2 else (observed[mid - 1] + observed[mid]) / 2.0
     filled = np.array([median if v == "N/A" else float(v) for v in raw])
-    stats = ft.numeric_stats["age"]
-    assert stats.impute_value == median
-    assert stats.mean == filled.mean()
-    assert stats.std == filled.std()
-    vocab = {}
+    assert _stats(ft, "age") == (median, filled.mean(), filled.std())
+    vocab = []
     for v in train.column("work_type"):
         if v != "N/A" and v not in vocab:
-            vocab[v] = len(vocab) + 1
-    assert ft.vocabs["work_type"] == vocab
+            vocab.append(v)
+    assert _vocab(ft, "work_type") == tuple(vocab)
 
 
 def test_missing_everywhere_yields_finite_dense():
@@ -269,7 +279,7 @@ def test_missing_everywhere_yields_finite_dense():
     )
     train = TabularDataset(schema, (("1", "0", "a", "0"), ("3", "1", "b", "1")))
     ft, _ = fit_transform(train)
-    assert ft.numeric_stats["b"].impute_value == 0.0  # a 1:1 tie imputes 0
+    assert _stats(ft, "b") == (0.0, 0.0, 1.0)  # a 1:1 tie imputes 0; a binary column is not scaled
     pathological = TabularDataset(schema, (("N/A", "N/A", "N/A", "0"),))
     dm = apply_transform(ft, pathological)
     assert np.all(np.isfinite(dm.dense))
@@ -279,8 +289,9 @@ def test_missing_everywhere_yields_finite_dense():
 def test_transform_dict_round_trip(stroke_csv, stroke_schema):
     ds = load_csv(stroke_csv, stroke_schema)
     ft, dm = fit_transform(ds)
-    restored = transform_from_dict(transform_to_dict(ft))
-    assert restored == ft
+    restored = transform_from_dict(json.loads(json.dumps(transform_to_dict(ft))))
+    assert restored == ft and hash(restored) == hash(ft)
+    assert restored == transform_from_dict(transform_to_dict(restored))
     dm2 = apply_transform(restored, ds)
     assert np.array_equal(dm.dense, dm2.dense)
 
@@ -296,13 +307,22 @@ _NUMERIC_CELLS = st.one_of(
 )
 
 
-@given(st.lists(_NUMERIC_CELLS, max_size=40), st.floats(allow_nan=False, allow_infinity=False))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_NUMERIC_CELLS, _NUMERIC_CELLS), max_size=40), _FINITE, _FINITE)
 @settings(max_examples=200, deadline=None)
-def test_numeric_column_equals_per_cell_float_bitwise(cells, fill):
-    col = _numeric_column(tuple(cells), "N/A", fill, "v", range(1, len(cells) + 1))
-    reference = np.array([fill if c == "N/A" else float(c) for c in cells], dtype=np.float64)
-    assert col.dtype == np.float64 and col.shape == (len(cells),)
-    assert col.tobytes() == reference.tobytes()  # bit for bit: -0.0 is not 0.0
+def test_numeric_column_equals_per_cell_float_bitwise(pairs, fill_a, fill_b):
+    # the parser reads the columns at the positions it is given, each with its own fill
+    schema = Schema(columns=(("a", "numeric"), ("c", "categorical"), ("b", "binary"), ("y", "target")))
+    ds = TabularDataset(schema, tuple((a, "x", b, "0") for a, b in pairs))
+    values = _numeric_values(ds, ds.columns(), (0, 2), (fill_a, fill_b))
+    reference = np.array(
+        [[fill if c == "N/A" else float(c) for c in cells] for cells, fill in zip(zip(*pairs), (fill_a, fill_b))],
+        dtype=np.float64,
+    ).reshape(2, len(pairs))
+    assert values.dtype == np.float64 and values.shape == (2, len(pairs))
+    assert values.tobytes() == reference.tobytes()  # bit for bit: -0.0 is not 0.0
 
 
 BV_SCHEMA = Schema(columns=(("b", "binary"), ("v", "numeric"), ("t", "target")))
@@ -377,13 +397,13 @@ def test_fit_transform_matches_a_per_cell_reference(stroke_csv, stroke_schema):
         if kind not in ("numeric", "binary"):
             continue
         observed = [float(c) for c in train.column(name) if c != "N/A"]
-        stats = ft.numeric_stats[name]
+        fill, mean, std = _stats(ft, name)
         if kind == "binary":
-            assert stats.impute_value == float(sum(observed) > len(observed) / 2)
+            assert (fill, mean, std) == (float(sum(observed) > len(observed) / 2), 0.0, 1.0)
             continue
-        assert stats.impute_value == float(np.median(observed))
-        filled = np.array([stats.impute_value if c == "N/A" else float(c) for c in train.column(name)])
-        assert (stats.mean, stats.std) == (float(filled.mean()), float(filled.std()))
+        assert fill == float(np.median(observed))
+        filled = np.array([fill if c == "N/A" else float(c) for c in train.column(name)])
+        assert (mean, std) == (float(filled.mean()), float(filled.std()))
 
 
 def _per_column_reference(ft, ds):
@@ -394,14 +414,14 @@ def _per_column_reference(ft, ds):
     blocks, names, indices, cardinalities = [], [], [], []
     for name, kind in ft.schema.columns:
         if kind in ("numeric", "binary"):
-            s = ft.numeric_stats[name]
-            col = np.array([s.impute_value if c == missing else float(c) for c in cells[name]])
-            blocks.append(((col - s.mean) / s.std if s.scaled else col).reshape(n, 1))
+            fill, mean, std = _stats(ft, name)
+            col = np.array([fill if c == missing else float(c) for c in cells[name]])
+            blocks.append(((col - mean) / std if kind == "numeric" else col).reshape(n, 1))
             names.append(name)
     for name, kind in ft.schema.columns:
         if kind == "categorical":
-            vocab = ft.vocabs[name]
-            idx = [vocab.get(c, 0) for c in cells[name]]
+            vocab = _vocab(ft, name)
+            idx = [vocab.index(c) + 1 if c in vocab else 0 for c in cells[name]]
             indices.append(np.array(idx, dtype=np.int64).reshape(n, 1))
             cardinalities.append(len(vocab) + 1)
             if ft.encoding_mode == "one_hot":
@@ -522,26 +542,29 @@ def _at(path, value):
         (_at(("schema", "columns", 0, 0), 5), "must be strings"),
         (_at(("schema", "missing_token"), None), "must be strings"),
         (_at(("encoding_mode",), "dense"), "encoding_mode must be"),
-        (_at(("numeric_stats", "age", "mean"), "x"), "mean of column 'age' must be a finite number"),
-        (_at(("numeric_stats", "age", "impute_value"), True), "impute_value of column 'age'"),
-        (_at(("numeric_stats", "age", "std"), 10**400), "std of column 'age' must be a finite number"),
-        (_at(("numeric_stats", "age", "impute_value"), float("nan")), "impute_value of column 'age'"),
-        (_at(("numeric_stats", "age", "std"), 0), "std of scaled column 'age' must be positive"),
-        (_at(("numeric_stats", "age", "std"), -2.0), "std of scaled column 'age' must be positive"),
-        (_at(("numeric_stats", "smoker", "mean"), None), "mean of column 'smoker'"),
-        (_at(("numeric_stats", "age", "scaled"), "yes"), "scaled of column 'age'"),
-        (_at(("numeric_stats", "age"), [1, 2]), "malformed transform"),
-        (lambda d: d["numeric_stats"].pop("smoker"), "numeric_stats must hold exactly"),
-        (_at(("numeric_stats", "sex"), {"impute_value": 0, "mean": 0, "std": 1, "scaled": 0}), "numeric_stats"),
-        (lambda d: d["vocabs"].pop("sex"), "vocabs must hold exactly"),
-        (_at(("vocabs",), []), "malformed transform"),
-        (_at(("vocabs", "sex", 0, 1), "a"), "vocab indices of column 'sex' must be 1..2"),
-        (_at(("vocabs", "sex", 0, 1), True), "vocab indices of column 'sex'"),
-        (_at(("vocabs", "sex", 1, 1), 1), "vocab indices of column 'sex'"),
-        (_at(("vocabs", "sex", 1, 1), 3), "vocab indices of column 'sex'"),
-        (_at(("vocabs", "sex"), [["F", 2], ["M", 1]]), "vocab indices of column 'sex'"),
-        (_at(("vocabs", "sex", 0, 0), 7), "vocab of column 'sex' must map cell texts"),
-        (_at(("vocabs", "sex", 0), ["F"]), "malformed transform"),
+        (_at(("mean", 0), "x"), "transform 'mean' must be a flat list of numbers"),
+        (_at(("fill", 0), True), "transform 'fill' must be a flat list of numbers"),
+        (_at(("std", 1), False), "transform 'std' must be a flat list of numbers"),
+        (_at(("std", 0), 10**400), "transform 'std' must be a flat list of numbers"),
+        (_at(("mean", 1), None), "transform 'mean' must be a flat list of numbers"),
+        (_at(("mean", 0), [1, 2]), "setting an array element"),
+        (_at(("fill", 0), float("nan")), "transform 'fill' holds non-finite values"),
+        (_at(("mean", 1), float("-inf")), "transform 'mean' holds non-finite values"),
+        (_at(("std", 0), 0), "std of column 'age' must be positive"),
+        (_at(("std", 1), -2.0), "std of column 'smoker' must be positive"),
+        (lambda d: d["fill"].pop(), "transform 'fill' must hold one number per numeric or binary column"),
+        (lambda d: d["mean"].append(0.0), "transform 'mean' must hold one number per numeric or binary column"),
+        (_at(("std",), []), "transform 'std' must hold one number per numeric or binary column ['age', 'smoker']"),
+        (_at(("fill",), {"age": 1.0, "smoker": 0.0}), "malformed transform"),
+        (_at(("std",), 1.0), "malformed transform"),
+        (lambda d: d["vocabs"].append(["x"]), "transform 'vocabs' must hold one vocabulary per categorical column"),
+        (_at(("vocabs",), []), "transform 'vocabs' must hold one vocabulary per categorical column"),
+        (_at(("vocabs",), {"sex": ["F", "M"]}), "malformed transform"),
+        (_at(("vocabs", 0), "FM"), "malformed transform"),
+        (_at(("vocabs", 0, 1), "F"), "vocab of column 'sex' must hold distinct cell texts"),
+        (_at(("vocabs", 0, 0), 7), "vocab of column 'sex' must hold distinct cell texts"),
+        (_at(("vocabs", 0, 0), None), "vocab of column 'sex' must hold distinct cell texts"),
+        (_at(("vocabs", 0, 0), ["F"]), "vocab of column 'sex' must hold distinct cell texts"),
     ],
 )
 def test_transform_from_dict_rejects_malformed_entries(corrupt, detail):

@@ -155,12 +155,54 @@ def test_ensemble_dict_round_trip():
 def test_ensemble_from_dict_rejects_malformed_entries():
     d = ensemble_to_dict(EnsembleModel(0.4, "gbdt.json", "xdeepfm.json", ((0.4, 0.9),)))
     for key, value, detail in [
-        ("alpha", math.nan, "alpha must lie in"),
+        ("alpha", math.nan, "malformed ensemble model file: expected a finite number, got nan"),
         ("alpha", 1.5, "alpha must lie in"),
         ("alpha", "0.4", "malformed ensemble model file"),
+        ("alpha", True, "malformed ensemble model file: expected a finite number, got True"),
+        ("alpha", 10**400, "malformed ensemble model file"),
         ("gbdt_ref", 7, "file names"),
         ("search_record", 5, "malformed ensemble model file"),
         ("search_record", [[0.4]], "not enough values"),
+        ("search_record", [[True, "x"]], "malformed ensemble model file: expected a finite number, got True"),
+        ("search_record", [[0.4, "x"]], "malformed ensemble model file: expected a finite number, got 'x'"),
+        ("search_record", [[math.nan, 1e400]], "malformed ensemble model file: expected a finite number, got nan"),
+        ("search_record", [[0.4, 1e400]], "malformed ensemble model file: expected a finite number, got inf"),
     ]:
         with pytest.raises(ValueError, match=detail):
             ensemble_from_dict({**d, key: value})
+
+
+def _leaf_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _leaf_paths(child, (*path, key))
+
+
+_ENSEMBLE_DOC = ensemble_to_dict(EnsembleModel(0.4, "gbdt.json", "xdeepfm.json", ((0.0, 0.6), (0.4, 0.9), (1.0, 0.7))))
+
+
+@given(
+    st.sampled_from(list(_leaf_paths(_ENSEMBLE_DOC))[1:]),
+    st.one_of(
+        st.integers(-3, 3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([2**70, 10**400, True, False, None, "", "x", "0.5", "ensemble", [], [1], [0.5, 0.5], {}]),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_ensemble_from_dict_fails_closed_on_any_corrupted_entry(path, replacement):
+    d = json.loads(json.dumps(_ENSEMBLE_DOC))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = replacement
+    try:
+        model = ensemble_from_dict(d)
+    except (ValueError, KeyError):
+        return
+    # the entry still describes a valid ensemble (a new file name or number): every number is a finite float
+    assert type(model.alpha) is float and 0.0 <= model.alpha <= 1.0
+    assert all(isinstance(ref, str) for ref in (model.gbdt_ref, model.xdeepfm_ref))
+    assert all(type(x) is float and math.isfinite(x) for pair in model.search_record for x in pair)
+    assert all(len(pair) == 2 for pair in model.search_record)
