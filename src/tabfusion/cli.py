@@ -68,8 +68,14 @@ def parse_kv_file(path: Path) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; order is preserved."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

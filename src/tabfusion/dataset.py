@@ -118,31 +118,47 @@ def _labels(cells: Sequence[str], positive_label: str) -> np.ndarray:
 def load_csv(path, schema: Schema) -> TabularDataset:
     """Read a headered CSV and normalize its columns to schema order.
 
-    Cells are kept verbatim; no coercion happens here.
+    Cells are kept verbatim; no coercion happens here. A row that is not UTF-8
+    text or not well-formed CSV raises a DataError naming the file and the row.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        return _read_csv(path, schema, "strict")
+    except UnicodeDecodeError:  # decoding runs a chunk ahead of the parser: reread to name the row
+        return _read_csv(path, schema, "surrogateescape")
+
+
+def _utf8_rows(reader, path: Path):
+    """The rows of ``reader``; DataError at the first holding a byte that "surrogateescape" decoded."""
+    for i, row in enumerate(reader):
+        if any("\udc80" <= ch <= "\udcff" for ch in "".join(row)):
+            raise DataError(f"{path}: {f'row {i}' if i else 'header'}: not UTF-8 text")
+        yield row
+
+
+def _read_csv(path: Path, schema: Schema, errors: str) -> TabularDataset:
+    header, rows = None, []
+    with path.open(newline="", encoding="utf-8", errors=errors) as fh:
+        reader = csv.reader(fh) if errors == "strict" else _utf8_rows(csv.reader(fh), path)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        if set(header) != set(schema.column_names) or len(header) != len(schema.column_names):
-            missing = sorted(set(schema.column_names) - set(header))
-            extra = sorted(set(header) - set(schema.column_names))
-            raise DataError(
-                f"header does not match schema: missing columns {missing}, unexpected columns {extra}"
-            )
-        perm = [header.index(name) for name in schema.column_names]
-        # itemgetter of one index returns the bare cell, not a 1-tuple
-        pick = operator.itemgetter(*perm) if len(perm) > 1 else lambda row: (row[perm[0]],)
-        rows = []
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
-            rows.append(pick(row))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"empty file: {path}")
+            names = schema.column_names
+            if sorted(header) != sorted(names):  # the schema's names are distinct
+                missing, extra = sorted(set(names) - set(header)), sorted(set(header) - set(names))
+                raise DataError(f"header does not match schema: missing columns {missing}, unexpected columns {extra}")
+            perm = [header.index(name) for name in names]
+            # itemgetter of one index returns the bare cell, not a 1-tuple
+            pick = operator.itemgetter(*perm) if len(perm) > 1 else lambda row: (row[perm[0]],)
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
+                rows.append(pick(row))
+        except csv.Error as exc:  # a field over the size limit, e.g. after an unmatched quote
+            raise DataError(f"{path}: {'header' if header is None else f'row {len(rows) + 1}'}: {exc}") from None
     return TabularDataset(schema=schema, rows=tuple(rows))
 
 
@@ -335,11 +351,12 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
         if observed.size == 0:
             raise DataError(f"{kind} column {name!r} has no non-missing values")
         if kind == "numeric":
-            impute = float(np.median(observed))
-            filled = np.where(present, values, impute)
-            sd = float(filled.std())
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the transform's finiteness check
+                impute = float(np.median(observed))
+                filled = np.where(present, values, impute)
+                sd = float(filled.std())
+                mean.append(float(filled.mean()))
             fill.append(impute)
-            mean.append(float(filled.mean()))
             std.append(sd if sd > 0.0 else 1.0)
         else:
             if np.any((observed != 0.0) & (observed != 1.0)):
@@ -371,11 +388,16 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
     dense = np.zeros((n, len(plan.dense_names)))
     numeric = dense[:, : len(plan.numeric)]
     values = _numeric_values(ds, columns, plan.numeric, ft.fill)
-    np.subtract(values.T, plan.mean, out=numeric)
+    with np.errstate(over="ignore"):  # every cell is finite, so a non-finite entry is an overflow, named below
+        np.subtract(values.T, plan.mean, out=numeric)
+        np.divide(numeric, plan.std, out=numeric)
     del values
-    np.divide(numeric, plan.std, out=numeric)
-    if not np.isfinite(numeric).all():  # every cell is finite, so the scaling overflowed
-        raise DataError("dense matrix contains non-finite entries")
+    if not np.isfinite(numeric).all():
+        j, i = np.argwhere(~np.isfinite(numeric.T))[0]  # the first in column order, then row order
+        raise DataError(
+            f"row {ds.row_numbers[i]}: value {columns[plan.numeric[j]][i]!r} in column {plan.dense_names[j]!r}"
+            f" overflows when scaled by mean {float(plan.mean[j])!r} and std {float(plan.std[j])!r}"
+        )
     codes = np.fromiter(
         chain.from_iterable(map(code.get, columns[j], repeat(0)) for j, code in zip(plan.categorical, plan.codes)),
         dtype=np.int64,

@@ -8,11 +8,11 @@ outputs produces the logit. Training minimizes mean binary cross-entropy with
 Adam updates; gradients are derived by hand and checked against finite
 differences in the test suite.
 
-Every parameter array is a view of one flat vector, ``model.params``, with
-the embedding tables first. So h0's embedding part is one gather at
-positions computed from each row's indices, ``backward`` returns one
-gradient vector of the same layout (its embedding part one ``np.bincount``),
-and an Adam step is a few whole-vector operations.
+Every parameter array is a view of one flat vector, ``model.params``, laid
+out by ``_shapes`` with the embedding tables first. So h0's embedding part is
+one gather at positions computed from each row's indices, ``backward``
+returns one gradient vector of the same layout (its embedding part one
+``np.bincount``), and an Adam step is a few whole-vector operations.
 ``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the
 network's intermediates stay a few MiB however many rows are scored.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,55 +58,38 @@ class XDeepFMConfig:
 
 @dataclass
 class EmbeddingTable:
-    """One (vocab_size x K) matrix per categorical field; row 0 is OOV/missing.
+    """One (vocab_size x K) table per categorical field, row 0 OOV/missing, as views of ``values``.
 
-    The constructor copies every table into one flat vector, ``values``, and
-    replaces ``tables`` with views of it, so an in-place edit of ``tables[f]``
-    is an edit of ``values``. With one K for every field, as in a model,
-    ``values`` is the row-major stacked (sum of vocab sizes x K) matrix.
-    ``sizes`` holds each table's row count. ``positions`` turns a batch's
+    ``values`` is the row-major stacked (sum of ``sizes`` x K) matrix, flattened,
+    and ``tables[f]`` its (sizes[f] x K) block. ``positions`` turns a batch's
     indices into positions in ``values``, and ``gradient`` sums a batch's
     gradient back into a vector laid out like ``values``.
     """
 
-    tables: list[np.ndarray]
+    values: np.ndarray
+    sizes: tuple[int, ...]
+    k: int
 
     def __post_init__(self):
-        shapes = [t.shape for t in self.tables]
-        starts = np.cumsum([0] + [m * k for m, k in shapes]).tolist()
-        self._blocks = [(o, m, k) for o, (m, k) in zip(starts, shapes)]  # (start, m, K) per table
-        self.values = np.concatenate([t.ravel() for t in self.tables] or [np.zeros(0)], dtype=np.float64)
-        self.tables = self.split(self.values)
-        self.sizes = np.array([m for m, _ in shapes], dtype=np.int64)
-        # per h0 embedding column c: its field, and its position is base[c] + index * stride[c]
-        self._field = np.array([f for f, (_, k) in enumerate(shapes) for _ in range(k)], dtype=np.int64)
-        self._stride = np.array([k for _, k in shapes for _ in range(k)], dtype=np.int64)
-        self._base = np.array([o + j for o, _, k in self._blocks for j in range(k)], dtype=np.int64)
-
-    def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Per-table (m x K) views of a vector laid out like ``values``."""
-        return [vec[o : o + m * k].reshape(m, k) for o, m, k in self._blocks]
-
-    @property
-    def n_fields(self) -> int:
-        return len(self.tables)
-
-    @property
-    def width(self) -> int:
-        """Embedding columns of h0: the sum of every table's K."""
-        return self._field.size
+        starts = np.cumsum((0,) + self.sizes, dtype=np.int64)[:-1] * self.k
+        self.tables = [self.values[o : o + m * self.k].reshape(m, self.k) for o, m in zip(starts, self.sizes)]
+        self._bound = np.array(self.sizes, dtype=np.int64)
+        # per h0 embedding column c: its field, and its position is base[c] + index * K
+        self._field = np.repeat(np.arange(len(self.sizes), dtype=np.int64), self.k)
+        self._base = (starts[:, None] + np.arange(self.k)).ravel()
+        self.width = self._field.size  # embedding columns of h0
 
     def positions(self, cat_idx: np.ndarray) -> np.ndarray:
         """(n, width) positions in ``values`` of the h0 embedding entries a batch selects.
 
         ValueError names the first field holding an index outside its table.
         """
-        bad = (cat_idx < 0) | (cat_idx >= self.sizes)
+        bad = (cat_idx < 0) | (cat_idx >= self._bound)
         if np.count_nonzero(bad):
             f = int(bad.any(axis=0).argmax())
             raise ValueError(f"field {f}: categorical index out of range [0, {self.sizes[f]})")
         at = cat_idx.take(self._field, axis=1)
-        at *= self._stride
+        at *= self.k
         at += self._base
         return at
 
@@ -131,7 +115,6 @@ class CrossLayer:
 class DeepLayer:
     W: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
-    activation: str
 
 
 @dataclass
@@ -141,39 +124,35 @@ class DeepNet:
 
 @dataclass
 class XDeepFMModel:
-    """The network. ``__post_init__`` copies every parameter array into one vector,
-    ``params``, and makes each array a view of it: the embedding tables, each
-    cross layer's W, b, c, each deep layer's W, b, then the head's w and b."""
+    """The network: its config, the sizes that fix its layout, and one flat parameter vector.
+
+    ``__post_init__`` copies ``params`` and views it, in ``_shapes`` order, as
+    the embedding tables, each cross layer's W, b, c, each deep layer's W, b,
+    then the head's w and b; an in-place edit of any of them is an edit of
+    ``params``.
+    """
 
     config: XDeepFMConfig
     n_dense: int
-    embeddings: EmbeddingTable
-    cross_layers: list[CrossLayer]
-    deep: DeepNet
-    head_w: np.ndarray  # (p + deep output width,)
-    head_b: np.ndarray  # shape (1,)
+    vocab_sizes: tuple[int, ...]
+    params: np.ndarray
 
     def __post_init__(self):
-        """Build ``params``; reject parameters that are not finite."""
-        slots = [(self.embeddings, "values")]
-        for layer in self.cross_layers:
-            slots += [(layer, "W"), (layer, "b"), (layer, "c")]
-        for layer in self.deep.layers:
-            slots += [(layer, "W"), (layer, "b")]
-        slots += [(self, "head_w"), (self, "head_b")]
-        arrays = [getattr(owner, name) for owner, name in slots]
-        self.params = np.concatenate(arrays, axis=None, dtype=np.float64)
+        """Build the views; ValueError if ``params`` has the wrong length or is not finite."""
+        shapes = _shapes(self.vocab_sizes, self.n_dense, self.config)
+        ends = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+        self.params = np.array(self.params, dtype=np.float64)
+        if self.params.size != ends[-1]:
+            raise ValueError(f"'params' has {self.params.size} entries, the model needs {ends[-1]}")
         if not np.isfinite(self.params).all():
             raise ValueError("model parameters hold non-finite values")
-        start = 0
-        for (owner, name), a in zip(slots, arrays):
-            setattr(owner, name, self.params[start : start + a.size].reshape(a.shape))
-            start += a.size
-        self.embeddings.tables = self.embeddings.split(self.embeddings.values)
-
-    @property
-    def input_width(self) -> int:
-        return self.config.embedding_dim * self.embeddings.n_fields + self.n_dense
+        n_fields = len(self.vocab_sizes)
+        self.embeddings = EmbeddingTable(self.params[: ends[n_fields]], self.vocab_sizes, self.config.embedding_dim)
+        views = zip(ends[n_fields:], ends[n_fields + 1 :], shapes[n_fields:])
+        rest = (self.params[a:b].reshape(shape) for a, b, shape in views)
+        self.cross_layers = [CrossLayer(next(rest), next(rest), next(rest)) for _ in range(self.config.n_cross_layers)]
+        self.deep = DeepNet([DeepLayer(next(rest), next(rest)) for _ in self.config.deep_widths])
+        self.head_w, self.head_b = rest
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -196,16 +175,6 @@ def _shapes(vocab_sizes, n_dense: int, cfg: XDeepFMConfig) -> list[tuple[int, ..
     return shapes + [(p + w_in,), (1,)]
 
 
-def _model(cfg: XDeepFMConfig, n_dense: int, n_fields: int, arrays: list[np.ndarray]) -> XDeepFMModel:
-    """The model made of ``arrays``, its parameter arrays in ``params`` order."""
-    rest = iter(arrays[n_fields:])
-    cross = [CrossLayer(W=next(rest), b=next(rest), c=next(rest)) for _ in range(cfg.n_cross_layers)]
-    deep = [DeepLayer(W=next(rest), b=next(rest), activation=cfg.hidden_activation) for _ in cfg.deep_widths]
-    head_w, head_b = rest
-    tables = EmbeddingTable(tables=list(arrays[:n_fields]))
-    return XDeepFMModel(cfg, n_dense, tables, cross, DeepNet(layers=deep), head_w, head_b)
-
-
 def _init_model(
     rng: np.random.Generator, vocab_sizes: tuple[int, ...], n_dense: int, cfg: XDeepFMConfig
 ) -> XDeepFMModel:
@@ -217,7 +186,7 @@ def _init_model(
     for _ in cfg.deep_widths:
         arrays += [_glorot(rng, next(shapes)), np.zeros(next(shapes))]
     arrays += [_glorot(rng, next(shapes)), np.zeros(next(shapes))]
-    return _model(cfg, n_dense, len(vocab_sizes), arrays)
+    return XDeepFMModel(cfg, n_dense, vocab_sizes, np.concatenate(arrays, axis=None))
 
 
 def init_xdeepfm(vocab_sizes, n_dense: int, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDeepFMModel:
@@ -242,10 +211,6 @@ def cross_forward(layers: list[CrossLayer], h0: np.ndarray) -> np.ndarray:
     """Apply h_{l+1} = W_l h_l + b_l + (c_l . h_l) h0 in order; width is preserved."""
     h = h0
     for layer in layers:
-        if layer.W.shape[1] != h.shape[-1]:
-            raise ValueError(
-                f"cross layer width {layer.W.shape[1]} does not match input width {h.shape[-1]}"
-            )
         _, h = _cross_step(layer, h, h0)
     return h
 
@@ -267,15 +232,11 @@ def _activate_grad(z: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def deep_forward(net: DeepNet, h0: np.ndarray) -> np.ndarray:
+def deep_forward(net: DeepNet, h0: np.ndarray, activation: str) -> np.ndarray:
     """Alternating affine + activation; an empty net returns h0 unchanged."""
     a = h0
     for layer in net.layers:
-        if layer.W.shape[1] != a.shape[-1]:
-            raise ValueError(
-                f"deep layer width {layer.W.shape[1]} does not match input width {a.shape[-1]}"
-            )
-        a = _activate(a @ layer.W.T + layer.b, layer.activation)
+        a = _activate(a @ layer.W.T + layer.b, activation)
     return a
 
 
@@ -286,7 +247,7 @@ def _as_batch(model: XDeepFMModel, cat_idx, dense) -> tuple[np.ndarray, np.ndarr
     if single:
         cat_idx = cat_idx[None, :]
         dense = dense[None, :]
-    n_fields = model.embeddings.n_fields
+    n_fields = len(model.vocab_sizes)
     if cat_idx.shape[1] != n_fields:
         raise ValueError(f"expected {n_fields} categorical indices per row, got {cat_idx.shape[1]}")
     if dense.shape[1] != model.n_dense:
@@ -311,14 +272,13 @@ def forward(model: XDeepFMModel, cat_idx, dense):
     cat_idx, dense, single = _as_batch(model, cat_idx, dense)
     n = cat_idx.shape[0]
     n_blocks = max(n // _BLOCK_ROWS, 1)
+    activation = model.config.hidden_activation
     p = np.empty(n)
     for b in range(n_blocks):
         lo = b * _BLOCK_ROWS
         hi = n if b == n_blocks - 1 else lo + _BLOCK_ROWS
         h0 = _stack_batch(model.embeddings, cat_idx[lo:hi], dense[lo:hi])
-        u = np.concatenate(
-            [cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0)], axis=1
-        )
+        u = np.concatenate([cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0, activation)], axis=1)
         p[lo:hi] = sigmoid(u @ model.head_w + model.head_b[0])
     if np.isnan(p).any():  # some layer met inf - inf or inf * 0
         raise ValueError("the network's output is NaN: its parameters or inputs overflow")
@@ -336,6 +296,7 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
     if n == 0:
         raise ValueError("backward requires a non-empty batch")
     h0 = _stack_batch(model.embeddings, cat_idx, dense)
+    activation = model.config.hidden_activation
 
     # forward pass, keeping what the backward sweep needs
     hs = [h0]
@@ -351,7 +312,7 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
     for layer in model.deep.layers:
         z = a @ layer.W.T + layer.b
         zs.append(z)
-        a = _activate(z, layer.activation)
+        a = _activate(z, activation)
         acts.append(a)
     u = np.concatenate([hs[-1], acts[-1]], axis=1)
     p = np.asarray(sigmoid(u @ model.head_w + model.head_b[0]))
@@ -366,7 +327,7 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
     grad = du[:, width:]
     for li in reversed(range(len(model.deep.layers))):
         layer = model.deep.layers[li]
-        dz = grad * _activate_grad(zs[li], layer.activation)
+        dz = grad * _activate_grad(zs[li], activation)
         rev += [dz.sum(axis=0), dz.T @ acts[li]]
         grad = dz @ layer.W
     d_h0 += grad
@@ -402,19 +363,15 @@ def set_flat_params(model: XDeepFMModel, vec: np.ndarray) -> None:
     model.params[...] = vec
 
 
-def train_xdeepfm(
-    dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig(), vocab_sizes: tuple[int, ...] | None = None
-) -> XDeepFMModel:
+def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDeepFMModel:
     """Mini-batch Adam on mean BCE; deterministic for a fixed seed."""
     y = dm.labels.astype(np.float64)
     if y.size == 0:
         raise ValueError("training requires at least one row")
     if y.min() == y.max():
         raise ValueError("training requires both classes to be present")
-    if vocab_sizes is None:
-        vocab_sizes = dm.cat_cardinalities
     rng = np.random.default_rng(cfg.seed)
-    model = _init_model(rng, tuple(vocab_sizes), dm.dense.shape[1], cfg)
+    model = _init_model(rng, tuple(dm.cat_cardinalities), dm.dense.shape[1], cfg)
     theta = model.params
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -443,7 +400,7 @@ def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
         "kind": "xdeepfm",
         "config": config_to_dict(model.config),
         "n_dense": model.n_dense,
-        "vocab_sizes": model.embeddings.sizes.tolist(),
+        "vocab_sizes": [int(m) for m in model.vocab_sizes],  # Python ints, also if built from NumPy ints
         "params": model.params.tolist(),
     }
 
@@ -460,12 +417,7 @@ def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
     params = flat_array("'params'", d["params"])
     if 3 * cfg.n_cross_layers > params.size:  # checked first: _shapes lists 3 shapes per cross layer
         raise ValueError(f"'params' has {params.size} entries, too few for {cfg.n_cross_layers} cross layers")
-    shapes = _shapes(vocab_sizes, n_dense, cfg)
-    sizes = [math.prod(shape) for shape in shapes]
-    if params.size != sum(sizes):
-        raise ValueError(f"'params' has {params.size} entries, the model needs {sum(sizes)}")
-    arrays = [a.reshape(shape) for a, shape in zip(np.split(params, np.cumsum(sizes)[:-1]), shapes)]
-    return _model(cfg, n_dense, len(vocab_sizes), arrays)  # copies the views into the model's own `params`
+    return XDeepFMModel(cfg, n_dense, tuple(vocab_sizes), params)
 
 
 def save_xdeepfm(model: XDeepFMModel, path) -> None:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabfusion import cli
 from tabfusion.artifact import coerce, config_from_dict, config_to_dict
@@ -296,12 +298,35 @@ def _with_bad_cell(tmp_path, mini_csv):
     return data, "row 3: cannot parse '12..5' as a number in column 'bmi'"
 
 
-@pytest.mark.parametrize("failure", ["missing file", "bad cell"])
+def _broken_csv(tmp_path, mini_csv, failure):
+    """A copy of mini_csv whose data row 3 is not UTF-8 text or not well-formed CSV, and the error it gives."""
+    lines = mini_csv.read_bytes().split(b"\n")
+    data = tmp_path / "broken.csv"
+    if failure == "undecodable byte":
+        lines[3] = lines[3].replace(b",", b"\xff,", 1)
+        message = f"{data}: row 3: not UTF-8 text"
+    elif failure == "oversized field":
+        lines[3] = b"x" * 200_000 + lines[3]
+        message = f"{data}: row 3: field larger than field limit (131072)"
+    else:  # the quote swallows the rest of the file into one field
+        lines[3] = b'"' + lines[3]
+        lines += lines[4:] * 5
+        message = f"{data}: row 3: field larger than field limit (131072)"
+    data.write_bytes(b"\n".join(lines))
+    return data, message
+
+
+_BROKEN_CSV = ["undecodable byte", "oversized field", "unmatched quote"]
+
+
+@pytest.mark.parametrize("failure", ["missing file", "bad cell", *_BROKEN_CSV])
 def test_run_data_error_exits_2_and_reaps_the_started_child(tmp_path, mini_csv, capsys, children, failure):
     if failure == "missing file":
         data, message = tmp_path / "absent.csv", "absent.csv"
-    else:
+    elif failure == "bad cell":
         data, message = _with_bad_cell(tmp_path, mini_csv)
+    else:
+        data, message = _broken_csv(tmp_path, mini_csv, failure)
     out = tmp_path / "out"
     assert _main_within(60.0, ["run", "--config", str(_write_config(tmp_path, data, out))]) == 2
     err = capsys.readouterr().err
@@ -482,7 +507,8 @@ def _format_2(name: str, doc: dict) -> dict:
         embeddings=[t.tolist() for t in model.embeddings.tables],
         cross_layers=[{"W": l.W.tolist(), "b": l.b.tolist(), "c": l.c.tolist()} for l in model.cross_layers],
         deep_layers=[
-            {"W": l.W.tolist(), "b": l.b.tolist(), "activation": l.activation} for l in model.deep.layers
+            {"W": l.W.tolist(), "b": l.b.tolist(), "activation": doc["config"]["hidden_activation"]}
+            for l in model.deep.layers
         ],
         head={"w": model.head_w.tolist(), "b": float(model.head_b[0])},
     )
@@ -571,6 +597,17 @@ def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed
     (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]) == 0
     assert calls == {"load_csv": 3, "apply_transform": 4}
+
+
+@pytest.mark.parametrize("failure", _BROKEN_CSV)
+def test_predict_on_an_undecodable_or_malformed_csv_exits_2_without_traceback(tmp_path, completed_run, capsys, failure):
+    data, message = _broken_csv(tmp_path, completed_run["data"], failure)
+    out = tmp_path / "preds.csv"
+    args = ["predict", "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(data), "--out", str(out)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error [predict]: {message}\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_predict_rejects_schema_mismatch(tmp_path, completed_run):
@@ -887,6 +924,53 @@ def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_
     expected = f"error [config]: {prefix}: invalid config: {field}: expected a finite number, got {value!r}\n"
     assert capsys.readouterr().err == expected
     assert children == [] and not out.exists()
+
+
+def test_undecodable_config_exits_1_at_config(tmp_path, mini_csv, capsys, children):
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, mini_csv, out)
+    lines = config.read_bytes().split(b"\n")
+    lineno = lines.index(b"seed = 7") + 1
+    lines[lineno - 1] += b" # \xe9t\xe9"  # Latin-1, not UTF-8
+    config.write_bytes(b"\n".join(lines))
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error [config]: {config}:{lineno}: not UTF-8 text\n"
+    assert children == [] and not out.exists()
+
+
+_KV_PIECES = [b"seed", b"data.x", b"=", b" ", b"#", b"\n", b"\r\n", b"\r", b"7", b"\x00", b"\xff", b"\xc3", b"\xc3\xa9"]
+
+
+@given(st.binary(max_size=200) | st.lists(st.sampled_from(_KV_PIECES), max_size=40).map(b"".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_kv_file_fails_closed_on_arbitrary_bytes(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.conf"
+    path.write_bytes(content)
+    try:
+        kv = cli.parse_kv_file(path)
+    except cli.ConfigError:
+        return
+    assert all(isinstance(key, str) and key and isinstance(value, str) for key, value in kv.items())
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-3, 300) | st.floats() | st.floats(0.0, 1.0)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.sampled_from([GBDTConfig, XDeepFMConfig, BlendConfig]), st.data())
+@settings(max_examples=500, deadline=None)
+def test_config_from_dict_fails_closed_on_arbitrary_json_values(config_cls, data):
+    keys = st.sampled_from([f.name for f in dataclasses.fields(config_cls)]) | st.text(max_size=4)
+    raw = data.draw(_JSON_VALUES | st.dictionaries(keys, _JSON_VALUES, max_size=4))
+    try:
+        cfg = config_from_dict(config_cls, raw)
+    except ValueError:
+        return
+    assert isinstance(cfg, config_cls) and set(raw) <= {f.name for f in dataclasses.fields(config_cls)}
 
 
 def test_stock_config_parses_through_the_one_rule():

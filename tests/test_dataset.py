@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 
@@ -101,6 +102,71 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv", SIMPLE)
 
 
+_HEADER = b"age,smoking_status,stroke\n"
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (_HEADER + b"10,never,0\n60,sm\xffokes,1\n", "row 2: not UTF-8 text"),
+        (b"age,smok\xe9ing_status,stroke\n10,never,0\n", "header: not UTF-8 text"),
+        # the bad byte lies chunks past the first read, after 5,000 good rows
+        (_HEADER + b"10,never,0\n" * 5000 + b"1\x80,never,1\n", "row 5001: not UTF-8 text"),
+        (_HEADER + b"10,never,0\n60," + b"x" * 200_000 + b",1\n", "row 2: field larger than field limit (131072)"),
+        # an unmatched quote swallows the rest of the file into one field
+        (_HEADER + b'10,never,0\n60,"smokes,1\n' + b"70,never,0\n" * 20_000, "row 2: field larger than field limit"),
+    ],
+)
+def test_load_csv_undecodable_or_malformed_row_names_the_file_and_row(tmp_path, content, where):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: {where}")):
+        load_csv(path, SIMPLE)
+
+
+def test_load_csv_reports_the_first_bad_row_in_file_order(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_HEADER + b"10,never,0\n60,smokes\n70,\xff,1\n")  # a ragged row, then a bad byte
+    with pytest.raises(DataError, match="^row 2: expected 3 cells, got 2$"):
+        load_csv(path, SIMPLE)
+    path.write_bytes(_HEADER + b"10,n\xffever,0\n60,smokes\n")
+    with pytest.raises(DataError, match="row 1: not UTF-8 text$"):
+        load_csv(path, SIMPLE)
+
+
+_CSV_PIECES = [
+    b"10", b"-3.5", b"never", b"smokes", b",", b"\n", b"\r\n", b"\r", b'"', b"\x00", b"\xff", b"\xc3", b"\xc3\xa9"
+]
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map(lambda pieces: _HEADER + b"".join(pieces)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_load_csv_fails_closed_on_arbitrary_bytes(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        ds = load_csv(path, SIMPLE)
+    except DataError:
+        return
+    assert all(len(row) == 3 and all(isinstance(c, str) for c in row) for row in ds.rows)
+
+
+@pytest.mark.filterwarnings("error")  # no NumPy overflow warning reaches the caller
+def test_apply_names_the_first_cell_whose_scaling_overflows():
+    ft = fit_transform(_SMALL_TRAIN)[0]
+    tiny = dataclasses.replace(ft, std=(5e-324,) + ft.std[1:])
+    ds = TabularDataset(_SMALL_SCHEMA, ((repr(ft.mean[0]), "F", "0", "0"), ("50", "M", "1", "1")), row_numbers=(7, 9))
+    message = f"row 9: value '50' in column 'age' overflows when scaled by mean {ft.mean[0]!r} and std 5e-324"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        apply_transform(tiny, ds)
+    assert apply_transform(tiny, dataclasses.replace(ds, rows=ds.rows[:1], row_numbers=(7,))).dense[0, 0] == 0.0
+
+
 def test_load_csv_stroke_rows_match_line_count_oracle(stroke_csv, stroke_schema):
     ds = load_csv(stroke_csv, stroke_schema)
     n_lines = sum(1 for line in stroke_csv.read_text(encoding="utf-8").splitlines() if line)
@@ -196,6 +262,7 @@ def test_fit_all_missing_numeric_rejected():
         fit_transform(ds)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported once, by the transform's check
 def test_fit_rejects_a_column_whose_statistics_overflow():
     schema = Schema(columns=(("v", "numeric"), ("t", "target")))
     with pytest.raises(DataError, match="^transform 'std' holds non-finite values$"):
@@ -503,9 +570,12 @@ def test_apply_equals_a_per_column_reference_on_generated_tables(tables):
     _assert_bitwise_equal(dm, _per_column_reference(ft, train))
     try:
         dm_other = apply_transform(ft, other)
-    except DataError as exc:  # scaling overflowed: the reference holds the same non-finite entry
-        assert str(exc) == "dense matrix contains non-finite entries"
-        assert not np.isfinite(_per_column_reference(ft, other)[0]).all()
+    except DataError as exc:  # scaling overflowed: the named cell is the reference's first non-finite entry
+        row, column = re.fullmatch(r"row (\d+): value .* in column '(.*)' overflows when scaled .*", str(exc)).groups()
+        with np.errstate(over="ignore"):
+            dense = _per_column_reference(ft, other)[0]
+        first = int(np.argmax(~np.isfinite(dense.T.ravel())))  # in column order, then row order
+        assert divmod(first, other.n_rows) == (dm.dense_names.index(column), int(row) - 1)
         return
     _assert_bitwise_equal(dm_other, _per_column_reference(ft, other))
     _assert_rows_match_batch(ft, other, dm_other)

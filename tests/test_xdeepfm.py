@@ -12,10 +12,8 @@ from _oracles import finite_difference_gradients, random_small_model
 from tabfusion.dataset import DesignMatrix
 from tabfusion.xdeepfm import (
     CrossLayer,
-    DeepLayer,
-    DeepNet,
-    EmbeddingTable,
     XDeepFMConfig,
+    XDeepFMModel,
     _BLOCK_ROWS,
     _init_model,
     _shapes,
@@ -68,20 +66,28 @@ def _stack(emb, row_cats, row_dense):
     )
 
 
+def _embeddings(tables, n_dense):
+    """The embeddings of a model with ``n_dense`` dense features whose tables hold ``tables``, one K for all."""
+    model = init_xdeepfm([len(t) for t in tables], n_dense, XDeepFMConfig(embedding_dim=len(tables[0][0])))
+    for table, values in zip(model.embeddings.tables, tables):
+        table[...] = values
+    return model.embeddings
+
+
 def test_stack_batch_concatenates_fields_in_order():
-    emb = EmbeddingTable(tables=[np.array([[0.0, 0.0], [0.1, 0.2]]), np.array([[7.0], [8.0], [9.0]])])
-    assert _stack(emb, [1, 2], [3.0]).tolist() == [[0.1, 0.2, 9.0, 3.0]]
+    emb = _embeddings([[[0.0, 0.0], [0.1, 0.2]], [[7.0, 7.5], [8.0, 8.5], [9.0, 9.5]]], 1)
+    assert _stack(emb, [1, 2], [3.0]).tolist() == [[0.1, 0.2, 9.0, 9.5, 3.0]]
     h0 = _stack_batch(emb, np.array([[1, 0], [0, 1]]), np.array([[3.0], [4.0]]))
-    assert h0.tolist() == [[0.1, 0.2, 7.0, 3.0], [0.0, 0.0, 8.0, 4.0]]
+    assert h0.tolist() == [[0.1, 0.2, 7.0, 7.5, 3.0], [0.0, 0.0, 8.0, 8.5, 4.0]]
 
 
 def test_stack_batch_zero_embeddings():
-    emb = EmbeddingTable(tables=[np.zeros((3, 2))])
+    emb = _embeddings([np.zeros((3, 2))], 2)
     assert _stack(emb, [2], [4.0, 5.0]).tolist() == [[0.0, 0.0, 4.0, 5.0]]
 
 
 def test_stack_batch_index_zero_selects_oov_row():
-    emb = EmbeddingTable(tables=[np.array([[9.0], [1.0]])])
+    emb = _embeddings([[[9.0], [1.0]]], 0)
     assert _stack(emb, [0], []).tolist() == [[9.0]]
     for bad in (2, -1):
         with pytest.raises(ValueError, match="field 0"):
@@ -110,20 +116,31 @@ def test_cross_forward_width_mismatch():
         cross_forward([layer], np.array([1.0, 2.0]))
 
 
+def _deep_model(W, b, activation):
+    """A model of ``W.shape[1]`` dense features whose one deep layer holds W and b."""
+    cfg = XDeepFMConfig(n_cross_layers=0, deep_widths=(len(b),), hidden_activation=activation)
+    model = init_xdeepfm((), W.shape[1], cfg)
+    model.deep.layers[0].W[...] = W
+    model.deep.layers[0].b[...] = b
+    return model
+
+
 def test_deep_forward_relu():
-    net = DeepNet(layers=[DeepLayer(W=np.eye(2), b=np.zeros(2), activation="relu")])
-    assert deep_forward(net, np.array([-1.0, 2.0])).tolist() == [0.0, 2.0]
+    model = _deep_model(np.eye(2), np.zeros(2), "relu")
+    assert deep_forward(model.deep, np.array([-1.0, 2.0]), model.config.hidden_activation).tolist() == [0.0, 2.0]
 
 
 def test_deep_forward_sigmoid_bias():
-    net = DeepNet(layers=[DeepLayer(W=np.zeros((1, 2)), b=np.array([0.3]), activation="sigmoid")])
+    model = _deep_model(np.zeros((1, 2)), np.array([0.3]), "sigmoid")
     expected = 1.0 / (1.0 + math.exp(-0.3))
-    assert deep_forward(net, np.array([1.0, 2.0]))[0] == pytest.approx(expected, abs=1e-15)
+    got = deep_forward(model.deep, np.array([1.0, 2.0]), model.config.hidden_activation)
+    assert got[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_deep_forward_empty_net_is_identity():
+    model = init_xdeepfm((), 3, XDeepFMConfig(deep_widths=()))
     h0 = np.array([1.0, -2.0, 3.0])
-    assert deep_forward(DeepNet(layers=[]), h0) is h0
+    assert deep_forward(model.deep, h0, model.config.hidden_activation) is h0
 
 
 def test_forward_all_zero_parameters_gives_half():
@@ -217,7 +234,7 @@ def test_backward_matches_finite_differences():
 
 def _reference_h0(model, cat, dense):
     """h0 from the model's tables one field at a time, as the oracles build it."""
-    parts = [model.embeddings.tables[f][cat[:, f]] for f in range(model.embeddings.n_fields)]
+    parts = [model.embeddings.tables[f][cat[:, f]] for f in range(len(model.vocab_sizes))]
     return np.concatenate(parts + [dense], axis=1)
 
 
@@ -286,7 +303,7 @@ def test_embedding_gradient_equals_a_per_field_add_at_bitwise():
     for _ in range(20):
         sizes = tuple(int(m) for m in rng.integers(1, 5, int(rng.integers(1, 5))))
         k = int(rng.integers(1, 4))
-        emb = EmbeddingTable(tables=[rng.normal(size=(m, k)) for m in sizes])
+        emb = init_xdeepfm(sizes, 0, XDeepFMConfig(embedding_dim=k)).embeddings
         n = int(rng.integers(1, 300))
         cat = np.column_stack([rng.integers(0, m, n) for m in sizes])
         d_emb = rng.normal(size=(n, k * len(sizes))) * 10.0 ** rng.integers(-8, 8, (n, 1))
@@ -330,6 +347,28 @@ def test_every_parameter_array_is_a_view_of_params():
     assert np.all(forward(model, cat, dense) > before)
     with pytest.raises(ValueError, match="model needs"):
         set_flat_params(model, flat[:-1])
+
+
+def test_model_is_its_config_sizes_and_params():
+    """The model copies ``params`` once; its tables are views of that copy, not of the caller's vector."""
+    cfg = XDeepFMConfig(embedding_dim=2, n_cross_layers=1, deep_widths=(3,), seed=6)
+    model = init_xdeepfm((3, 4), 2, cfg)
+    assert np.shares_memory(model.embeddings.values, model.params)
+    assert model.embeddings.values.size == 2 * (3 + 4) and model.embeddings.tables[1].shape == (4, 2)
+    model.embeddings.values[7] = 0.5  # row 0 of table 1, second column
+    assert model.params[7] == model.embeddings.tables[1][0, 1] == 0.5
+    same = XDeepFMModel(cfg, 2, (3, 4), model.params)
+    assert np.array_equal(same.params, model.params) and not np.shares_memory(same.params, model.params)
+    n = model.params.size
+    doc = xdeepfm_to_dict(model)
+    doc["params"].pop()
+    message = re.escape(f"'params' has {n - 1} entries, the model needs {n}")
+    for build in (lambda: XDeepFMModel(cfg, 2, (3, 4), model.params[:-1]), lambda: xdeepfm_from_dict(doc)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+    with pytest.raises(ValueError, match="non-finite"):
+        XDeepFMModel(cfg, 2, (3, 4), np.where(np.arange(n) == 9, np.inf, model.params))
+    assert json.loads(json.dumps(xdeepfm_to_dict(init_xdeepfm(np.array([3, 4]), 2, cfg))))["vocab_sizes"] == [3, 4]
 
 
 def _per_array_adam(dm, cfg):
@@ -470,8 +509,9 @@ def test_model_file_holds_the_sizes_and_params_in_order():
     assert d["params"] == model.params.tolist()  # model.params order: tables, cross, deep, head
     restored = xdeepfm_from_dict(json.loads(json.dumps(d)))
     assert np.array_equal(restored.params, model.params)
+    assert restored.config == model.config and restored.vocab_sizes == model.vocab_sizes == (3, 3)
     for a, b in zip(restored.deep.layers, model.deep.layers):
-        assert a.activation == b.activation and np.array_equal(a.W, b.W)
+        assert np.array_equal(a.W, b.W)
 
 
 def test_shapes_give_the_layout_of_params():
@@ -590,6 +630,6 @@ def test_output_width_algebra():
     cfg = XDeepFMConfig(embedding_dim=3, n_cross_layers=2, deep_widths=(7, 5))
     model = init_xdeepfm((4, 6), 2, cfg)
     p = 3 * 2 + 2
-    assert model.input_width == p
+    assert model.embeddings.width + model.n_dense == p
     assert model.cross_layers[0].W.shape == (p, p)
     assert model.head_w.shape == (p + 5,)
