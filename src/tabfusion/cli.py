@@ -65,14 +65,13 @@ class RunConfig:
 
 
 def parse_kv_file(path: Path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; order is preserved."""
+    """Flat `key = value` lines; '#' starts a comment; order is preserved; a leading BOM is dropped."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.start counts from after a BOM, as exc.object does
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -275,6 +274,7 @@ def _network_child(request_fd: int) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    seeds = {"split": cfg.seed, "val_split": cfg.seed + 1, "gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
     with contextlib.ExitStack() as child:
         try:  # the network child starts first, so its start-up overlaps the data stage
             train_network = child.enter_context(_network_in_child())
@@ -282,9 +282,9 @@ def cmd_run(cfg: RunConfig) -> int:
             return _fail("train", exc, EXIT_TRAIN)
         try:
             full = load_csv(cfg.data_path, cfg.schema)
-            train_all, test = stratified_split(full, cfg.test_fraction, cfg.seed)
+            train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
             # validation rows for the blend coefficient never touch model training
-            fit_train, val = stratified_split(train_all, cfg.val_fraction, cfg.seed + 1)
+            fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
             ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
             dm_val = apply_transform(ft, val)
             dm_test = apply_transform(ft, test)
@@ -298,84 +298,58 @@ def cmd_run(cfg: RunConfig) -> int:
         except Exception as exc:
             return _fail("train", exc, EXIT_TRAIN)
 
-    try:
-        val_g = predict_gbdt(gbdt_model, dm_val.dense)
-        val_x = forward(xdfm_model, dm_val.cat_indices, dm_val.dense)
-        alpha, record = grid_search_alpha(dm_val.labels, val_g, val_x, cfg.blend)
-        val_reports = [
-            evaluate("GBDT", dm_val.labels, val_g),
-            evaluate("xDeepFM", dm_val.labels, val_x),
-            evaluate("Ensemble", dm_val.labels, blend(val_g, val_x, alpha)),
-        ]
-        test_g = predict_gbdt(gbdt_model, dm_test.dense)
-        test_x = forward(xdfm_model, dm_test.cat_indices, dm_test.dense)
-        test_blended = blend(test_g, test_x, alpha)
-        test_reports = [
-            evaluate("GBDT", dm_test.labels, test_g),
-            evaluate("xDeepFM", dm_test.labels, test_x),
-            evaluate("Ensemble", dm_test.labels, test_blended),
-        ]
+    reports = {}  # partition -> its evaluate rows, one per model
+    try:  # the validation partition comes first: alpha is searched on it
+        for partition, dm in (("validation", dm_val), ("test", dm_test)):
+            p_gbdt = predict_gbdt(gbdt_model, dm.dense)
+            p_xdfm = forward(xdfm_model, dm.cat_indices, dm.dense)
+            if partition == "validation":
+                alpha, record = grid_search_alpha(dm.labels, p_gbdt, p_xdfm, cfg.blend)
+            blended = blend(p_gbdt, p_xdfm, alpha)  # after the loop, the test partition's
+            scored = zip(("GBDT", "xDeepFM", "Ensemble"), (p_gbdt, p_xdfm, blended))
+            reports[partition] = [evaluate(name, dm.labels, p) for name, p in scored]
     except Exception as exc:
         return _fail("evaluate", exc, EXIT_TRAIN)
 
     report = "\n".join(
         [
             "Test metrics",
-            format_report_table(test_reports),
+            format_report_table(reports["test"]),
             "",
             f"Validation metrics (blend coefficient alpha = {alpha!r})",
-            format_report_table(val_reports),
+            format_report_table(reports["validation"]),
             "",
             f"rows: train={dm_train.labels.size} val={dm_val.labels.size} test={dm_test.labels.size}",
-            f"seeds: split={cfg.seed} val_split={cfg.seed + 1} gbdt={cfg.gbdt.seed} xdfm={cfg.xdfm.seed}",
+            "seeds: " + " ".join(f"{name}={seed}" for name, seed in seeds.items()),
             f"format_version: {FORMAT_VERSION}",
         ]
     )
-
+    transform_dict = transform_to_dict(ft)
+    ens = EnsembleModel(alpha=alpha, gbdt_ref="gbdt.json", xdeepfm_ref="xdeepfm.json", search_record=tuple(record))
+    # the run directory, in writing order: a str is written as text, anything else as JSON
+    files = {
+        "gbdt.json": {**gbdt_to_dict(gbdt_model), "transform": transform_dict},
+        "xdeepfm.json": {**xdeepfm_to_dict(xdfm_model), "transform": transform_dict},
+        "ensemble.json": {**ensemble_to_dict(ens), "seeds": {"gbdt": seeds["gbdt"], "xdfm": seeds["xdfm"]}},
+        "predictions.csv": _predictions_csv(blended),
+        "search_record.csv": "\n".join(["alpha,auc"] + [f"{a!r},{s!r}" for a, s in record]) + "\n",
+        "report.txt": report + "\n",
+    }
+    files["manifest.json"] = {
+        "format_version": FORMAT_VERSION,
+        "seeds": seeds,
+        "alpha": alpha,
+        "validation_auc": {r.model: r.auc for r in reports["validation"]},
+        "test_auc": {r.model: r.auc for r in reports["test"]},
+        "artifacts": list(files),
+    }
     try:
-        out = cfg.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-        transform_dict = transform_to_dict(ft)
-        gbdt_dict = gbdt_to_dict(gbdt_model)
-        gbdt_dict["transform"] = transform_dict
-        xdfm_dict = xdeepfm_to_dict(xdfm_model)
-        xdfm_dict["transform"] = transform_dict
-        ens = EnsembleModel(
-            alpha=alpha,
-            gbdt_ref="gbdt.json",
-            xdeepfm_ref="xdeepfm.json",
-            search_record=tuple(record),
-        )
-        ens_dict = ensemble_to_dict(ens)
-        ens_dict["seeds"] = {"gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
-        write_json(out / "gbdt.json", gbdt_dict)
-        write_json(out / "xdeepfm.json", xdfm_dict)
-        write_json(out / "ensemble.json", ens_dict)
-        _write_atomic(out / "predictions.csv", _predictions_csv(test_blended))
-        record_lines = ["alpha,auc"] + [f"{a!r},{s!r}" for a, s in record]
-        _write_atomic(out / "search_record.csv", "\n".join(record_lines) + "\n")
-        _write_atomic(out / "report.txt", report + "\n")
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "seeds": {
-                "split": cfg.seed,
-                "val_split": cfg.seed + 1,
-                "gbdt": cfg.gbdt.seed,
-                "xdfm": cfg.xdfm.seed,
-            },
-            "alpha": alpha,
-            "validation_auc": {r.model: r.auc for r in val_reports},
-            "test_auc": {r.model: r.auc for r in test_reports},
-            "artifacts": [
-                "gbdt.json",
-                "xdeepfm.json",
-                "ensemble.json",
-                "predictions.csv",
-                "search_record.csv",
-                "report.txt",
-            ],
-        }
-        write_json(out / "manifest.json", manifest)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if isinstance(content, str):
+                _write_atomic(cfg.out_dir / name, content)
+            else:
+                write_json(cfg.out_dir / name, content)
     except OSError as exc:
         return _fail("write", exc, EXIT_DATA)
 
@@ -386,39 +360,42 @@ def cmd_run(cfg: RunConfig) -> int:
 def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarray, np.ndarray]:
     """The model's kind, and its probabilities and the 0/1 labels of every row of data_path.
 
-    An ensemble scores both components from one parse of the CSV, and each
-    distinct fitted transform is applied once: a run writes the same one into both.
+    A lone model file is read by its own kind; an ensemble's components by their role, so its
+    `gbdt_ref` must name a gbdt file and its `xdeepfm_ref` an xdeepfm file. Both components
+    are scored from one parse of the CSV, and each distinct fitted transform is applied once:
+    a run writes the same one into both.
     """
     d = read_model_file(model_path)
     kind = d.get("kind")
-    parts = [(model_path, d)]
+    parts = [(kind, model_path, d)]  # (role, path, document)
     if kind == "ensemble":
         ens = ensemble_from_dict(d)
-        paths = [model_path.parent / ens.gbdt_ref, model_path.parent / ens.xdeepfm_ref]
-        parts = [(path, read_model_file(path)) for path in paths]
-    datasets: dict[Schema, TabularDataset] = {}
-    matrices: dict[FittedTransform, DesignMatrix] = {}  # one per distinct fitted transform
-    dms = []  # each part's design matrix
-    for path, doc in parts:
+        refs = (("gbdt", ens.gbdt_ref), ("xdeepfm", ens.xdeepfm_ref))
+        parts = [(role, model_path.parent / ref, read_model_file(model_path.parent / ref)) for role, ref in refs]
+    elif kind not in ("gbdt", "xdeepfm"):
+        raise DataError(f"{model_path}: unknown model kind {kind!r}")
+    models = []  # (role, model, fitted transform) of each part
+    for role, path, doc in parts:
+        model = gbdt_from_dict(doc) if role == "gbdt" else xdeepfm_from_dict(doc)  # each checks the kind
         if "transform" not in doc:
             raise DataError(f"{path}: model file carries no fitted transform")
-        ft = transform_from_dict(doc["transform"])
+        models.append((role, model, transform_from_dict(doc["transform"])))
+    datasets: dict[Schema, TabularDataset] = {}
+    matrices: dict[FittedTransform, DesignMatrix] = {}  # one per distinct fitted transform
+    for _, _, ft in models:
         if ft not in matrices:
             if ft.schema not in datasets:
                 datasets[ft.schema] = load_csv(data_path, ft.schema)
             matrices[ft] = apply_transform(ft, datasets[ft.schema])
-        dms.append(matrices[ft])
     datasets.clear()  # the parsed cells outweigh the matrices; free them before scoring
-    probs = []
-    for (path, doc), dm in zip(parts, dms):
-        if doc.get("kind") == "gbdt":
-            probs.append(predict_gbdt(gbdt_from_dict(doc), dm.dense))
-        elif doc.get("kind") == "xdeepfm":
-            probs.append(np.asarray(forward(xdeepfm_from_dict(doc), dm.cat_indices, dm.dense)))
-        else:
-            raise DataError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    probs = [
+        predict_gbdt(model, matrices[ft].dense)
+        if role == "gbdt"
+        else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
+        for role, model, ft in models
+    ]
     p = blend(probs[0], probs[1], ens.alpha) if kind == "ensemble" else probs[0]
-    return kind, p, dms[0].labels
+    return kind, p, matrices[models[0][2]].labels
 
 
 def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int:
@@ -505,14 +482,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "run":
             kv = parse_kv_file(args.config)
-            if args.data is not None:
-                kv["data"] = str(args.data)
-            if args.out is not None:
-                kv["out_dir"] = str(args.out)
-            if args.seed is not None:
-                kv["seed"] = str(args.seed)
-            if args.test_fraction is not None:
-                kv["test_fraction"] = str(args.test_fraction)
+            flags = {"data": args.data, "out_dir": args.out, "seed": args.seed, "test_fraction": args.test_fraction}
+            kv.update((key, str(value)) for key, value in flags.items() if value is not None)
             for item in args.set:
                 if "=" not in item:
                     raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

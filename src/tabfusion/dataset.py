@@ -140,7 +140,7 @@ def _utf8_rows(reader, path: Path):
 
 def _read_csv(path: Path, schema: Schema, errors: str) -> TabularDataset:
     header, rows = None, []
-    with path.open(newline="", encoding="utf-8", errors=errors) as fh:
+    with path.open(newline="", encoding="utf-8-sig", errors=errors) as fh:  # a leading BOM is dropped
         reader = csv.reader(fh) if errors == "strict" else _utf8_rows(csv.reader(fh), path)
         try:
             header = next(reader, None)

@@ -99,8 +99,10 @@ def _read_predictions(path):
 
 
 def test_run_writes_all_artifacts(completed_run):
-    names = {p.name for p in completed_run["out"].iterdir()}
-    assert {
+    out = completed_run["out"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    written = manifest["artifacts"] + ["manifest.json"]
+    assert written == [
         "gbdt.json",
         "xdeepfm.json",
         "ensemble.json",
@@ -108,7 +110,14 @@ def test_run_writes_all_artifacts(completed_run):
         "search_record.csv",
         "report.txt",
         "manifest.json",
-    } <= names
+    ]
+    assert sorted(written) == sorted(p.name for p in out.iterdir())
+    mtimes = [(out / name).stat().st_mtime_ns for name in written]
+    assert mtimes == sorted(mtimes)  # written in the manifest's order, the manifest last
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    (seeds_line,) = [line for line in report if line.startswith("seeds: ")]
+    assert seeds_line == "seeds: " + " ".join(f"{name}={seed}" for name, seed in manifest["seeds"].items())
+    assert manifest["seeds"] == {"split": 7, "val_split": 8, "gbdt": 7, "xdfm": 7}
 
 
 def test_run_report_lists_three_models(completed_run):
@@ -776,6 +785,9 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
         c = k * sum(d["vocab_sizes"]) + p * p + p  # where the first cross layer's c starts
         d["params"][c : c + p] = [sys.float_info.max] * p
 
+    def swap_refs(d):
+        d["gbdt_ref"], d["xdeepfm_ref"] = d["xdeepfm_ref"], d["gbdt_ref"]
+
     for name, corrupt, detail in [
         ("xdeepfm.json", lambda d: d["params"].__setitem__(-1, float("nan")), "non-finite"),
         ("xdeepfm.json", lambda d: d["params"].pop(), "'params' has"),
@@ -790,6 +802,10 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
         ("gbdt.json", lambda d: d.__setitem__("feature_names", [0] * len(d["feature_names"])), "strings"),
         ("ensemble.json", lambda d: d.__setitem__("alpha", "0.5"), "malformed ensemble model file"),
         ("ensemble.json", lambda d: d.__setitem__("search_record", 5), "malformed ensemble model file"),
+        # each ref is read by its role, whatever kind the file it names holds
+        ("ensemble.json", swap_refs, "of kind 'gbdt', got kind 'xdeepfm'"),
+        ("ensemble.json", lambda d: d.__setitem__("xdeepfm_ref", "gbdt.json"), "of kind 'xdeepfm', got kind 'gbdt'"),
+        ("ensemble.json", lambda d: d.__setitem__("gbdt_ref", "xdeepfm.json"), "of kind 'gbdt', got kind 'xdeepfm'"),
     ]:
         for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
             (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
@@ -931,10 +947,11 @@ def test_undecodable_config_exits_1_at_config(tmp_path, mini_csv, capsys, childr
     config = _write_config(tmp_path, mini_csv, out)
     lines = config.read_bytes().split(b"\n")
     lineno = lines.index(b"seed = 7") + 1
-    lines[lineno - 1] += b" # \xe9t\xe9"  # Latin-1, not UTF-8
-    config.write_bytes(b"\n".join(lines))
-    assert cli.main(["run", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == f"error [config]: {config}:{lineno}: not UTF-8 text\n"
+    lines[lineno - 1] = b"\xe9t\xe9 = 7"  # Latin-1, not UTF-8, from the line's first byte
+    for prefix in (b"", b"\xef\xbb\xbf"):  # a byte-order mark does not shift the line named
+        config.write_bytes(prefix + b"\n".join(lines))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error [config]: {config}:{lineno}: not UTF-8 text\n"
     assert children == [] and not out.exists()
 
 
@@ -973,8 +990,12 @@ def test_config_from_dict_fails_closed_on_arbitrary_json_values(config_cls, data
     assert isinstance(cfg, config_cls) and set(raw) <= {f.name for f in dataclasses.fields(config_cls)}
 
 
-def test_stock_config_parses_through_the_one_rule():
-    cfg = cli.build_run_config(cli.parse_kv_file(Path(__file__).resolve().parents[1] / "configs" / "stroke.conf"))
+def test_stock_config_parses_through_the_one_rule(tmp_path):
+    stock = Path(__file__).resolve().parents[1] / "configs" / "stroke.conf"
+    cfg = cli.build_run_config(cli.parse_kv_file(stock))
+    bom = tmp_path / "bom.conf"  # a copy saved with a UTF-8 byte-order mark reads the same
+    bom.write_bytes(b"\xef\xbb\xbf" + stock.read_bytes())
+    assert cli.build_run_config(cli.parse_kv_file(bom)) == cfg
     assert cfg.gbdt.base_score is None  # gbdt.base_score = auto
     assert cfg.xdfm.deep_widths == (64, 32)  # xdfm.deep_widths = 64,32
     assert cfg.blend == BlendConfig(grid_step=0.01)
@@ -1027,4 +1048,10 @@ def test_predict_to_a_text_only_stdout_writes_the_same_rows(tmp_path, completed_
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(args) == 0
     assert out.getvalue() == (tmp_path / "preds.csv").read_text(encoding="utf-8")
+    # the same rows from a copy of the data saved with a UTF-8 byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + completed_run["data"].read_bytes())
+    bom_args = args[:-1] + [str(bom), "--out", str(tmp_path / "bom-preds.csv")]
+    assert cli.main(bom_args) == 0
+    assert (tmp_path / "bom-preds.csv").read_bytes() == (tmp_path / "preds.csv").read_bytes()
     assert capsys.readouterr().err == ""
