@@ -21,12 +21,11 @@ from .artifact import FORMAT_VERSION, _write_atomic, coerce, config_from_dict, r
 from .dataset import (
     DataError,
     DesignMatrix,
-    FittedTransform,
     Schema,
-    TabularDataset,
     apply_transform,
     fit_transform,
     load_csv,
+    read_csv_chunks,
     stratified_split,
     transform_from_dict,
     transform_to_dict,
@@ -42,6 +41,7 @@ from .ensemble import (
 from .gbdt import GBDTConfig, feature_importance, gbdt_from_dict, gbdt_to_dict, predict_gbdt, train_gbdt
 from .metrics import evaluate, format_report_table, roc_curve, roc_points_csv
 from .xdeepfm import XDeepFMConfig, XDeepFMModel, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
+from .xdeepfm import _BLOCK_ROWS
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_TRAIN = 0, 1, 2, 3
 
@@ -193,9 +193,12 @@ def _predictions_csv(probs: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _detail(exc: Exception) -> str:
+    return f"missing required field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _fail(stage: str, exc: Exception, code: int) -> int:
-    detail = f"missing required field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-    print(f"error [{stage}]: {detail}", file=sys.stderr)
+    print(f"error [{stage}]: {_detail(exc)}", file=sys.stderr)
     return code
 
 
@@ -357,13 +360,20 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# Rows `predict` and `evaluate` parse, transform and score at a time: whole blocks of
+# `forward`, and a last piece under one block joins the chunk before it, so every row
+# goes through the same matrix products as in one call on the whole table.
+_CHUNK_ROWS = 16 * _BLOCK_ROWS
+
+
 def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarray, np.ndarray]:
     """The model's kind, and its probabilities and the 0/1 labels of every row of data_path.
 
     A lone model file is read by its own kind; an ensemble's components by their role, so its
-    `gbdt_ref` must name a gbdt file and its `xdeepfm_ref` an xdeepfm file. Both components
-    are scored from one parse of the CSV, and each distinct fitted transform is applied once:
-    a run writes the same one into both.
+    `gbdt_ref` must name a gbdt file and its `xdeepfm_ref` an xdeepfm file, and an error in a
+    component names its file. The CSV is read in chunks of `_CHUNK_ROWS` rows, one pass per
+    schema; each chunk is scored by both components, each distinct fitted transform applied
+    once (a run writes the same one into both), and only the probabilities and labels are kept.
     """
     d = read_model_file(model_path)
     kind = d.get("kind")
@@ -376,26 +386,32 @@ def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarr
         raise DataError(f"{model_path}: unknown model kind {kind!r}")
     models = []  # (role, model, fitted transform) of each part
     for role, path, doc in parts:
-        model = gbdt_from_dict(doc) if role == "gbdt" else xdeepfm_from_dict(doc)  # each checks the kind
-        if "transform" not in doc:
+        try:
+            model = gbdt_from_dict(doc) if role == "gbdt" else xdeepfm_from_dict(doc)  # each checks the kind
+            ft = transform_from_dict(doc["transform"]) if "transform" in doc else None
+        except (ValueError, KeyError) as exc:
+            if kind != "ensemble":
+                raise
+            raise DataError(f"{path}: {_detail(exc)}") from None
+        if ft is None:
             raise DataError(f"{path}: model file carries no fitted transform")
-        models.append((role, model, transform_from_dict(doc["transform"])))
-    datasets: dict[Schema, TabularDataset] = {}
-    matrices: dict[FittedTransform, DesignMatrix] = {}  # one per distinct fitted transform
-    for _, _, ft in models:
-        if ft not in matrices:
-            if ft.schema not in datasets:
-                datasets[ft.schema] = load_csv(data_path, ft.schema)
-            matrices[ft] = apply_transform(ft, datasets[ft.schema])
-    datasets.clear()  # the parsed cells outweigh the matrices; free them before scoring
-    probs = [
-        predict_gbdt(model, matrices[ft].dense)
-        if role == "gbdt"
-        else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
-        for role, model, ft in models
-    ]
-    p = blend(probs[0], probs[1], ens.alpha) if kind == "ensemble" else probs[0]
-    return kind, p, matrices[models[0][2]].labels
+        models.append((role, model, ft))
+    schemas = list(dict.fromkeys(ft.schema for _, _, ft in models))
+    readers = [read_csv_chunks(data_path, schema, _CHUNK_ROWS, _BLOCK_ROWS) for schema in schemas]
+    probs, labels = [], []
+    for chunks in zip(*readers):  # the same file rows under each schema
+        datasets = dict(zip(schemas, chunks))
+        matrices = {ft: apply_transform(ft, datasets[ft.schema]) for ft in dict.fromkeys(ft for _, _, ft in models)}
+        scores = [
+            predict_gbdt(model, matrices[ft].dense)
+            if role == "gbdt"
+            else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
+            for role, model, ft in models
+        ]
+        probs.append(blend(scores[0], scores[1], ens.alpha) if kind == "ensemble" else scores[0])
+        labels.append(matrices[models[0][2]].labels)
+        del chunks, datasets, matrices  # before the next chunk is read
+    return kind, np.concatenate(probs), np.concatenate(labels)
 
 
 def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int:

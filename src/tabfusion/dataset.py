@@ -19,7 +19,8 @@ numeric cell. ``apply_transform`` then encodes a batch with a fixed number of
 NumPy calls however many columns there are: that pass, one scaling, one
 vocabulary pass over every categorical cell and one one-hot scatter. Each row
 carries its 1-based data-row number from the file, so an error names the file
-row even after a shuffled split.
+row even after a shuffled split. ``read_csv_chunks`` is the one CSV reader:
+it yields the rows as consecutive chunks, and ``load_csv`` is its single chunk.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -121,13 +122,28 @@ def load_csv(path, schema: Schema) -> TabularDataset:
     Cells are kept verbatim; no coercion happens here. A row that is not UTF-8
     text or not well-formed CSV raises a DataError naming the file and the row.
     """
+    (ds,) = read_csv_chunks(path, schema)
+    return ds
+
+
+def read_csv_chunks(path, schema: Schema, chunk_rows: int | None = None, min_rows: int = 1) -> Iterator[TabularDataset]:
+    """``load_csv``'s rows as consecutive datasets of ``chunk_rows`` rows each, or one of every row if None.
+
+    A last piece shorter than ``min_rows`` joins the chunk before it, so no
+    chunk holds more than ``chunk_rows + min_rows - 1`` rows. Each chunk's
+    ``row_numbers`` are its file rows, and a file without data rows gives one
+    empty chunk. Every check of ``load_csv`` raises when the reader reaches its
+    row, after the chunks before that row have been yielded.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
     try:
-        return _read_csv(path, schema, "strict")
+        yield from _read_csv(path, schema, "strict", chunk_rows, min_rows)
     except UnicodeDecodeError:  # decoding runs a chunk ahead of the parser: reread to name the row
-        return _read_csv(path, schema, "surrogateescape")
+        for _ in _read_csv(path, schema, "surrogateescape", chunk_rows, min_rows):
+            pass
+        raise DataError(f"{path}: not UTF-8 text") from None  # the reread names the row before this
 
 
 def _utf8_rows(reader, path: Path):
@@ -138,8 +154,9 @@ def _utf8_rows(reader, path: Path):
         yield row
 
 
-def _read_csv(path: Path, schema: Schema, errors: str) -> TabularDataset:
-    header, rows = None, []
+def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, min_rows: int):
+    header, rows, first = None, [], 1  # first: the file row of rows[0]
+    held = math.inf if chunk_rows is None else chunk_rows + min_rows  # rows that let a chunk go
     with path.open(newline="", encoding="utf-8-sig", errors=errors) as fh:  # a leading BOM is dropped
         reader = csv.reader(fh) if errors == "strict" else _utf8_rows(csv.reader(fh), path)
         try:
@@ -157,9 +174,14 @@ def _read_csv(path: Path, schema: Schema, errors: str) -> TabularDataset:
                 if len(row) != len(header):
                     raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
                 rows.append(pick(row))
+                if len(rows) == held:  # at least min_rows rows follow the chunk
+                    yield TabularDataset(schema, tuple(rows[:chunk_rows]), range(first, first + chunk_rows))
+                    del rows[:chunk_rows]
+                    first += chunk_rows
         except csv.Error as exc:  # a field over the size limit, e.g. after an unmatched quote
-            raise DataError(f"{path}: {'header' if header is None else f'row {len(rows) + 1}'}: {exc}") from None
-    return TabularDataset(schema=schema, rows=tuple(rows))
+            raise DataError(f"{path}: {'header' if header is None else f'row {first + len(rows)}'}: {exc}") from None
+    if rows or first == 1:
+        yield TabularDataset(schema, tuple(rows), range(first, first + len(rows)))
 
 
 def stratified_split(

@@ -129,19 +129,6 @@ class Forest:
         return int(np.count_nonzero(self.feature < 0))
 
 
-def stack_trees(trees) -> Forest:
-    """One forest of ``trees`` in order, each tree's node ids offset past the trees before it."""
-    offsets = np.cumsum([0] + [t.feature.size for t in trees])
-
-    def stacked(name: str) -> np.ndarray:
-        parts = [getattr(t, name) for t in trees]
-        if name in _NODE_IDS:  # only ids: adding 0 to a weight would turn -0.0 into 0.0
-            parts = [a + o for a, o in zip(parts, offsets)]
-        return np.concatenate([np.empty(0, np.intp)] + parts)
-
-    return Forest(**{name: stacked(name) for name in FOREST_ARRAYS})
-
-
 @dataclass
 class GBDTModel:
     config: GBDTConfig

@@ -23,6 +23,7 @@ from tabfusion.artifact import coerce, config_from_dict, config_to_dict
 from tabfusion.dataset import apply_transform, fit_transform, load_csv, transform_from_dict
 from tabfusion.ensemble import BlendConfig, blend, ensemble_from_dict
 from tabfusion.gbdt import GBDTConfig, feature_importance, gbdt_from_dict, predict_gbdt
+from tabfusion.metrics import evaluate, format_report_table, roc_curve, roc_points_csv
 from tabfusion.synth import write_stroke_csv
 from tabfusion.xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 
@@ -581,7 +582,11 @@ def test_predict_malformed_tree_arrays_exit_2_without_traceback(tmp_path, comple
 
 
 def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed_run, tmp_path, monkeypatch):
-    calls = {"load_csv": 0, "apply_transform": 0}
+    # one pass over the file per command, and one apply_transform per distinct transform per chunk
+    data = tmp_path / "data.csv"
+    write_stroke_csv(data, n_rows=2500, seed=3)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1024)  # chunks of 1,024 and 1,476 rows
+    calls = {"read_csv_chunks": 0, "apply_transform": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -594,18 +599,103 @@ def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     ensemble = str(completed_run["out"] / "ensemble.json")
     out_csv = tmp_path / "preds.csv"
-    assert cli.main(["predict", "--model", ensemble, "--data", str(completed_run["data"]), "--out", str(out_csv)]) == 0
-    assert calls == {"load_csv": 1, "apply_transform": 1}
-    assert cli.main(["evaluate", "--model", ensemble, "--data", str(completed_run["data"])]) == 0
-    assert calls == {"load_csv": 2, "apply_transform": 2}
+    assert cli.main(["predict", "--model", ensemble, "--data", str(data), "--out", str(out_csv)]) == 0
+    assert calls == {"read_csv_chunks": 1, "apply_transform": 2}
+    assert cli.main(["evaluate", "--model", ensemble, "--data", str(data)]) == 0
+    assert calls == {"read_csv_chunks": 2, "apply_transform": 4}
     # components fitted apart: two transforms over one schema still share one parse
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
         (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
     doc = json.loads((tmp_path / "gbdt.json").read_text(encoding="utf-8"))
     doc["transform"]["mean"][0] += 1.0
     (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]) == 0
-    assert calls == {"load_csv": 3, "apply_transform": 4}
+    assert cli.main(["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(data)]) == 0
+    assert calls == {"read_csv_chunks": 3, "apply_transform": 8}
+
+
+@pytest.fixture(scope="module")
+def boundary_tables(tmp_path_factory):
+    """Synthetic tables whose lengths fall on and around the edges of 2,048-row chunks and 1,024-row blocks."""
+    root = tmp_path_factory.mktemp("boundaries")
+    sizes = (1, 1023, 2047, 2048, 2049, 3071, 3072, 4097)
+    return {n: write_stroke_csv(root / f"t{n}.csv", n_rows=n, seed=n) for n in sizes}
+
+
+@pytest.mark.parametrize("model", ["ensemble.json", "gbdt.json", "xdeepfm.json"])
+def test_chunked_predict_and_evaluate_equal_whole_table_scoring_byte_for_byte(
+    completed_run, boundary_tables, tmp_path, monkeypatch, capsys, model
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    names = ("gbdt.json", "xdeepfm.json", "ensemble.json")
+    docs = {name: json.loads((completed_run["out"] / name).read_text(encoding="utf-8")) for name in names}
+    ft = transform_from_dict(docs["gbdt.json"]["transform"])
+    preds, roc = tmp_path / "preds.csv", tmp_path / "roc.csv"
+    for n, data in boundary_tables.items():
+        dm = apply_transform(ft, load_csv(data, ft.schema))  # the whole table at once
+        p_gbdt = predict_gbdt(gbdt_from_dict(docs["gbdt.json"]), dm.dense)
+        p_xdfm = forward(xdeepfm_from_dict(docs["xdeepfm.json"]), dm.cat_indices, dm.dense)
+        probs = {"gbdt.json": p_gbdt, "xdeepfm.json": p_xdfm}.get(model)
+        if probs is None:
+            probs = blend(p_gbdt, p_xdfm, docs["ensemble.json"]["alpha"])
+        args = ["--model", str(completed_run["out"] / model), "--data", str(data)]
+        assert cli.main(["predict", *args, "--out", str(preds)]) == 0
+        assert preds.read_bytes() == cli._predictions_csv(probs).encode("utf-8"), n
+        if dm.labels.min() == dm.labels.max():
+            continue  # AUC needs both classes
+        report = evaluate("x", dm.labels, probs)
+        assert cli.main(["evaluate", *args, "--name", "x", "--roc-csv", str(roc)]) == 0
+        assert capsys.readouterr().out == f"{format_report_table([report])}\nn: {n}  positives: {report.positives}\n"
+        assert roc.read_text(encoding="utf-8") == roc_points_csv(roc_curve(dm.labels, probs)), n
+
+
+def _edit_row(path, data_row, edit):
+    """Rewrite the CSV at path with ``edit(row, header)`` applied to one data row."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows[data_row], rows[0])
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_chunked_scoring_holds_one_chunk_and_fails_closed_on_a_late_bad_row(
+    completed_run, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    seen = []
+    apply = cli.apply_transform
+
+    def counted(ft, ds):
+        seen.append(ds.n_rows)
+        return apply(ft, ds)
+
+    monkeypatch.setattr(cli, "apply_transform", counted)
+    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+    args = [command, "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(data)]
+    args += ["--out", str(out)] if command == "predict" else ["--roc-csv", str(out)]
+    write_stroke_csv(data, n_rows=2 * 2048 + 3071, seed=4)  # chunks of 2,048, 2,048 and 3,071 rows
+    assert cli.main(args) == 0 and seen == [2048, 2048, 3071]
+    out.unlink()
+    capsys.readouterr()
+
+    def bad_cell(row, header):
+        row[header.index("bmi")] = "12..5"
+
+    for edits, message in [
+        ([(7000, bad_cell)], "row 7000: cannot parse '12..5' as a number in column 'bmi'"),
+        ([(7000, lambda row, header: row.pop())], "row 7000: expected 11 cells, got 10"),
+        # a bad cell in an earlier chunk is named first, though an earlier column holds one later on
+        ([(7000, lambda row, header: row.__setitem__(header.index("age"), "x")), (100, bad_cell)],
+         "row 100: cannot parse '12..5' as a number in column 'bmi'"),
+    ]:
+        write_stroke_csv(data, n_rows=2 * 2048 + 3071, seed=4)
+        for data_row, edit in edits:
+            _edit_row(data, data_row, edit)
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error [{command}]: {message}\n" and captured.out == ""
+        assert not out.exists()
+    assert max(seen) == 2048 + 1023
 
 
 @pytest.mark.parametrize("failure", _BROKEN_CSV)
@@ -788,6 +878,9 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
     def swap_refs(d):
         d["gbdt_ref"], d["xdeepfm_ref"] = d["xdeepfm_ref"], d["gbdt_ref"]
 
+    def wrong_kind(path, role, kind):
+        return f"{tmp_path / path}: expected a model file of kind {role!r}, got kind {kind!r}"
+
     for name, corrupt, detail in [
         ("xdeepfm.json", lambda d: d["params"].__setitem__(-1, float("nan")), "non-finite"),
         ("xdeepfm.json", lambda d: d["params"].pop(), "'params' has"),
@@ -802,10 +895,10 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
         ("gbdt.json", lambda d: d.__setitem__("feature_names", [0] * len(d["feature_names"])), "strings"),
         ("ensemble.json", lambda d: d.__setitem__("alpha", "0.5"), "malformed ensemble model file"),
         ("ensemble.json", lambda d: d.__setitem__("search_record", 5), "malformed ensemble model file"),
-        # each ref is read by its role, whatever kind the file it names holds
-        ("ensemble.json", swap_refs, "of kind 'gbdt', got kind 'xdeepfm'"),
-        ("ensemble.json", lambda d: d.__setitem__("xdeepfm_ref", "gbdt.json"), "of kind 'xdeepfm', got kind 'gbdt'"),
-        ("ensemble.json", lambda d: d.__setitem__("gbdt_ref", "xdeepfm.json"), "of kind 'gbdt', got kind 'xdeepfm'"),
+        # each ref is read by its role, whatever kind the file it names holds, and the error names that file
+        ("ensemble.json", swap_refs, wrong_kind("xdeepfm.json", "gbdt", "xdeepfm")),
+        ("ensemble.json", lambda d: d.__setitem__("xdeepfm_ref", "gbdt.json"), wrong_kind("gbdt.json", "xdeepfm", "gbdt")),
+        ("ensemble.json", lambda d: d.__setitem__("gbdt_ref", "xdeepfm.json"), wrong_kind("xdeepfm.json", "gbdt", "xdeepfm")),
     ]:
         for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
             (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())

@@ -16,6 +16,7 @@ from tabfusion.dataset import (
     apply_transform,
     fit_transform,
     load_csv,
+    read_csv_chunks,
     stratified_split,
     transform_from_dict,
     transform_to_dict,
@@ -103,6 +104,36 @@ def test_load_csv_missing_file(tmp_path):
 
 
 _HEADER = b"age,smoking_status,stroke\n"
+
+
+@pytest.mark.parametrize(
+    "n_rows, sizes",
+    [(0, [0]), (1, [1]), (5, [5]), (6, [4, 2]), (9, [4, 5]), (10, [4, 4, 2]), (13, [4, 4, 5]), (14, [4, 4, 4, 2])],
+)
+def test_read_csv_chunks_cuts_whole_chunks_and_joins_a_short_tail(tmp_path, n_rows, sizes):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"stroke,age,smoking_status\n" + b"".join(b"%d,%d,never\n" % (i % 2, i) for i in range(n_rows)))
+    chunks = list(read_csv_chunks(path, SIMPLE, chunk_rows=4, min_rows=2))
+    assert [c.n_rows for c in chunks] == sizes
+    whole = load_csv(path, SIMPLE)
+    assert sum((c.rows for c in chunks), ()) == whole.rows
+    assert [i for c in chunks for i in c.row_numbers] == list(whole.row_numbers) == list(range(1, n_rows + 1))
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [(b"60,smokes\n", "^row 1001: expected 3 cells, got 2$"), (b"6\xff,never,1\n", "row 1001: not UTF-8 text$")],
+)
+def test_read_csv_chunks_yields_the_chunks_before_a_bad_row(tmp_path, bad_row, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_HEADER + b"10,never,0\n" * 1000 + bad_row + b"10,never,0\n" * 3)
+    seen = []
+    with pytest.raises(DataError, match=message):
+        for chunk in read_csv_chunks(path, SIMPLE, chunk_rows=4, min_rows=2):
+            seen.append(chunk.row_numbers)
+    # a chunk goes once min_rows rows after it are read; decoding runs ahead of the parser
+    assert seen == [range(i, i + 4) for i in range(1, 4 * len(seen), 4)]
+    assert len(seen) == 249 if b"\xff" not in bad_row else 0 < len(seen) < 249
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from tabfusion import gbdt
 from tabfusion.dataset import DesignMatrix
 from tabfusion.gbdt import (
     _BLOCK_ROWS,
+    _NODE_IDS,
     _THREAD_MIN_ROWS,
     FOREST_ARRAYS,
     Forest,
@@ -33,7 +34,6 @@ from tabfusion.gbdt import (
     leaf_weight,
     predict_gbdt,
     split_gain,
-    stack_trees,
     train_gbdt,
 )
 from tabfusion.metrics import auc, bce, clip_probs, logit, sigmoid
@@ -57,6 +57,19 @@ def _logistic(z: float) -> float:
 def _leaf(weight: float) -> Forest:
     """A one-tree forest that is a single leaf."""
     return Forest(roots=[0], feature=[-1], threshold=[0.0], gain=[0.0], right=[0], value=[weight])
+
+
+def stack_trees(trees) -> Forest:
+    """One forest of ``trees`` in order, each tree's node ids offset past the trees before it."""
+    offsets = np.cumsum([0] + [t.feature.size for t in trees])
+
+    def stacked(name: str) -> np.ndarray:
+        parts = [getattr(t, name) for t in trees]
+        if name in _NODE_IDS:  # only ids: adding 0 to a weight would turn -0.0 into 0.0
+            parts = [a + o for a, o in zip(parts, offsets)]
+        return np.concatenate([np.empty(0, np.intp)] + parts)
+
+    return Forest(**{name: stacked(name) for name in FOREST_ARRAYS})
 
 
 def _stump(feature: int, threshold: float, gain: float, low: float = 0.0, high: float = 0.0) -> Forest:
