@@ -50,6 +50,25 @@ class ConfigError(ValueError):
     """Bad flags, bad config file, or bad option values."""
 
 
+class StageError(Exception):
+    """A command's failure at one stage, and its exit code; the error it stands for is its ``__cause__``."""
+
+    def __init__(self, stage: str, code: int):
+        self.stage, self.code = stage, code
+
+    def __str__(self) -> str:
+        return f"error [{self.stage}]: {_detail(self.__cause__)}"
+
+
+@contextlib.contextmanager
+def _stage(name: str, code: int, errors):
+    """Raise StageError(name, code) from any of ``errors`` that the block raises."""
+    try:
+        yield
+    except errors as exc:
+        raise StageError(name, code) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     data_path: Path
@@ -150,6 +169,8 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         if not 0.0 < fraction < 1.0:
             raise ConfigError(f"{name} must lie in (0, 1), got {fraction}")
     seed = _option(kv, "seed", "0", int)
+    if seed < 0:  # NumPy's generators take no negative seed
+        raise ConfigError(f"option 'seed' must be non-negative, got {seed}")
     return RunConfig(
         data_path=Path(kv["data"]),
         out_dir=Path(kv.get("out_dir", "runs/out")),
@@ -164,14 +185,27 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     )
 
 
-def _write_output(path: Path, text: str) -> int:
-    """Write one output file of `predict` or `evaluate`; an OS error fails at stage `write`."""
-    try:
+def load_run_config(path: Path, settings=(), **flags) -> RunConfig:
+    """The config file's RunConfig, overridden by the ``flags`` that are not None, then by each KEY=VALUE setting."""
+    with _stage("config", EXIT_CONFIG, ConfigError):
+        kv = parse_kv_file(path)
+        kv.update((key, str(value)) for key, value in flags.items() if value is not None)
+        for item in settings:
+            if "=" not in item:
+                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+            key, _, value = item.partition("=")
+            kv[key.strip()] = value.strip()
+        return build_run_config(kv)
+
+
+def _write_output(path: Path, content) -> None:
+    """Write one output file, a str as text and anything else as JSON; an OS error fails at stage `write`."""
+    with _stage("write", EXIT_DATA, OSError):
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, text)
-    except OSError as exc:
-        return _fail("write", exc, EXIT_DATA)
-    return EXIT_OK
+        if isinstance(content, str):
+            _write_atomic(path, content)
+        else:
+            write_json(path, content)
 
 
 def _write_stdout(text: str) -> None:
@@ -197,15 +231,10 @@ def _detail(exc: Exception) -> str:
     return f"missing required field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _fail(stage: str, exc: Exception, code: int) -> int:
-    print(f"error [{stage}]: {_detail(exc)}", file=sys.stderr)
-    return code
-
-
 @contextlib.contextmanager
 def _network_in_child():
-    """Start a child interpreter to train the network; yield ``train(dm, cfg)``, which hands it
-    its request and returns a function that waits for the trained network.
+    """Start a child interpreter to train the network, or fail at stage `train`; yield ``train(dm, cfg)``,
+    which hands it its request and returns a function that waits for the trained network.
 
     ``train`` writes the request to a file and closes the child's stdin, which the child
     waits on, so this process never blocks on the child. The child (`_network_child`) runs on
@@ -222,13 +251,14 @@ def _network_in_child():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     # on a pipe the child would block until this process reads its reply, after the GBDT fit
     with tempfile.TemporaryFile() as request, tempfile.TemporaryFile() as reply:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", f"from tabfusion.cli import _network_child; _network_child({request.fileno()})"],
-            stdin=subprocess.PIPE,
-            stdout=reply,
-            env=env,
-            pass_fds=(request.fileno(),),
-        )
+        with _stage("train", EXIT_TRAIN, OSError):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", f"from tabfusion.cli import _network_child; _network_child({request.fileno()})"],
+                stdin=subprocess.PIPE,
+                stdout=reply,
+                env=env,
+                pass_fds=(request.fileno(),),
+            )
 
         def train(dm: DesignMatrix, cfg: XDeepFMConfig):
             pickle.dump((dm, cfg), request, protocol=pickle.HIGHEST_PROTOCOL)
@@ -276,14 +306,11 @@ def _network_child(request_fd: int) -> None:
     sys.stdout.write(json.dumps(doc))  # json.dump would make one write per token
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def run_pipeline(cfg: RunConfig) -> dict:
+    """All of `run` in memory, or StageError: the run directory's files by name, `manifest.json` last."""
     seeds = {"split": cfg.seed, "val_split": cfg.seed + 1, "gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
-    with contextlib.ExitStack() as child:
-        try:  # the network child starts first, so its start-up overlaps the data stage
-            train_network = child.enter_context(_network_in_child())
-        except OSError as exc:
-            return _fail("train", exc, EXIT_TRAIN)
-        try:
+    with _network_in_child() as train_network:  # started first: its start-up overlaps the data stage
+        with _stage("data", EXIT_DATA, DataError):
             full = load_csv(cfg.data_path, cfg.schema)
             train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
             # validation rows for the blend coefficient never touch model training
@@ -291,18 +318,13 @@ def cmd_run(cfg: RunConfig) -> int:
             ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
             dm_val = apply_transform(ft, val)
             dm_test = apply_transform(ft, test)
-        except DataError as exc:
-            return _fail("data", exc, EXIT_DATA)
-
-        try:
+        with _stage("train", EXIT_TRAIN, Exception):
             network = train_network(dm_train, cfg.xdfm)
             gbdt_model = train_gbdt(dm_train, cfg.gbdt)  # a GBDT error wins over the network's
             xdfm_model = network()
-        except Exception as exc:
-            return _fail("train", exc, EXIT_TRAIN)
 
     reports = {}  # partition -> its evaluate rows, one per model
-    try:  # the validation partition comes first: alpha is searched on it
+    with _stage("evaluate", EXIT_TRAIN, Exception):  # the validation partition comes first: alpha is searched on it
         for partition, dm in (("validation", dm_val), ("test", dm_test)):
             p_gbdt = predict_gbdt(gbdt_model, dm.dense)
             p_xdfm = forward(xdfm_model, dm.cat_indices, dm.dense)
@@ -311,8 +333,6 @@ def cmd_run(cfg: RunConfig) -> int:
             blended = blend(p_gbdt, p_xdfm, alpha)  # after the loop, the test partition's
             scored = zip(("GBDT", "xDeepFM", "Ensemble"), (p_gbdt, p_xdfm, blended))
             reports[partition] = [evaluate(name, dm.labels, p) for name, p in scored]
-    except Exception as exc:
-        return _fail("evaluate", exc, EXIT_TRAIN)
 
     report = "\n".join(
         [
@@ -346,18 +366,14 @@ def cmd_run(cfg: RunConfig) -> int:
         "test_auc": {r.model: r.auc for r in reports["test"]},
         "artifacts": list(files),
     }
-    try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            if isinstance(content, str):
-                _write_atomic(cfg.out_dir / name, content)
-            else:
-                write_json(cfg.out_dir / name, content)
-    except OSError as exc:
-        return _fail("write", exc, EXIT_DATA)
+    return files
 
-    print(report)
-    return EXIT_OK
+
+def cmd_run(cfg: RunConfig) -> None:
+    files = run_pipeline(cfg)
+    for name, content in files.items():
+        _write_output(cfg.out_dir / name, content)
+    sys.stdout.write(files["report.txt"])
 
 
 # Rows `predict` and `evaluate` parse, transform and score at a time: whole blocks of
@@ -414,48 +430,42 @@ def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarr
     return kind, np.concatenate(probs), np.concatenate(labels)
 
 
-def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> int:
-    try:
+def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> None:
+    with _stage("predict", EXIT_DATA, (ValueError, KeyError)):
         _, probs, _ = _predict_from_file(model_path, data_path)
-    except (DataError, ValueError, KeyError) as exc:
-        return _fail("predict", exc, EXIT_DATA)
     text = _predictions_csv(probs)
     if out_path is None:
         _write_stdout(text)
-        return EXIT_OK
-    return _write_output(out_path, text)
+    else:
+        _write_output(out_path, text)
 
 
-def cmd_importance(model_path: Path, top_k: int) -> int:
-    try:
+def cmd_importance(model_path: Path, top_k: int) -> None:
+    if top_k < 1:  # the slice [:top_k] would drop features from the end of the ranking
+        raise StageError("config", EXIT_CONFIG) from ConfigError(f"--top must be at least 1, got {top_k}")
+    with _stage("importance", EXIT_DATA, (ValueError, KeyError)):
         model = gbdt_from_dict(read_model_file(model_path))  # ValueError for another kind
-    except (DataError, ValueError, KeyError) as exc:
-        return _fail("importance", exc, EXIT_DATA)
     scores = feature_importance(model)
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))[:top_k]
     width = max([len("feature")] + [len(model.feature_names[i]) for i in order])
     print(f"{'feature':<{width}}  {'importance':>10}")
     for i in order:
         print(f"{model.feature_names[i]:<{width}}  {scores[i]:>10.4f}")
-    return EXIT_OK
 
 
-def cmd_evaluate(model_path: Path, data_path: Path, name: str | None, roc_out: Path | None) -> int:
-    try:
+def cmd_evaluate(model_path: Path, data_path: Path, name: str | None, roc_out: Path | None) -> None:
+    with _stage("evaluate", EXIT_DATA, (ValueError, KeyError)):
         kind, probs, labels = _predict_from_file(model_path, data_path)
         report = evaluate(name or kind, labels, probs)
-    except (DataError, ValueError, KeyError) as exc:
-        return _fail("evaluate", exc, EXIT_DATA)
     print(format_report_table([report]))
     print(f"n: {report.n}  positives: {report.positives}")
-    if roc_out is None:
-        return EXIT_OK
-    return _write_output(roc_out, roc_points_csv(roc_curve(labels, probs)))
+    if roc_out is not None:
+        _write_output(roc_out, roc_points_csv(roc_curve(labels, probs)))
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); flag problems are config errors
-        raise ConfigError(message)
+        raise StageError("config", EXIT_CONFIG) from ConfigError(message)
 
 
 def _build_parser() -> _Parser:
@@ -495,30 +505,24 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "run":
-            kv = parse_kv_file(args.config)
-            flags = {"data": args.data, "out_dir": args.out, "seed": args.seed, "test_fraction": args.test_fraction}
-            kv.update((key, str(value)) for key, value in flags.items() if value is not None)
-            for item in args.set:
-                if "=" not in item:
-                    raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-                key, _, value = item.partition("=")
-                kv[key.strip()] = value.strip()
-            code = cmd_run(build_run_config(kv))
-        elif args.command == "predict":
-            code = cmd_predict(args.model, args.data, args.out)
-        elif args.command == "importance":
-            code = cmd_importance(args.model, args.top)
-        else:  # the parser takes no other command
-            code = cmd_evaluate(args.model, args.data, args.name, args.roc_csv)
-        sys.stdout.flush()  # a closed stdout then fails here, not at interpreter exit
-    except ConfigError as exc:
-        return _fail("config", exc, EXIT_CONFIG)
-    except BrokenPipeError as exc:  # the reader of stdout has gone, e.g. `| head -1`
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes there
-        return _fail("write", exc, EXIT_DATA)
-    return code
+        with _stage("write", EXIT_DATA, BrokenPipeError):  # the reader of stdout has gone, e.g. `| head -1`
+            args = _build_parser().parse_args(argv)
+            if args.command == "run":
+                flags = {"data": args.data, "out_dir": args.out, "seed": args.seed, "test_fraction": args.test_fraction}
+                cmd_run(load_run_config(args.config, args.set, **flags))
+            elif args.command == "predict":
+                cmd_predict(args.model, args.data, args.out)
+            elif args.command == "importance":
+                cmd_importance(args.model, args.top)
+            else:  # the parser takes no other command
+                cmd_evaluate(args.model, args.data, args.name, args.roc_csv)
+            sys.stdout.flush()  # a closed stdout then fails here, not at interpreter exit
+    except StageError as exc:
+        if isinstance(exc.__cause__, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes there
+        print(exc, file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

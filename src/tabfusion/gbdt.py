@@ -57,8 +57,8 @@ class GBDTConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 0 or self.max_depth < 0:
-            raise ValueError("n_trees and max_depth must be non-negative")
+        if self.n_trees < 0 or self.max_depth < 0 or self.seed < 0:
+            raise ValueError("n_trees, max_depth and seed must be non-negative")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0 or self.gamma < 0.0 or self.min_child_hessian < 0.0:

@@ -54,6 +54,8 @@ class XDeepFMConfig:
             raise ValueError("hidden_activation must be 'relu' or 'sigmoid'")
         if self.learning_rate <= 0.0 or self.batch_size < 1 or self.n_epochs < 0:
             raise ValueError("invalid optimizer configuration")
+        if self.seed < 0:  # NumPy's generators take no negative seed
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

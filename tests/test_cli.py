@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -166,6 +167,74 @@ def test_run_ignores_a_stale_temp_name_in_out_dir(tmp_path, mini_csv, completed_
     assert cli.main(["run", "--config", str(config)]) == 0
     assert (out / "gbdt.json").read_bytes() == (completed_run["out"] / "gbdt.json").read_bytes()
     assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == ["gbdt.json.tmp"]
+
+
+def test_run_pipeline_returns_the_files_run_writes_and_writes_nothing(tmp_path, mini_csv, completed_run, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = cli.run_pipeline(cli.load_run_config(_write_config(tmp_path, mini_csv, tmp_path / "out")))
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]  # not even the out_dir
+    manifest = json.loads((completed_run["out"] / "manifest.json").read_text(encoding="utf-8"))
+    assert list(files) == manifest["artifacts"] + ["manifest.json"]
+    for name, content in files.items():  # through the writer `run` uses
+        cli._write_output(tmp_path / "written" / name, content)
+        assert (tmp_path / "written" / name).read_bytes() == (completed_run["out"] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage, code", [("data", 2), ("train", 3)])
+def test_run_pipeline_failure_raises_its_stage_and_code_and_reaps_the_child(
+    tmp_path, mini_csv, monkeypatch, children, stage, code
+):
+    data, message = _with_bad_cell(tmp_path, mini_csv) if stage == "data" else (mini_csv, "synthetic training failure")
+
+    def boom(*args, **kwargs):  # a bad cell fails before training
+        raise RuntimeError("synthetic training failure")
+
+    monkeypatch.setattr(cli, "train_gbdt", boom)
+    cfg = cli.load_run_config(_write_config(tmp_path, data, tmp_path / "out"))
+    with pytest.raises(cli.StageError) as info:
+        cli.run_pipeline(cfg)
+    assert (info.value.stage, info.value.code) == (stage, code)
+    assert str(info.value).startswith(f"error [{stage}]: ") and message in str(info.value)
+    assert len(children) == 1 and children[0].returncode is not None
+    assert not (tmp_path / "out").exists()
+
+
+def _seed_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_sweep_rows_equal_the_run_manifests_and_reruns_are_byte_identical(
+    tmp_path, mini_csv, completed_run, capsys, children
+):
+    config = _write_config(tmp_path, mini_csv, tmp_path / "unused")
+    assert cli.main(["run", "--config", str(config), "--seed", "11", "--out", str(tmp_path / "run11")]) == 0
+    manifests = {"7": completed_run["out"] / "manifest.json", "11": tmp_path / "run11" / "manifest.json"}
+    capsys.readouterr()
+    sweep = _seed_sweep()
+    outputs = []
+    for _ in range(2):
+        assert sweep.main(["--config", str(config), "--seeds", "7,11"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    header, *_ = outputs[0].splitlines()
+    models = [f"{model}_{part}_auc" for model in ("GBDT", "xDeepFM", "Ensemble") for part in ("validation", "test")]
+    assert header.split(",") == ["seed", "alpha"] + models
+    rows = list(csv.DictReader(io.StringIO(outputs[0])))
+    assert [row["seed"] for row in rows] == ["7", "11"]
+    for row in rows:
+        manifest = json.loads(manifests[row["seed"]].read_text(encoding="utf-8"))
+        expected = {"seed": row["seed"], "alpha": repr(manifest["alpha"])}
+        for part in ("validation", "test"):
+            expected.update((f"{model}_{part}_auc", repr(auc)) for model, auc in manifest[f"{part}_auc"].items())
+        assert row == expected
+    assert not (tmp_path / "unused").exists()
+    assert len(children) == 5 and all(child.returncode == 0 for child in children)
 
 
 def test_write_atomic_keeps_plain_file_mode_and_cleans_up_on_failure(tmp_path):
@@ -761,6 +830,12 @@ def test_importance_k_beyond_feature_count_lists_all(completed_run, capsys):
     assert len(lines) == len(model.feature_names) + 1
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_importance_top_below_1_exits_1_at_config(completed_run, capsys, top):
+    assert cli.main(["importance", "--model", str(completed_run["out"] / "gbdt.json"), "--top", top]) == 1
+    assert capsys.readouterr() == ("", f"error [config]: --top must be at least 1, got {top}\n")
+
+
 def test_importance_rejects_non_gbdt_model(completed_run):
     assert cli.main(["importance", "--model", str(completed_run["out"] / "xdeepfm.json")]) == 2
 
@@ -854,6 +929,7 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         ({**doc["config"], "seed": "x"}, "invalid config: seed"),
         ({**doc["config"], "learning_rate": "0.1"}, "invalid config: learning_rate"),
         ({**doc["config"], "seed": "0"}, "invalid config: seed"),
+        ({**doc["config"], "seed": -1}, {"gbdt.json": "n_trees, max_depth and seed", "xdeepfm.json": "seed"}[model]),
     ]:
         (tmp_path / model).write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
         assert cli.main(args) == 2
@@ -1032,6 +1108,23 @@ def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_
     field, _, value = rest.partition("=")
     expected = f"error [config]: {prefix}: invalid config: {field}: expected a finite number, got {value!r}\n"
     assert capsys.readouterr().err == expected
+    assert children == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "option 'seed' must be non-negative, got -1"),
+        (["--set", "xdfm.seed=-1"], "xdfm: seed must be non-negative"),
+        (["--set", "gbdt.seed=-1"], "gbdt: n_trees, max_depth and seed must be non-negative"),
+        (["--seed", "-1", "--set", "gbdt.seed=0", "--set", "xdfm.seed=0"], "option 'seed' must be non-negative, got -1"),
+    ],
+    ids=["seed", "xdfm.seed", "gbdt.seed", "seed-under-model-seeds"],
+)
+def test_negative_seed_fails_at_config_before_any_child_starts(tmp_path, mini_csv, capsys, children, flags, message):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out)), *flags]) == 1
+    assert capsys.readouterr().err == f"error [config]: {message}\n"
     assert children == [] and not out.exists()
 
 
