@@ -313,16 +313,17 @@ def run_pipeline(cfg: RunConfig) -> dict:
         with _stage("data", EXIT_DATA, DataError):
             full = load_csv(cfg.data_path, cfg.schema)
             train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
-            # validation rows for the blend coefficient never touch model training
+            # validation rows choose the GBDT's tree count and the blend coefficient; test rows neither
             fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
             ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
             dm_val = apply_transform(ft, val)
             dm_test = apply_transform(ft, test)
         with _stage("train", EXIT_TRAIN, Exception):
             network = train_network(dm_train, cfg.xdfm)
-            gbdt_model = train_gbdt(dm_train, cfg.gbdt)  # a GBDT error wins over the network's
+            gbdt_model = train_gbdt(dm_train, cfg.gbdt, dm_val)  # a GBDT error wins over the network's
             xdfm_model = network()
 
+    trees_kept = int(gbdt_model.forest.roots.size)
     reports = {}  # partition -> its evaluate rows, one per model
     with _stage("evaluate", EXIT_TRAIN, Exception):  # the validation partition comes first: alpha is searched on it
         for partition, dm in (("validation", dm_val), ("test", dm_test)):
@@ -343,6 +344,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             format_report_table(reports["validation"]),
             "",
             f"rows: train={dm_train.labels.size} val={dm_val.labels.size} test={dm_test.labels.size}",
+            f"gbdt trees: {trees_kept} kept (n_trees={cfg.gbdt.n_trees} "
+            f"early_stopping_rounds={cfg.gbdt.early_stopping_rounds})",
             "seeds: " + " ".join(f"{name}={seed}" for name, seed in seeds.items()),
             f"format_version: {FORMAT_VERSION}",
         ]
@@ -362,6 +365,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "format_version": FORMAT_VERSION,
         "seeds": seeds,
         "alpha": alpha,
+        "gbdt_trees": trees_kept,
         "validation_auc": {r.model: r.auc for r in reports["validation"]},
         "test_auc": {r.model: r.auc for r in reports["test"]},
         "artifacts": list(files),

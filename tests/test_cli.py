@@ -120,6 +120,30 @@ def test_run_writes_all_artifacts(completed_run):
     (seeds_line,) = [line for line in report if line.startswith("seeds: ")]
     assert seeds_line == "seeds: " + " ".join(f"{name}={seed}" for name, seed in manifest["seeds"].items())
     assert manifest["seeds"] == {"split": 7, "val_split": 8, "gbdt": 7, "xdfm": 7}
+    gbdt_doc = json.loads((out / "gbdt.json").read_text(encoding="utf-8"))
+    assert manifest["gbdt_trees"] == len(gbdt_doc["forest"]["roots"]) == 25  # early stopping is off here
+    assert "gbdt trees: 25 kept (n_trees=25 early_stopping_rounds=0)" in report
+
+
+def test_run_stops_boosting_on_the_validation_rows_and_records_the_trees_kept(tmp_path, mini_csv, monkeypatch):
+    seen = []
+
+    def train_gbdt(dm, cfg, val):
+        seen.append(val.labels.size)
+        return real_train_gbdt(dm, cfg, val)
+
+    real_train_gbdt = cli.train_gbdt
+    monkeypatch.setattr(cli, "train_gbdt", train_gbdt)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, mini_csv, out, extra={"gbdt.early_stopping_rounds": "3"})
+    assert cli.main(["run", "--config", str(config)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    (rows_line,) = [line for line in report.splitlines() if line.startswith("rows: ")]
+    assert seen == [int(rows_line.split("val=")[1].split()[0])]  # the validation rows, not the test rows
+    kept = len(json.loads((out / "gbdt.json").read_text(encoding="utf-8"))["forest"]["roots"])
+    assert manifest["gbdt_trees"] == kept < 25
+    assert f"gbdt trees: {kept} kept (n_trees=25 early_stopping_rounds=3)" in report.splitlines()
 
 
 def test_run_report_lists_three_models(completed_run):
@@ -224,12 +248,12 @@ def test_seed_sweep_rows_equal_the_run_manifests_and_reruns_are_byte_identical(
     assert outputs[0] == outputs[1]
     header, *_ = outputs[0].splitlines()
     models = [f"{model}_{part}_auc" for model in ("GBDT", "xDeepFM", "Ensemble") for part in ("validation", "test")]
-    assert header.split(",") == ["seed", "alpha"] + models
+    assert header.split(",") == ["seed", "alpha", "GBDT_trees"] + models
     rows = list(csv.DictReader(io.StringIO(outputs[0])))
     assert [row["seed"] for row in rows] == ["7", "11"]
     for row in rows:
         manifest = json.loads(manifests[row["seed"]].read_text(encoding="utf-8"))
-        expected = {"seed": row["seed"], "alpha": repr(manifest["alpha"])}
+        expected = {"seed": row["seed"], "alpha": repr(manifest["alpha"]), "GBDT_trees": repr(manifest["gbdt_trees"])}
         for part in ("validation", "test"):
             expected.update((f"{model}_{part}_auc", repr(auc)) for model, auc in manifest[f"{part}_auc"].items())
         assert row == expected
@@ -458,10 +482,10 @@ def test_request_never_blocks_on_a_child_that_is_not_reading(tmp_path, mini_csv,
         os.kill(children[0].pid, signal.SIGSTOP)
         return load_csv(*args, **kwargs)
 
-    def resume_the_child(dm, cfg):  # the request is written by now
+    def resume_the_child(dm, cfg, val):  # the request is written by now
         reached.append(len(pickle.dumps((dm, XDeepFMConfig()), protocol=pickle.HIGHEST_PROTOCOL)))
         os.kill(children[0].pid, signal.SIGCONT)
-        return train_gbdt(dm, cfg)
+        return train_gbdt(dm, cfg, val)
 
     monkeypatch.setattr(cli, "load_csv", after_stopping_the_child)
     monkeypatch.setattr(cli, "train_gbdt", resume_the_child)
@@ -929,7 +953,14 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         ({**doc["config"], "seed": "x"}, "invalid config: seed"),
         ({**doc["config"], "learning_rate": "0.1"}, "invalid config: learning_rate"),
         ({**doc["config"], "seed": "0"}, "invalid config: seed"),
-        ({**doc["config"], "seed": -1}, {"gbdt.json": "n_trees, max_depth and seed", "xdeepfm.json": "seed"}[model]),
+        ({**doc["config"], "seed": -1}, "seed must be non-negative"),
+        (
+            {**doc["config"], "early_stopping_rounds": -1},
+            {
+                "gbdt.json": "early_stopping_rounds must be non-negative, got -1",
+                "xdeepfm.json": "unknown config key 'early_stopping_rounds'",
+            }[model],
+        ),
     ]:
         (tmp_path / model).write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
         assert cli.main(args) == 2
@@ -1116,10 +1147,15 @@ def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_
     [
         (["--seed", "-1"], "option 'seed' must be non-negative, got -1"),
         (["--set", "xdfm.seed=-1"], "xdfm: seed must be non-negative"),
-        (["--set", "gbdt.seed=-1"], "gbdt: n_trees, max_depth and seed must be non-negative"),
+        (["--set", "gbdt.seed=-1"], "gbdt: seed must be non-negative, got -1"),
         (["--seed", "-1", "--set", "gbdt.seed=0", "--set", "xdfm.seed=0"], "option 'seed' must be non-negative, got -1"),
+        (["--set", "gbdt.early_stopping_rounds=-1"], "gbdt: early_stopping_rounds must be non-negative, got -1"),
+        (
+            ["--set", "gbdt.early_stopping_rounds=1.5"],
+            "gbdt: invalid config: early_stopping_rounds: expected an integer, got '1.5'",
+        ),
     ],
-    ids=["seed", "xdfm.seed", "gbdt.seed", "seed-under-model-seeds"],
+    ids=["seed", "xdfm.seed", "gbdt.seed", "seed-under-model-seeds", "early-stopping-negative", "early-stopping-1.5"],
 )
 def test_negative_seed_fails_at_config_before_any_child_starts(tmp_path, mini_csv, capsys, children, flags, message):
     out = tmp_path / "out"
