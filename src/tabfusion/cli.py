@@ -342,10 +342,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "",
             f"Validation metrics (blend coefficient alpha = {alpha!r})",
             format_report_table(reports["validation"]),
+            "These rows chose the GBDT's tree count and alpha, so the GBDT and Ensemble AUCs above read high.",
             "",
             f"rows: train={dm_train.labels.size} val={dm_val.labels.size} test={dm_test.labels.size}",
-            f"gbdt trees: {trees_kept} kept (n_trees={cfg.gbdt.n_trees} "
-            f"early_stopping_rounds={cfg.gbdt.early_stopping_rounds})",
+            f"gbdt trees: {trees_kept} kept of at most n_trees={cfg.gbdt.n_trees}",
             "seeds: " + " ".join(f"{name}={seed}" for name, seed in seeds.items()),
             f"format_version: {FORMAT_VERSION}",
         ]

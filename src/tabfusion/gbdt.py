@@ -43,11 +43,13 @@ from .artifact import read_model_file, write_json
 from .dataset import DesignMatrix
 from .metrics import bce, clip_probs, logit, sigmoid
 
+# with validation rows, boosting stops this many trees after the lowest validation logloss
+_EARLY_STOPPING_ROUNDS = 20
+
 
 @dataclass(frozen=True)
 class GBDTConfig:
     n_trees: int = 200  # the cap, when early stopping is on
-    early_stopping_rounds: int = 0  # 0: off; else stop this many trees after the best validation logloss
     max_depth: int = 4
     learning_rate: float = 0.1
     lambda1: float = 0.0
@@ -58,9 +60,8 @@ class GBDTConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "early_stopping_rounds", "max_depth", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.n_trees < 0 or self.max_depth < 0 or self.seed < 0:
+            raise ValueError("n_trees, max_depth and seed must be non-negative")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0 or self.gamma < 0.0 or self.min_child_hessian < 0.0:
@@ -366,11 +367,12 @@ def _tree_values(tree: Forest, X: np.ndarray) -> np.ndarray:
 def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig(), val: DesignMatrix | None = None) -> GBDTModel:
     """Boost up to cfg.n_trees trees, shrinking each tree's output by learning_rate; validate one forest at the end.
 
-    With ``cfg.early_stopping_rounds`` r > 0, the logloss on the rows of ``val``
-    is read before the first tree and after each one, from margins that add the
-    trees in ``predict_gbdt``'s order. Boosting stops once r trees in a row have
-    not lowered it strictly, and the model keeps the trees up to the lowest
-    logloss, the first such prefix on a tie. ``val`` is not read when r is 0.
+    Without ``val``, the model keeps all cfg.n_trees trees. With ``val``, the
+    logloss on its rows is read before the first tree and after each one, from
+    margins that add the trees in ``predict_gbdt``'s order. Boosting stops once
+    ``_EARLY_STOPPING_ROUNDS`` trees in a row have not lowered it strictly, and
+    the model keeps the trees up to the lowest logloss, the first such prefix
+    on a tie.
     """
     X = dm.dense
     y = dm.labels.astype(np.float64)
@@ -378,19 +380,16 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig(), val: DesignMatr
         raise ValueError("training requires at least one row")
     if y.min() == y.max():
         raise ValueError("training requires both classes to be present")
-    rounds = cfg.early_stopping_rounds
-    if rounds and (val is None or val.labels.size == 0):
-        raise ValueError("early_stopping_rounds needs validation rows")
     base = float(y.mean()) if cfg.base_score is None else cfg.base_score
     raw = np.full(y.size, logit(base))
-    if rounds:
+    if val is not None:
         y_val = val.labels.astype(np.float64)
         raw_val = np.full(y_val.size, logit(base))
-        best_k, best_loss = 0, bce(y_val, sigmoid(raw_val))
+        best_k, best_loss = 0, bce(y_val, sigmoid(raw_val))  # bce rejects an empty val
     ranked = rank_features(X)
     roots, nodes = [], []  # every tree's nodes in one list, so node ids are forest-wide
     for t in range(cfg.n_trees):
-        if rounds and t - best_k >= rounds:
+        if val is not None and t - best_k >= _EARLY_STOPPING_ROUNDS:
             break
         p = clip_probs(sigmoid(raw))
         g, h = grad_hess(y, p)  # every h is positive: p is clipped away from 0 and 1
@@ -400,13 +399,13 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig(), val: DesignMatr
             _grow(ranked, np.arange(y.size), g, h, 0, cfg, nodes, leaves)
         for idx, weight in leaves:  # the rows _walk sends to each leaf, so the margins are predict_gbdt's
             raw[idx] += cfg.learning_rate * weight
-        if rounds:
+        if val is not None:
             root = roots[-1]  # the new tree alone, its node ids counted from its root
             tree = Forest((0,), *zip(*((f, x, gain, r - root, v) for f, x, gain, r, v in nodes[root:])))
             raw_val += cfg.learning_rate * _tree_values(tree, val.dense)
             if (loss := bce(y_val, sigmoid(raw_val))) < best_loss:
                 best_k, best_loss = t + 1, loss
-    if rounds and best_k < len(roots):
+    if val is not None and best_k < len(roots):
         nodes = nodes[: roots[best_k]]
         roots = roots[:best_k]
     forest = Forest(roots, *(zip(*nodes) if nodes else [()] * 5))  # no trees: five empty node arrays

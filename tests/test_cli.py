@@ -120,9 +120,9 @@ def test_run_writes_all_artifacts(completed_run):
     (seeds_line,) = [line for line in report if line.startswith("seeds: ")]
     assert seeds_line == "seeds: " + " ".join(f"{name}={seed}" for name, seed in manifest["seeds"].items())
     assert manifest["seeds"] == {"split": 7, "val_split": 8, "gbdt": 7, "xdfm": 7}
-    gbdt_doc = json.loads((out / "gbdt.json").read_text(encoding="utf-8"))
-    assert manifest["gbdt_trees"] == len(gbdt_doc["forest"]["roots"]) == 25  # early stopping is off here
-    assert "gbdt trees: 25 kept (n_trees=25 early_stopping_rounds=0)" in report
+    kept = len(json.loads((out / "gbdt.json").read_text(encoding="utf-8"))["forest"]["roots"])
+    assert manifest["gbdt_trees"] == kept <= 25
+    assert f"gbdt trees: {kept} kept of at most n_trees=25" in report
 
 
 def test_run_stops_boosting_on_the_validation_rows_and_records_the_trees_kept(tmp_path, mini_csv, monkeypatch):
@@ -135,15 +135,15 @@ def test_run_stops_boosting_on_the_validation_rows_and_records_the_trees_kept(tm
     real_train_gbdt = cli.train_gbdt
     monkeypatch.setattr(cli, "train_gbdt", train_gbdt)
     out = tmp_path / "out"
-    config = _write_config(tmp_path, mini_csv, out, extra={"gbdt.early_stopping_rounds": "3"})
+    config = _write_config(tmp_path, mini_csv, out, extra={"gbdt.n_trees": "80"})  # a cap it stops short of
     assert cli.main(["run", "--config", str(config)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     report = (out / "report.txt").read_text(encoding="utf-8")
     (rows_line,) = [line for line in report.splitlines() if line.startswith("rows: ")]
     assert seen == [int(rows_line.split("val=")[1].split()[0])]  # the validation rows, not the test rows
     kept = len(json.loads((out / "gbdt.json").read_text(encoding="utf-8"))["forest"]["roots"])
-    assert manifest["gbdt_trees"] == kept < 25
-    assert f"gbdt trees: {kept} kept (n_trees=25 early_stopping_rounds=3)" in report.splitlines()
+    assert manifest["gbdt_trees"] == kept < 80
+    assert f"gbdt trees: {kept} kept of at most n_trees=80" in report.splitlines()
 
 
 def test_run_report_lists_three_models(completed_run):
@@ -953,14 +953,7 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         ({**doc["config"], "seed": "x"}, "invalid config: seed"),
         ({**doc["config"], "learning_rate": "0.1"}, "invalid config: learning_rate"),
         ({**doc["config"], "seed": "0"}, "invalid config: seed"),
-        ({**doc["config"], "seed": -1}, "seed must be non-negative"),
-        (
-            {**doc["config"], "early_stopping_rounds": -1},
-            {
-                "gbdt.json": "early_stopping_rounds must be non-negative, got -1",
-                "xdeepfm.json": "unknown config key 'early_stopping_rounds'",
-            }[model],
-        ),
+        ({**doc["config"], "seed": -1}, {"gbdt.json": "n_trees, max_depth and seed", "xdeepfm.json": "seed"}[model]),
     ]:
         (tmp_path / model).write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
         assert cli.main(args) == 2
@@ -1147,15 +1140,10 @@ def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_
     [
         (["--seed", "-1"], "option 'seed' must be non-negative, got -1"),
         (["--set", "xdfm.seed=-1"], "xdfm: seed must be non-negative"),
-        (["--set", "gbdt.seed=-1"], "gbdt: seed must be non-negative, got -1"),
+        (["--set", "gbdt.seed=-1"], "gbdt: n_trees, max_depth and seed must be non-negative"),
         (["--seed", "-1", "--set", "gbdt.seed=0", "--set", "xdfm.seed=0"], "option 'seed' must be non-negative, got -1"),
-        (["--set", "gbdt.early_stopping_rounds=-1"], "gbdt: early_stopping_rounds must be non-negative, got -1"),
-        (
-            ["--set", "gbdt.early_stopping_rounds=1.5"],
-            "gbdt: invalid config: early_stopping_rounds: expected an integer, got '1.5'",
-        ),
     ],
-    ids=["seed", "xdfm.seed", "gbdt.seed", "seed-under-model-seeds", "early-stopping-negative", "early-stopping-1.5"],
+    ids=["seed", "xdfm.seed", "gbdt.seed", "seed-under-model-seeds"],
 )
 def test_negative_seed_fails_at_config_before_any_child_starts(tmp_path, mini_csv, capsys, children, flags, message):
     out = tmp_path / "out"

@@ -522,10 +522,10 @@ def _fit_recording(monkeypatch, dm, cfg, val):
         depths.append(depth)
         return real_grow(ranked, idx, g, h, depth, *rest)
 
-    monkeypatch.setattr(gbdt, "bce", recording_bce)
-    monkeypatch.setattr(gbdt, "_grow", counting_grow)
-    model = train_gbdt(dm, cfg, val)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(gbdt, "bce", recording_bce)
+        m.setattr(gbdt, "_grow", counting_grow)
+        model = train_gbdt(dm, cfg, val)
     return model, losses, depths.count(0)
 
 
@@ -533,7 +533,8 @@ def _check_early_stopping(monkeypatch, dm, cfg, val) -> int:
     """The oracle of early stopping on one fit; returns the number of trees kept."""
     model, losses, grown = _fit_recording(monkeypatch, dm, cfg, val)
     k = model.forest.roots.size
-    full = train_gbdt(dm, replace(cfg, early_stopping_rounds=0)).forest  # val is not read
+    full = train_gbdt(dm, cfg).forest  # without validation rows: all n_trees trees
+    assert full.roots.size == cfg.n_trees
     end = full.roots[k] if k < full.roots.size else full.feature.size
     prefix = Forest(full.roots[:k], *(getattr(full, name)[:end] for name in FOREST_ARRAYS[1:]))
     for name in FOREST_ARRAYS:  # the first k trees of the fit without early stopping, node for node
@@ -541,7 +542,7 @@ def _check_early_stopping(monkeypatch, dm, cfg, val) -> int:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     # losses[t] is the logloss of the first t trees; k is its first minimum
     assert len(losses) == grown + 1 and k == losses.index(min(losses))
-    assert grown == min(cfg.n_trees, k + cfg.early_stopping_rounds)
+    assert grown == min(cfg.n_trees, k + gbdt._EARLY_STOPPING_ROUNDS)
     assert losses[k] == bce(val.labels, predict_gbdt(model, val.dense))  # the margins are predict_gbdt's
     assert model.config == cfg
     return k
@@ -554,13 +555,13 @@ def test_early_stopping_keeps_the_first_trees_of_a_full_fit_up_to_the_lowest_val
     X[:, 1] = rng.integers(0, 3, size=160)
     X[:, 2] = np.round(X[:, 2], 1)
     y = (X[:, 0] + 0.4 * X[:, 1] + 1.5 * rng.normal(size=160) > 0.5).astype(int)  # noisy, so boosting overfits
-    cfg = GBDTConfig(n_trees=40, early_stopping_rounds=int(rng.integers(1, 6)), max_depth=3, learning_rate=0.3)
+    monkeypatch.setattr(gbdt, "_EARLY_STOPPING_ROUNDS", int(rng.integers(1, 6)))  # a short patience, so it stops
+    cfg = GBDTConfig(n_trees=40, max_depth=3, learning_rate=0.3)
     assert _check_early_stopping(monkeypatch, _dm(X[:110], y[:110]), cfg, _dm(X[110:], y[110:])) < cfg.n_trees
 
 
 def test_early_stopping_on_the_stock_split(monkeypatch, stroke_csv):
     cfg = cli.load_run_config(Path(__file__).resolve().parents[1] / "configs" / "stroke.conf", data=stroke_csv)
-    assert cfg.gbdt.early_stopping_rounds == 20
     train_all, _ = stratified_split(load_csv(cfg.data_path, cfg.schema), cfg.test_fraction, cfg.seed)
     fit_rows, val_rows = stratified_split(train_all, cfg.val_fraction, cfg.seed + 1)  # as `run` splits
     ft, dm = fit_transform(fit_rows, cfg.encoding_mode)
@@ -570,29 +571,13 @@ def test_early_stopping_on_the_stock_split(monkeypatch, stroke_csv):
 def test_early_stopping_keeps_the_earlier_prefix_on_a_tie(monkeypatch):
     # one Newton step from base 0.1 brings the gradient sum under lambda1, so every later tree is a zero leaf
     X = np.arange(20.0).reshape(-1, 1)
-    cfg = GBDTConfig(
-        n_trees=50, early_stopping_rounds=4, max_depth=0, learning_rate=1.0, lambda1=4.0, lambda2=0.0, base_score=0.1
-    )
+    cfg = GBDTConfig(n_trees=50, max_depth=0, learning_rate=1.0, lambda1=4.0, lambda2=0.0, base_score=0.1)
     val = _dm(X[:6], [0, 1, 1, 0, 0, 1])
     model, losses, grown = _fit_recording(monkeypatch, _dm(X, [0, 1] * 10), cfg, val)
-    assert losses[1] < losses[0] and losses[1:] == [losses[1]] * 5
-    assert model.forest.roots.size == 1 and grown == 5
+    rounds = gbdt._EARLY_STOPPING_ROUNDS
+    assert losses[1] < losses[0] and losses[1:] == [losses[1]] * (rounds + 1)
+    assert model.forest.roots.size == 1 and grown == rounds + 1
     assert _check_early_stopping(monkeypatch, _dm(X, [0, 1] * 10), cfg, val) == 1
-
-
-def test_early_stopping_requires_validation_rows():
-    dm = _dm(np.arange(10.0).reshape(-1, 1), [0, 1] * 5)
-    cfg = GBDTConfig(n_trees=5, early_stopping_rounds=2)
-    for val in (None, _dm(np.zeros((0, 1)), [])):
-        with pytest.raises(ValueError, match="early_stopping_rounds needs validation rows"):
-            train_gbdt(dm, cfg, val)
-    assert train_gbdt(dm, replace(cfg, early_stopping_rounds=0)).forest.roots.size == 5
-
-
-def test_a_model_file_without_early_stopping_rounds_reads_it_as_0():
-    d = gbdt_to_dict(train_gbdt(_dm(np.arange(8.0).reshape(-1, 2), [0, 1, 0, 1]), GBDTConfig(n_trees=2)))
-    del d["config"]["early_stopping_rounds"]  # as a model file written before the key existed
-    assert gbdt_from_dict(d).config == GBDTConfig(n_trees=2)
 
 
 def test_predict_single_leaf_tree():
