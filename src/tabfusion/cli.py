@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +18,6 @@ import numpy as np
 from .artifact import FORMAT_VERSION, _write_atomic, coerce, config_from_dict, read_model_file, write_json
 from .dataset import (
     DataError,
-    DesignMatrix,
     Schema,
     apply_transform,
     fit_transform,
@@ -40,7 +37,7 @@ from .ensemble import (
 )
 from .gbdt import GBDTConfig, feature_importance, gbdt_from_dict, gbdt_to_dict, predict_gbdt, train_gbdt
 from .metrics import evaluate, format_report_table, roc_curve, roc_points_csv
-from .xdeepfm import XDeepFMConfig, XDeepFMModel, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
+from .xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 from .xdeepfm import _BLOCK_ROWS
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_TRAIN = 0, 1, 2, 3
@@ -231,97 +228,23 @@ def _detail(exc: Exception) -> str:
     return f"missing required field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-@contextlib.contextmanager
-def _network_in_child():
-    """Start a child interpreter to train the network, or fail at stage `train`; yield ``train(dm, cfg)``,
-    which hands it its request and returns a function that waits for the trained network.
-
-    ``train`` writes the request to a file and closes the child's stdin, which the child
-    waits on, so this process never blocks on the child. The child (`_network_child`) runs on
-    one BLAS thread, so it and a GBDT fit here each keep one core busy, and keeps 16 MiB of
-    freed heap, which glibc would otherwise trim and fault back in on every Adam step. Its
-    stderr is this process's stderr. It is killed and reaped on every way out of the block.
-    """
-    import pickle
-    import subprocess
-
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["MALLOC_TRIM_THRESHOLD_"] = str(16 << 20)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    # on a pipe the child would block until this process reads its reply, after the GBDT fit
-    with tempfile.TemporaryFile() as request, tempfile.TemporaryFile() as reply:
-        with _stage("train", EXIT_TRAIN, OSError):
-            proc = subprocess.Popen(
-                [sys.executable, "-c", f"from tabfusion.cli import _network_child; _network_child({request.fileno()})"],
-                stdin=subprocess.PIPE,
-                stdout=reply,
-                env=env,
-                pass_fds=(request.fileno(),),
-            )
-
-        def train(dm: DesignMatrix, cfg: XDeepFMConfig):
-            pickle.dump((dm, cfg), request, protocol=pickle.HIGHEST_PROTOCOL)
-            request.seek(0)  # flushes; the child reads from the shared offset
-            proc.stdin.close()  # the child's cue; closing never blocks, even once the child is gone
-            return result
-
-        def result() -> XDeepFMModel:
-            proc.wait()
-            reply.seek(0)
-            out = reply.read()
-            if proc.returncode != 0:
-                detail = out.decode("utf-8", "replace").strip() or f"training process exited with code {proc.returncode}"
-                raise RuntimeError(f"xDeepFM: {detail}")
-            try:
-                return xdeepfm_from_dict(json.loads(out))
-            except ValueError as exc:
-                raise ValueError(f"xDeepFM: {exc}") from None
-
-        try:
-            yield train
-        finally:
-            proc.kill()  # a no-op once the child has been reaped
-            proc.wait()
-            proc.stdin.close()
-
-
-def _network_child(request_fd: int) -> None:
-    """Child side of `_network_in_child`: once stdin closes, a pickled (DesignMatrix, XDeepFMConfig) in ``request_fd``.
-
-    Writes the trained network's `xdeepfm_to_dict` document to stdout as JSON
-    in one write, or one `Type: message` line, and exits 1 if training fails.
-    """
-    import pickle
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_DFL)  # on Ctrl-C the parent reports; the child just stops
-    sys.stdin.buffer.read()  # returns once the parent has written the request
-    try:
-        dm, cfg = pickle.load(os.fdopen(request_fd, "rb"))
-        doc = xdeepfm_to_dict(train_xdeepfm(dm, cfg))
-    except Exception as exc:
-        print(f"{type(exc).__name__}: {exc}")
-        sys.exit(1)
-    sys.stdout.write(json.dumps(doc))  # json.dump would make one write per token
-
-
 def run_pipeline(cfg: RunConfig) -> dict:
     """All of `run` in memory, or StageError: the run directory's files by name, `manifest.json` last."""
     seeds = {"split": cfg.seed, "val_split": cfg.seed + 1, "gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
-    with _network_in_child() as train_network:  # started first: its start-up overlaps the data stage
-        with _stage("data", EXIT_DATA, DataError):
-            full = load_csv(cfg.data_path, cfg.schema)
-            train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
-            # validation rows choose the GBDT's tree count and the blend coefficient; test rows neither
-            fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
-            ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
-            dm_val = apply_transform(ft, val)
-            dm_test = apply_transform(ft, test)
-        with _stage("train", EXIT_TRAIN, Exception):
-            network = train_network(dm_train, cfg.xdfm)
-            gbdt_model = train_gbdt(dm_train, cfg.gbdt, dm_val)  # a GBDT error wins over the network's
-            xdfm_model = network()
+    with _stage("data", EXIT_DATA, DataError):
+        full = load_csv(cfg.data_path, cfg.schema)
+        train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
+        # validation rows choose the GBDT's tree count and the blend coefficient; test rows neither
+        fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
+        ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
+        dm_val = apply_transform(ft, val)
+        dm_test = apply_transform(ft, test)
+    with _stage("train", EXIT_TRAIN, Exception):
+        gbdt_model = train_gbdt(dm_train, cfg.gbdt, dm_val)
+        try:
+            xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
+        except Exception as exc:  # a network error names its learner; a GBDT error reads as it is
+            raise RuntimeError(f"xDeepFM: {exc}") from exc
 
     trees_kept = int(gbdt_model.forest.roots.size)
     reports = {}  # partition -> its evaluate rows, one per model

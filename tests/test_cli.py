@@ -6,12 +6,9 @@ import io
 import json
 import math
 import os
-import pickle
-import signal
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +18,7 @@ from hypothesis import strategies as st
 
 from tabfusion import cli
 from tabfusion.artifact import coerce, config_from_dict, config_to_dict
-from tabfusion.dataset import apply_transform, fit_transform, load_csv, transform_from_dict
+from tabfusion.dataset import apply_transform, load_csv, transform_from_dict
 from tabfusion.ensemble import BlendConfig, blend, ensemble_from_dict
 from tabfusion.gbdt import GBDTConfig, feature_importance, gbdt_from_dict, predict_gbdt
 from tabfusion.metrics import evaluate, format_report_table, roc_curve, roc_points_csv
@@ -76,21 +73,6 @@ def completed_run(tmp_path_factory, mini_csv):
     config = _write_config(tmp, mini_csv, out)
     assert cli.main(["run", "--config", str(config)]) == 0
     return {"out": out, "config": config, "data": mini_csv}
-
-
-@pytest.fixture
-def children(monkeypatch):
-    """Every process started through subprocess.Popen while the test runs, with the `env` it was given."""
-    started = []
-
-    class Spy(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.env = kwargs.get("env")
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Spy)
-    return started
 
 
 def _read_predictions(path):
@@ -167,18 +149,11 @@ def test_run_search_record_matches_grid(completed_run):
     assert alphas[0] == 0.0 and alphas[-1] == 1.0 and len(alphas) == 101
 
 
-def test_run_is_byte_identical_across_reruns(tmp_path, mini_csv, completed_run, children):
+def test_run_is_byte_identical_across_reruns(tmp_path, mini_csv, completed_run):
     out2 = tmp_path / "out2"
     config2 = _write_config(tmp_path, mini_csv, out2)
     environ = dict(os.environ)
     assert cli.main(["run", "--config", str(config2)]) == 0
-    # the network trained in one child process, which has exited and been reaped
-    assert len(children) == 1 and "_network_child" in children[0].args[-1]
-    assert children[0].returncode == 0
-    # one BLAS thread and a kept heap in the child only
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        assert children[0].env[name] == "1"
-    assert int(children[0].env["MALLOC_TRIM_THRESHOLD_"]) > 0
     assert dict(os.environ) == environ
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json", "report.txt", "predictions.csv"):
         assert (out2 / name).read_bytes() == (completed_run["out"] / name).read_bytes()
@@ -205,9 +180,7 @@ def test_run_pipeline_returns_the_files_run_writes_and_writes_nothing(tmp_path, 
 
 
 @pytest.mark.parametrize("stage, code", [("data", 2), ("train", 3)])
-def test_run_pipeline_failure_raises_its_stage_and_code_and_reaps_the_child(
-    tmp_path, mini_csv, monkeypatch, children, stage, code
-):
+def test_run_pipeline_failure_raises_its_stage_and_code(tmp_path, mini_csv, monkeypatch, stage, code):
     data, message = _with_bad_cell(tmp_path, mini_csv) if stage == "data" else (mini_csv, "synthetic training failure")
 
     def boom(*args, **kwargs):  # a bad cell fails before training
@@ -219,7 +192,6 @@ def test_run_pipeline_failure_raises_its_stage_and_code_and_reaps_the_child(
         cli.run_pipeline(cfg)
     assert (info.value.stage, info.value.code) == (stage, code)
     assert str(info.value).startswith(f"error [{stage}]: ") and message in str(info.value)
-    assert len(children) == 1 and children[0].returncode is not None
     assert not (tmp_path / "out").exists()
 
 
@@ -232,7 +204,7 @@ def _seed_sweep():
 
 
 def test_seed_sweep_rows_equal_the_run_manifests_and_reruns_are_byte_identical(
-    tmp_path, mini_csv, completed_run, capsys, children
+    tmp_path, mini_csv, completed_run, capsys
 ):
     config = _write_config(tmp_path, mini_csv, tmp_path / "unused")
     assert cli.main(["run", "--config", str(config), "--seed", "11", "--out", str(tmp_path / "run11")]) == 0
@@ -258,7 +230,6 @@ def test_seed_sweep_rows_equal_the_run_manifests_and_reruns_are_byte_identical(
             expected.update((f"{model}_{part}_auc", repr(auc)) for model, auc in manifest[f"{part}_auc"].items())
         assert row == expected
     assert not (tmp_path / "unused").exists()
-    assert len(children) == 5 and all(child.returncode == 0 for child in children)
 
 
 def test_write_atomic_keeps_plain_file_mode_and_cleans_up_on_failure(tmp_path):
@@ -288,11 +259,7 @@ def test_run_bad_flag_exits_1():
     assert cli.main(["run", "--no-such-flag"]) == 1
 
 
-def _mini_matrix(mini_csv, stroke_schema):
-    return fit_transform(load_csv(mini_csv, stroke_schema), "one_hot")[1]
-
-
-def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch, capsys, children):
+def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic training failure")
 
@@ -300,71 +267,142 @@ def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch, capsys, c
     config = _write_config(tmp_path, mini_csv, tmp_path / "out")
     assert cli.main(["run", "--config", str(config)]) == 3
     assert capsys.readouterr().err == "error [train]: synthetic training failure\n"
-    assert len(children) == 1 and all(child.returncode is not None for child in children)
 
 
-def test_run_interrupted_during_training_reaps_the_network_child(tmp_path, mini_csv, monkeypatch, children):
+def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monkeypatch, capsys):
+    train_xdeepfm = cli.train_xdeepfm
+
+    def one_class(dm, cfg):  # the GBDT trains on the real labels; only the network fails
+        return train_xdeepfm(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
+
+    monkeypatch.setattr(cli, "train_xdeepfm", one_class)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
+    assert capsys.readouterr().err == "error [train]: xDeepFM: training requires both classes to be present\n"
+    assert not out.exists()
+
+
+def test_network_failure_raises_train_from_the_networks_own_error(tmp_path, mini_csv, monkeypatch):
+    train_xdeepfm = cli.train_xdeepfm
+    monkeypatch.setattr(
+        cli, "train_xdeepfm", lambda dm, cfg: train_xdeepfm(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
+    )
+    with pytest.raises(cli.StageError) as info:
+        cli.run_pipeline(cli.load_run_config(_write_config(tmp_path, mini_csv, tmp_path / "out")))
+    assert (info.value.stage, info.value.code) == ("train", 3)
+    assert str(info.value) == "error [train]: xDeepFM: training requires both classes to be present"
+    assert isinstance(info.value.__cause__.__cause__, ValueError)
+    assert not (tmp_path / "out").exists()
+
+
+def _learner_spies(monkeypatch):
+    """Wrap cli.train_gbdt and cli.train_xdeepfm; each call appends (learner, pid, thread, its arguments)."""
+    calls = []
+    train_gbdt, train_xdeepfm = cli.train_gbdt, cli.train_xdeepfm
+
+    def gbdt(dm, cfg, val):
+        calls.append(("gbdt", os.getpid(), threading.get_ident(), (dm, cfg, val)))
+        return train_gbdt(dm, cfg, val)
+
+    def xdfm(dm, cfg):
+        calls.append(("xdeepfm", os.getpid(), threading.get_ident(), (dm, cfg)))
+        return train_xdeepfm(dm, cfg)
+
+    monkeypatch.setattr(cli, "train_gbdt", gbdt)
+    monkeypatch.setattr(cli, "train_xdeepfm", xdfm)
+    return calls
+
+
+def test_run_trains_the_gbdt_then_the_network_in_this_process(tmp_path, mini_csv, completed_run, monkeypatch):
+    calls = _learner_spies(monkeypatch)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("run started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 0
+    here = (os.getpid(), threading.get_ident())
+    assert [(name, pid, thread) for name, pid, thread, _ in calls] == [("gbdt", *here), ("xdeepfm", *here)]
+    assert (out / "xdeepfm.json").read_bytes() == (completed_run["out"] / "xdeepfm.json").read_bytes()
+
+
+def test_both_learners_fit_the_same_rows_and_only_the_gbdt_reads_the_validation_rows(tmp_path, mini_csv, monkeypatch):
+    calls = _learner_spies(monkeypatch)
+    cfg = cli.load_run_config(_write_config(tmp_path, mini_csv, tmp_path / "out"))
+    files = cli.run_pipeline(cfg)
+    (_, _, _, (dm, gbdt_cfg, val)), (_, _, _, (xdfm_dm, xdfm_cfg)) = calls
+    assert xdfm_dm is dm and (gbdt_cfg, xdfm_cfg) == (cfg.gbdt, cfg.xdfm)
+    assert f"rows: train={dm.labels.size} val={val.labels.size} test=" in files["report.txt"]
+
+
+def test_network_trained_after_the_gbdt_equals_a_network_trained_alone(completed_run, monkeypatch):
+    calls = _learner_spies(monkeypatch)
+    cli.run_pipeline(cli.load_run_config(completed_run["config"]))
+    _, _, _, (dm, cfg) = calls[1]
+    doc = json.loads((completed_run["out"] / "xdeepfm.json").read_text(encoding="utf-8"))
+    del doc["transform"]
+    # json text, not dict equality, so that a 0.0 against a -0.0 would differ too
+    assert json.dumps(doc) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg)))
+
+
+def test_network_warning_during_run_reaches_the_caller(tmp_path, mini_csv, monkeypatch):
+    train_xdeepfm = cli.train_xdeepfm
+
+    def overflowing(dm, cfg):  # Adam's squared gradients overflow to inf
+        return train_xdeepfm(dataclasses.replace(dm, dense=dm.dense * 1e100), cfg)
+
+    monkeypatch.setattr(cli, "train_xdeepfm", overflowing)
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, tmp_path / "out"))]) == 0
+
+
+def test_run_interrupted_during_network_training_writes_nothing(tmp_path, mini_csv, monkeypatch):
+    calls = _learner_spies(monkeypatch)
+
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "train_gbdt", interrupt)
-    config = _write_config(tmp_path, mini_csv, tmp_path / "out")
+    monkeypatch.setattr(cli, "train_xdeepfm", interrupt)
+    out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
-        cli.main(["run", "--config", str(config)])
-    assert len(children) == 1 and all(child.returncode is not None for child in children)
+        cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))])
+    assert [name for name, *_ in calls] == ["gbdt"] and not out.exists()
 
 
-def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monkeypatch, capfd, children):
-    start = cli._network_in_child
+def test_gbdt_failure_never_trains_the_network(tmp_path, mini_csv, monkeypatch, capsys):
+    calls = _learner_spies(monkeypatch)
 
-    @contextlib.contextmanager
-    def one_class():  # the GBDT trains on the real labels; only the network fails
-        with start() as train:
-            yield lambda dm, cfg: train(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic training failure")
 
-    monkeypatch.setattr(cli, "_network_in_child", one_class)
+    monkeypatch.setattr(cli, "train_gbdt", boom)
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, tmp_path / "out"))]) == 3
+    assert capsys.readouterr().err == "error [train]: synthetic training failure\n"
+    assert calls == []
+
+
+def test_run_data_error_trains_neither_learner(tmp_path, mini_csv, monkeypatch, capsys):
+    calls = _learner_spies(monkeypatch)
+    data, message = _with_bad_cell(tmp_path, mini_csv)
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, data, tmp_path / "out"))]) == 2
+    assert capsys.readouterr().err == f"error [data]: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_is_byte_identical_at_one_and_two_blas_threads(tmp_path, completed_run, monkeypatch, threads):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
-    err = capfd.readouterr().err
-    assert err == "error [train]: xDeepFM: ValueError: training requires both classes to be present\n"
-    assert not out.exists()
-    assert len(children) == 1 and children[0].returncode == 1
-
-
-def test_network_reply_never_waits_for_the_gbdt(tmp_path, mini_csv, monkeypatch, children):
-    train_gbdt = cli.train_gbdt
-
-    def after_the_network_child_exits(*args, **kwargs):
-        deadline = time.monotonic() + 60.0
-        while children[0].poll() is None:
-            if time.monotonic() > deadline:
-                raise TimeoutError("the network child did not exit while the GBDT waited")
-            time.sleep(0.02)
-        return train_gbdt(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "train_gbdt", after_the_network_child_exits)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 0
-    doc = json.loads((out / "xdeepfm.json").read_text(encoding="utf-8"))
-    reply = json.dumps(xdeepfm_to_dict(xdeepfm_from_dict(doc)))  # what the child wrote
-    assert len(reply) > 64 * 1024  # more than a pipe buffer holds
-
-
-def test_network_trained_in_child_equals_in_process_training(mini_csv, stroke_schema):
-    dm = _mini_matrix(mini_csv, stroke_schema)
-    cfg = XDeepFMConfig(deep_widths=(16, 8), n_epochs=6, seed=7)
-    with cli._network_in_child() as train:
-        model = train(dm, cfg)()
-    # json text, not dict equality, so that a 0.0 against a -0.0 would differ too
-    assert json.dumps(xdeepfm_to_dict(model)) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg)))
-
-
-def test_network_warning_in_child_reaches_stderr(mini_csv, stroke_schema, capfd):
-    dm = _mini_matrix(mini_csv, stroke_schema)
-    dm = dataclasses.replace(dm, dense=dm.dense * 1e100)  # Adam's squared gradients overflow to inf
-    with cli._network_in_child() as train:
-        train(dm, XDeepFMConfig(n_epochs=1, seed=7))()
-    assert "RuntimeWarning: overflow encountered" in capfd.readouterr().err
+    args = ["run", "--config", str(completed_run["config"]), "--out", str(out)]
+    proc = _tabfusion(args, unbuffered=False, stdout=subprocess.DEVNULL)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    expected = sorted(p.name for p in completed_run["out"].iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (completed_run["out"] / name).read_bytes(), name
 
 
 def _main_within(seconds: float, argv: list) -> int:
@@ -375,20 +413,6 @@ def _main_within(seconds: float, argv: list) -> int:
     thread.join(seconds)
     assert not thread.is_alive(), f"`tabfusion {' '.join(argv)}` did not return within {seconds} s"
     return codes[0]
-
-
-def test_network_child_starts_before_the_data_is_read(tmp_path, mini_csv, monkeypatch, children):
-    load_csv = cli.load_csv
-    started = []
-
-    def after_the_child_starts(*args, **kwargs):
-        started.append(len(children) == 1 and children[0].poll() is None)  # running, waiting for its request
-        return load_csv(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "load_csv", after_the_child_starts)
-    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, tmp_path / "out"))]) == 0
-    assert started == [True]
-    assert len(children) == 1 and children[0].returncode == 0
 
 
 def _with_bad_cell(tmp_path, mini_csv):
@@ -423,7 +447,7 @@ _BROKEN_CSV = ["undecodable byte", "oversized field", "unmatched quote"]
 
 
 @pytest.mark.parametrize("failure", ["missing file", "bad cell", *_BROKEN_CSV])
-def test_run_data_error_exits_2_and_reaps_the_started_child(tmp_path, mini_csv, capsys, children, failure):
+def test_run_data_error_exits_2_within_60_s(tmp_path, mini_csv, capsys, failure):
     if failure == "missing file":
         data, message = tmp_path / "absent.csv", "absent.csv"
     elif failure == "bad cell":
@@ -435,67 +459,6 @@ def test_run_data_error_exits_2_and_reaps_the_started_child(tmp_path, mini_csv, 
     err = capsys.readouterr().err
     assert err.startswith("error [data]: ") and message in err and err.count("\n") == 1
     assert not out.exists()
-    # the child was started before the data stage and never got a request; it is gone
-    assert len(children) == 1 and children[0].returncode is not None
-
-
-def test_network_child_that_dies_before_its_request_exits_3_without_a_hang(
-    tmp_path, mini_csv, monkeypatch, capsys, children
-):
-    fit_transform = cli.fit_transform
-
-    def after_the_child_dies(*args, **kwargs):
-        children[0].kill()
-        children[0].wait()
-        return fit_transform(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "fit_transform", after_the_child_dies)
-    out = tmp_path / "out"
-    assert _main_within(60.0, ["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
-    assert capsys.readouterr().err == "error [train]: xDeepFM: training process exited with code -9\n"
-    assert not out.exists()
-
-
-def test_network_child_that_cannot_start_exits_3_at_train_before_the_data_stage(
-    tmp_path, mini_csv, monkeypatch, capsys
-):
-    def no_process(*args, **kwargs):
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    def never(*args, **kwargs):
-        raise AssertionError("the data stage ran without a network child")
-
-    monkeypatch.setattr(subprocess, "Popen", no_process)
-    monkeypatch.setattr(cli, "load_csv", never)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
-    assert capsys.readouterr().err == "error [train]: [Errno 11] Resource temporarily unavailable\n"
-    assert not out.exists()
-
-
-def test_request_never_blocks_on_a_child_that_is_not_reading(tmp_path, mini_csv, monkeypatch, children):
-    # a stopped child reads nothing; the request (more than a pipe buffer) goes to a file
-    load_csv, train_gbdt = cli.load_csv, cli.train_gbdt
-    reached = []
-
-    def after_stopping_the_child(*args, **kwargs):
-        os.kill(children[0].pid, signal.SIGSTOP)
-        return load_csv(*args, **kwargs)
-
-    def resume_the_child(dm, cfg, val):  # the request is written by now
-        reached.append(len(pickle.dumps((dm, XDeepFMConfig()), protocol=pickle.HIGHEST_PROTOCOL)))
-        os.kill(children[0].pid, signal.SIGCONT)
-        return train_gbdt(dm, cfg, val)
-
-    monkeypatch.setattr(cli, "load_csv", after_stopping_the_child)
-    monkeypatch.setattr(cli, "train_gbdt", resume_the_child)
-    config = _write_config(tmp_path, mini_csv, tmp_path / "out")
-    try:
-        assert _main_within(60.0, ["run", "--config", str(config)]) == 0
-    finally:
-        for child in children:
-            child.kill()
-    assert len(reached) == 1 and reached[0] > 64 * 1024
 
 
 def test_predict_probabilities_in_unit_interval(completed_run, tmp_path):
@@ -1124,7 +1087,7 @@ def test_one_config_rule_for_conf_text_and_json_values():
 
 
 @pytest.mark.parametrize("setting", ["xdfm.learning_rate=inf", "gbdt.lambda2=nan", "blend.grid_step=inf"])
-def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_csv, capsys, children, setting):
+def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_csv, capsys, setting):
     out = tmp_path / "out"
     config = _write_config(tmp_path, mini_csv, out)
     assert cli.main(["run", "--config", str(config), "--set", setting]) == 1
@@ -1132,7 +1095,7 @@ def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_
     field, _, value = rest.partition("=")
     expected = f"error [config]: {prefix}: invalid config: {field}: expected a finite number, got {value!r}\n"
     assert capsys.readouterr().err == expected
-    assert children == [] and not out.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1145,14 +1108,14 @@ def test_non_finite_config_float_fails_at_config_before_training(tmp_path, mini_
     ],
     ids=["seed", "xdfm.seed", "gbdt.seed", "seed-under-model-seeds"],
 )
-def test_negative_seed_fails_at_config_before_any_child_starts(tmp_path, mini_csv, capsys, children, flags, message):
+def test_negative_seed_fails_at_config_before_training(tmp_path, mini_csv, capsys, flags, message):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out)), *flags]) == 1
     assert capsys.readouterr().err == f"error [config]: {message}\n"
-    assert children == [] and not out.exists()
+    assert not out.exists()
 
 
-def test_undecodable_config_exits_1_at_config(tmp_path, mini_csv, capsys, children):
+def test_undecodable_config_exits_1_at_config(tmp_path, mini_csv, capsys):
     out = tmp_path / "out"
     config = _write_config(tmp_path, mini_csv, out)
     lines = config.read_bytes().split(b"\n")
@@ -1162,7 +1125,7 @@ def test_undecodable_config_exits_1_at_config(tmp_path, mini_csv, capsys, childr
         config.write_bytes(prefix + b"\n".join(lines))
         assert cli.main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error [config]: {config}:{lineno}: not UTF-8 text\n"
-    assert children == [] and not out.exists()
+    assert not out.exists()
 
 
 _KV_PIECES = [b"seed", b"data.x", b"=", b" ", b"#", b"\n", b"\r\n", b"\r", b"7", b"\x00", b"\xff", b"\xc3", b"\xc3\xa9"]
