@@ -296,11 +296,19 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return files
 
 
+# A learner whose validation AUC is at most this ranks the rows little better than chance.
+_NEAR_CHANCE_AUC = 0.6
+
+
 def cmd_run(cfg: RunConfig) -> None:
     files = run_pipeline(cfg)
     for name, content in files.items():
         _write_output(cfg.out_dir / name, content)
     sys.stdout.write(files["report.txt"])
+    for learner in ("GBDT", "xDeepFM"):  # the run succeeds, and stderr says which learner it can hardly use
+        auc = files["manifest.json"]["validation_auc"][learner]
+        if auc <= _NEAR_CHANCE_AUC:
+            print(f"warning: {learner} validation AUC {auc:.4f} is near chance", file=sys.stderr)
 
 
 # Rows `predict` and `evaluate` parse, transform and score at a time: whole blocks of

@@ -313,6 +313,7 @@ class DesignMatrix:
     labels: np.ndarray  # (n,) int64 in {0, 1}
     dense_names: tuple[str, ...]
     cat_cardinalities: tuple[int, ...]  # vocab sizes including the reserved OOV index
+    n_onehot: int = 0  # width of dense's one-hot tail, the last n_onehot columns; 0 in label mode
 
 
 def _numeric_values(ds: TabularDataset, columns, positions: Sequence[int], fills: Sequence[float]) -> np.ndarray:
@@ -436,6 +437,7 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
         labels=_labels(columns[plan.target], ft.schema.positive_label),
         dense_names=plan.dense_names,
         cat_cardinalities=plan.cardinalities,
+        n_onehot=len(plan.dense_names) - len(plan.numeric),
     )
 
 

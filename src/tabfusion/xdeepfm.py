@@ -15,6 +15,10 @@ returns one gradient vector of the same layout (its embedding part one
 ``np.bincount``), and an Adam step is a few whole-vector operations.
 ``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the
 network's intermediates stay a few MiB however many rows are scored.
+
+h0's dense part is a design matrix's first ``n_dense`` columns, the numeric and
+binary ones: each categorical enters once, as its embedding, and a one-hot tail
+is the GBDT's alone, which ``forward`` and ``backward`` accept and skip.
 """
 
 from __future__ import annotations
@@ -155,6 +159,7 @@ class XDeepFMModel:
         self.cross_layers = [CrossLayer(next(rest), next(rest), next(rest)) for _ in range(self.config.n_cross_layers)]
         self.deep = DeepNet([DeepLayer(next(rest), next(rest)) for _ in self.config.deep_widths])
         self.head_w, self.head_b = rest
+        self.full_width = self.n_dense + sum(self.vocab_sizes) - n_fields  # with a one-hot column per vocabulary entry
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -252,11 +257,14 @@ def _as_batch(model: XDeepFMModel, cat_idx, dense) -> tuple[np.ndarray, np.ndarr
     n_fields = len(model.vocab_sizes)
     if cat_idx.shape[1] != n_fields:
         raise ValueError(f"expected {n_fields} categorical indices per row, got {cat_idx.shape[1]}")
-    if dense.shape[1] != model.n_dense:
-        raise ValueError(f"expected {model.n_dense} dense features per row, got {dense.shape[1]}")
+    if dense.shape[1] not in (model.n_dense, model.full_width):
+        raise ValueError(
+            f"expected {model.n_dense} dense features per row, or {model.full_width} with the one-hot columns,"
+            f" got {dense.shape[1]}"
+        )
     if cat_idx.shape[0] != dense.shape[0]:
         raise ValueError("categorical and dense batches differ in length")
-    return cat_idx, dense, single
+    return cat_idx, dense[:, : model.n_dense], single
 
 
 # Rows per forward block. 512 to 2,048 rows scored 100,000 rows about equally
@@ -372,8 +380,9 @@ def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDe
         raise ValueError("training requires at least one row")
     if y.min() == y.max():
         raise ValueError("training requires both classes to be present")
+    dense = np.ascontiguousarray(dm.dense[:, : dm.dense.shape[1] - dm.n_onehot])  # the one-hot tail is the GBDT's
     rng = np.random.default_rng(cfg.seed)
-    model = _init_model(rng, tuple(dm.cat_cardinalities), dm.dense.shape[1], cfg)
+    model = _init_model(rng, tuple(dm.cat_cardinalities), dense.shape[1], cfg)
     theta = model.params
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -383,7 +392,7 @@ def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDe
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            g = backward(model, dm.cat_indices[sel], dm.dense[sel], y[sel])
+            g = backward(model, dm.cat_indices[sel], dense[sel], y[sel])
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step

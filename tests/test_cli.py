@@ -25,6 +25,8 @@ from tabfusion.metrics import evaluate, format_report_table, roc_curve, roc_poin
 from tabfusion.synth import write_stroke_csv
 from tabfusion.xdeepfm import XDeepFMConfig, forward, train_xdeepfm, xdeepfm_from_dict, xdeepfm_to_dict
 
+_STOCK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "stroke.conf"
+
 MINI_OVERRIDES = {
     "gbdt.n_trees": "25",
     "gbdt.max_depth": "3",
@@ -230,6 +232,59 @@ def test_seed_sweep_rows_equal_the_run_manifests_and_reruns_are_byte_identical(
             expected.update((f"{model}_{part}_auc", repr(auc)) for model, auc in manifest[f"{part}_auc"].items())
         assert row == expected
     assert not (tmp_path / "unused").exists()
+
+
+@pytest.fixture(scope="module")
+def stock_csv(tmp_path_factory):
+    """The stock data file, as `scripts/make_stroke_data.py` writes it."""
+    path = tmp_path_factory.mktemp("stock") / "stroke.csv"
+    write_stroke_csv(path)
+    return path
+
+
+def _stock_run(tmp_path, stock_csv, capsys, *settings):
+    """`tabfusion run` of the stock config on the stock data: its stderr, manifest and config."""
+    args = ["run", "--config", str(_STOCK_CONFIG), "--data", str(stock_csv), "--out", str(tmp_path / "out")]
+    args += [arg for setting in settings for arg in ("--set", setting)]
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    return err, manifest, cli.load_run_config(_STOCK_CONFIG, settings, data=stock_csv, out_dir=tmp_path / "out")
+
+
+def test_stock_run_prints_nothing_on_stderr(tmp_path, stock_csv, capsys):
+    err, manifest, _ = _stock_run(tmp_path, stock_csv, capsys)
+    assert err == ""
+    assert min(manifest["validation_auc"].values()) > cli._NEAR_CHANCE_AUC
+
+
+def test_run_warns_of_a_network_near_chance_and_still_exits_0(tmp_path, stock_csv, capsys):
+    """A learning rate of 50 leaves the network's parameters finite and its ranking no better than chance."""
+    err, manifest, cfg = _stock_run(tmp_path, stock_csv, capsys, "xdfm.learning_rate=50")
+    auc = manifest["validation_auc"]["xDeepFM"]
+    assert auc <= cli._NEAR_CHANCE_AUC < manifest["validation_auc"]["GBDT"]
+    assert err == f"warning: xDeepFM validation AUC {auc:.4f} is near chance\n"
+    for name, content in cli.run_pipeline(cfg).items():  # the warning is not written into the run directory
+        cli._write_output(tmp_path / "pipeline" / name, content)
+        assert (tmp_path / "pipeline" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "gbdt_auc, xdfm_auc, warned",
+    [(0.6, 0.61, ["GBDT"]), (0.61, 0.6, ["xDeepFM"]), (0.2, 0.5, ["GBDT", "xDeepFM"]), (0.6000001, 0.9, [])],
+)
+def test_run_warns_of_each_learner_whose_validation_auc_is_at_most_the_bound(
+    tmp_path, monkeypatch, capsys, gbdt_auc, xdfm_auc, warned
+):
+    aucs = {"GBDT": gbdt_auc, "xDeepFM": xdfm_auc, "Ensemble": 0.3}  # the blend is not a learner
+    files = {"report.txt": "report\n", "manifest.json": {"validation_auc": aucs}}
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: files)
+    cli.cmd_run(dataclasses.replace(cli.load_run_config(_STOCK_CONFIG), out_dir=tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert captured.out == "report\n"
+    assert captured.err == "".join(f"warning: {name} validation AUC {aucs[name]:.4f} is near chance\n" for name in warned)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "report.txt"]
 
 
 def test_write_atomic_keeps_plain_file_mode_and_cleans_up_on_failure(tmp_path):
@@ -508,6 +563,32 @@ def test_predict_recomposes_from_component_files(completed_run, tmp_path):
         ens_doc["alpha"],
     )
     assert np.array_equal(written, recomposed)
+
+
+def test_predict_scores_a_network_file_that_reads_the_one_hot_columns_as_before(completed_run, tmp_path):
+    """A network written before it dropped the one-hot tail has n_dense equal to the full dense width.
+
+    `predict` scores it alone and in an ensemble, exit 0 and one row per data row, with the
+    probabilities the network gives the whole one-hot matrix.
+    """
+    run = completed_run["out"]
+    doc = json.loads((run / "xdeepfm.json").read_text(encoding="utf-8"))
+    ft = transform_from_dict(doc["transform"])
+    dm = apply_transform(ft, load_csv(completed_run["data"], ft.schema))
+    old = train_xdeepfm(dataclasses.replace(dm, n_onehot=0), xdeepfm_from_dict(doc).config)
+    assert (doc["n_dense"], old.n_dense) == (5, dm.dense.shape[1]) and dm.n_onehot > 0
+    for name in ("gbdt.json", "ensemble.json"):
+        (tmp_path / name).write_bytes((run / name).read_bytes())
+    (tmp_path / "xdeepfm.json").write_text(json.dumps({**xdeepfm_to_dict(old), "transform": doc["transform"]}))
+    p_xdfm = forward(xdeepfm_from_dict(json.loads((tmp_path / "xdeepfm.json").read_text())), dm.cat_indices, dm.dense)
+    alpha = json.loads((run / "ensemble.json").read_text(encoding="utf-8"))["alpha"]
+    p_gbdt = predict_gbdt(gbdt_from_dict(json.loads((run / "gbdt.json").read_text(encoding="utf-8"))), dm.dense)
+    for model, expected in (("xdeepfm.json", p_xdfm), ("ensemble.json", blend(p_gbdt, p_xdfm, alpha))):
+        out_csv = tmp_path / f"{model}.csv"
+        args = ["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"]), "--out", str(out_csv)]
+        assert cli.main(args) == 0
+        written = _read_predictions(out_csv)
+        assert written.size == 700 and np.array_equal(written, expected)
 
 
 def test_predict_zero_tree_model_is_constant(tmp_path, mini_csv):

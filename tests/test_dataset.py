@@ -478,6 +478,17 @@ def test_dataset_rejects_ragged_rows_and_miscounted_row_numbers():
         ragged.columns()
 
 
+@pytest.mark.parametrize("mode, n_onehot", [("one_hot", 16), ("label", 0)])
+def test_apply_sets_the_width_of_the_one_hot_tail(stroke_csv, stroke_schema, mode, n_onehot):
+    """The stock schema's 5 categorical columns take 16 one-hot columns, after its 5 numeric and binary ones."""
+    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema), mode)
+    assert (dm.n_onehot, dm.dense.shape[1]) == (n_onehot, 5 + n_onehot)
+    assert dm.dense_names[:5] == ("age", "hypertension", "heart_disease", "avg_glucose_level", "bmi")
+    assert sum(m - 1 for m in dm.cat_cardinalities) == 16
+    for rows in ((), load_csv(stroke_csv, stroke_schema).rows[:1]):
+        assert apply_transform(ft, TabularDataset(stroke_schema, rows)).n_onehot == n_onehot
+
+
 def test_apply_on_zero_rows_gives_empty_matrices(stroke_csv, stroke_schema):
     ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema))
     empty = apply_transform(ft, TabularDataset(stroke_schema, ()))
@@ -510,6 +521,7 @@ def _per_column_reference(ft, ds):
     cells = dict(zip(ft.schema.column_names, ds.columns()))
     n = ds.n_rows
     blocks, names, indices, cardinalities = [], [], [], []
+    n_onehot = 0
     for name, kind in ft.schema.columns:
         if kind in ("numeric", "binary"):
             fill, mean, std = _stats(ft, name)
@@ -529,20 +541,21 @@ def _per_column_reference(ft, ds):
                         block[i, j - 1] = 1.0
                 blocks.append(block)
                 names.extend(f"{name}={value}" for value in vocab)
+                n_onehot += len(vocab)
     dense = np.hstack(blocks) if blocks else np.zeros((n, 0))
     cat = np.hstack(indices) if indices else np.zeros((n, 0), dtype=np.int64)
     labels = np.array([c == ft.schema.positive_label for c in cells[ft.schema.target]], dtype=np.int64)
-    return dense, cat, labels, tuple(names), tuple(cardinalities)
+    return dense, cat, labels, tuple(names), tuple(cardinalities), n_onehot
 
 
 def _assert_bitwise_equal(dm, expected):
-    dense, cat, labels, names, cardinalities = expected
+    dense, cat, labels, names, cardinalities, n_onehot = expected
     assert dm.dense.dtype == np.float64 and dm.dense.shape == dense.shape
     assert dm.dense.tobytes() == dense.tobytes()  # bit for bit: -0.0 is not 0.0
     assert dm.cat_indices.dtype == np.int64 and dm.cat_indices.shape == cat.shape
     assert np.array_equal(dm.cat_indices, cat)
     assert np.array_equal(dm.labels, labels) and dm.labels.dtype == np.int64
-    assert (dm.dense_names, dm.cat_cardinalities) == (names, cardinalities)
+    assert (dm.dense_names, dm.cat_cardinalities, dm.n_onehot) == (names, cardinalities, n_onehot)
 
 
 def _assert_rows_match_batch(ft, ds, dm):
