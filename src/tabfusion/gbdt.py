@@ -24,16 +24,10 @@ preorder the search grows them in; a model holds all its trees stacked in
 one forest, and ``gbdt.json`` stores those arrays. Prediction walks a block
 of rows through every tree at once, one level per step, and adds the tree
 outputs in boosting order, so it reproduces the training margins bit for bit.
-A large batch is cut into one chunk of whole blocks per usable core, scored
-on threads; each row's sum is the same whatever the cut, so the scores do not
-depend on the core count.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,17 +321,12 @@ def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
     return Forest((0,), *zip(*nodes))
 
 
-# Rows walked through all trees together. Scoring 100,000 rows with 200 trees
-# on two threads (2 vCPUs, NumPy 2.4.6), 128- to 512-row blocks took
-# 0.32-0.43 s, 64-row blocks 0.49 s and 1,024-row blocks 0.48 s. On one
-# thread, 64 to 512 rows took 0.58-0.66 s and 768 or more 0.77-0.80 s.
+# Rows walked through all trees together. Scoring 100,000 rows serially
+# (2 vCPUs, NumPy 2.4.6, median of 11 interleaved calls), 128-, 256-, 512- and
+# 1,024-row blocks took 0.155, 0.132, 0.124 and 0.122 s with 30 trees, and
+# 0.191, 0.171, 0.172 and 0.182 s with 78 trees. A row's sum does not depend
+# on the block size.
 _BLOCK_ROWS = 256
-
-# A batch is cut over threads only if each thread gets at least this many
-# rows, so small batches and single rows stay on the caller's thread. With
-# 200 trees, two threads lost to one at 256 rows each (5.1 vs 4.7 ms) and won
-# from 512 rows each (8.2 vs 9.5 ms; 11.0 vs 16.0 ms at 1,024 rows each).
-_THREAD_MIN_ROWS = 4 * _BLOCK_ROWS
 
 
 def _walk(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -412,19 +401,12 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig(), val: DesignMatr
     return GBDTModel(config=cfg, base_score=base, forest=forest, feature_names=tuple(dm.dense_names))
 
 
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _score_rows(
-    forest: Forest, X: np.ndarray, base: float, rate: float, raw: np.ndarray, lo: int, hi: int
-) -> None:
-    """Write the margins of rows ``lo:hi`` of X into the same rows of ``raw``, block by block."""
-    for start in range(lo, hi, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, hi)
+def _score_rows(forest: Forest, X: np.ndarray, base: float, rate: float) -> np.ndarray:
+    """The margins of the rows of X, block by block."""
+    n = X.shape[0]
+    raw = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
         leaves = _walk(forest, X[start:stop])
         # Row 0 holds the base margin, row t + 1 tree t's shrunk output, so
         # summing down the rows adds the trees in order, as training did.
@@ -435,43 +417,11 @@ def _score_rows(
             raw[start:stop] = np.add.reduce(terms, axis=0)
         else:  # one contiguous column, which reduce would sum pairwise, out of order
             raw[start] = np.add.accumulate(terms[:, 0])[-1]
-
-
-def _score_in_threads(score, n: int, workers: int) -> None:
-    """Call ``score(lo, hi)`` on one contiguous chunk of ``range(n)`` per worker.
-
-    Chunks are cut on block boundaries. The caller's thread scores the first
-    and worker threads the rest; once every chunk is done, the first
-    exception any chunk raised is raised again here.
-    """
-    n_blocks = -(-n // _BLOCK_ROWS)
-    cuts = [min(n_blocks * k // workers * _BLOCK_ROWS, n) for k in range(workers + 1)]
-    errors: list[BaseException] = []
-
-    def score_chunk(lo: int, hi: int) -> None:
-        try:
-            score(lo, hi)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=score_chunk, args=cuts[k : k + 2]) for k in range(1, workers)]
-    for t in threads:
-        t.start()
-    score_chunk(cuts[0], cuts[1])
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    return raw
 
 
 def predict_gbdt(model: GBDTModel, dense) -> np.ndarray:
-    """sigmoid(logit(base) + learning_rate * sum of tree outputs).
-
-    A batch of at least ``2 * _THREAD_MIN_ROWS`` rows is scored in one chunk
-    per usable core (at most one per ``_THREAD_MIN_ROWS`` rows), on threads:
-    NumPy's ``take`` and compare loops release the GIL. Every row's trees are
-    still added in order, so the result does not depend on the core count.
-    """
+    """sigmoid(logit(base) + learning_rate * sum of tree outputs)."""
     X = np.asarray(dense, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ValueError(
@@ -480,16 +430,7 @@ def predict_gbdt(model: GBDTModel, dense) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValueError("feature matrix holds non-finite values")
-    n = X.shape[0]
-    raw = np.empty(n)
-    score = functools.partial(
-        _score_rows, model.forest, X, logit(model.base_score), model.config.learning_rate, raw
-    )
-    workers = min(_usable_cores(), n // _THREAD_MIN_ROWS) if n >= 2 * _THREAD_MIN_ROWS else 1
-    if workers > 1:
-        _score_in_threads(score, n, workers)
-    else:
-        score(0, n)
+    raw = _score_rows(model.forest, X, logit(model.base_score), model.config.learning_rate)
     return np.asarray(sigmoid(raw))
 
 

@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from tabfusion.dataset import DesignMatrix, apply_transform, fit_transform, load
 from tabfusion.gbdt import (
     _BLOCK_ROWS,
     _NODE_IDS,
-    _THREAD_MIN_ROWS,
     FOREST_ARRAYS,
     Forest,
     GBDTConfig,
@@ -653,12 +651,14 @@ def _boosted(n_trees: int = 12):
     return train_gbdt(_dm(X, y), cfg), X
 
 
-def test_predict_batch_equals_row_by_row_bitwise():
+@pytest.mark.parametrize("k", [1, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_predict_batch_equals_row_by_row_bitwise(k):
+    # however the batch is cut (k = 1 is row by row), every row scores the same bits
     model, X = _boosted()
     batch = predict_gbdt(model, X)
-    rows = np.array([predict_gbdt(model, X[i : i + 1])[0] for i in range(X.shape[0])])
+    pieces = [predict_gbdt(model, X[i : i + k]) for i in range(0, X.shape[0], k)]
     assert X.shape[0] > _BLOCK_ROWS
-    assert np.array_equal(batch, rows)
+    assert np.array_equal(np.concatenate(pieces), batch)
 
 
 def test_predict_adds_tree_outputs_in_tree_order_bitwise():
@@ -705,34 +705,6 @@ def _row_by_row(model, X) -> np.ndarray:
     return np.array([predict_gbdt(model, X[i : i + 1])[0] for i in range(X.shape[0])])
 
 
-def test_predict_is_bitwise_equal_for_any_worker_count(monkeypatch):
-    model, _ = _boosted(30)
-    T = _THREAD_MIN_ROWS
-    X = _rows_like_boosted(3 * T + 5, seed=41)
-    expected = _row_by_row(model, X)
-    chunks = []
-    score_rows = gbdt._score_rows
-
-    def recorded(forest, X, base, rate, raw, lo, hi):
-        chunks.append((lo, hi, threading.get_ident()))
-        score_rows(forest, X, base, rate, raw, lo, hi)
-
-    monkeypatch.setattr(gbdt, "_score_rows", recorded)
-    # (rows, usable cores, chunks): around the cutoff, ragged last chunks
-    # (2T + 1 ends in a one-row block), and more cores than chunks
-    cases = [(2 * T - 1, 2, 1), (2 * T, 2, 2), (2 * T + 1, 2, 2), (2 * T + 1, 3, 2), (3 * T + 1, 3, 3)]
-    cases += [(3 * T + 5, 2, 2), (3 * T + 5, 1, 1), (2 * T, 1, 1)]
-    for n, cores, n_chunks in cases:
-        monkeypatch.setattr(gbdt, "_usable_cores", lambda cores=cores: cores)
-        chunks.clear()
-        assert np.array_equal(predict_gbdt(model, X[:n]), expected[:n]), (n, cores)
-        chunks.sort()
-        assert len(chunks) == n_chunks  # the caller scores the first chunk, workers the rest
-        assert [ident == threading.get_ident() for _, _, ident in chunks] == [True] + [False] * (n_chunks - 1)
-        assert chunks[0][0] == 0 and chunks[-1][1] == n
-        assert all(a[1] == b[0] and b[0] % _BLOCK_ROWS == 0 for a, b in zip(chunks, chunks[1:]))
-
-
 def test_predict_last_block_of_one_row_matches_row_by_row_bitwise():
     # NumPy sums a single contiguous column pairwise, not in order; the
     # one-row block must still add the trees one after another.
@@ -746,37 +718,6 @@ def test_predict_last_block_of_one_row_matches_row_by_row_bitwise():
         for tree in trees:
             margin += model.config.learning_rate * _walk_by_hand(tree, row)
         assert p == sigmoid(margin)
-
-
-def test_predict_raises_when_any_chunk_fails(monkeypatch):
-    model, _ = _boosted()
-    X = _rows_like_boosted(2 * _THREAD_MIN_ROWS, seed=47)
-    monkeypatch.setattr(gbdt, "_usable_cores", lambda: 2)
-    walk, threads_before = gbdt._walk, threading.active_count()
-    for failing in ("worker", "caller"):
-        caller = threading.get_ident()
-
-        def walk_or_fail(forest, block, failing=failing, caller=caller):
-            if (threading.get_ident() == caller) == (failing == "caller"):
-                raise RuntimeError(f"{failing} chunk failed")
-            return walk(forest, block)
-
-        monkeypatch.setattr(gbdt, "_walk", walk_or_fail)
-        with pytest.raises(RuntimeError, match=f"{failing} chunk failed"):
-            predict_gbdt(model, X)
-    assert threading.active_count() == threads_before  # every worker was joined
-
-
-def test_small_batches_and_single_rows_start_no_thread(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a small batch must stay on the caller's thread")
-
-    monkeypatch.setattr(gbdt, "_usable_cores", refuse)
-    monkeypatch.setattr(gbdt.threading, "Thread", refuse)
-    model, _ = _boosted()
-    X = _rows_like_boosted(2 * _THREAD_MIN_ROWS - 1, seed=53)
-    assert predict_gbdt(model, X[:1]).shape == (1,)
-    assert predict_gbdt(model, X).shape == (X.shape[0],)
 
 
 def _small_model_dict() -> dict:
