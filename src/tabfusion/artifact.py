@@ -1,5 +1,6 @@
 """The format version of every tabfusion artifact, and its one model-file reader, config rule and writer."""
 
+import base64
 import contextlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 4  # 4: a model file's transform holds the `fill`, `mean`, `std` and `vocabs` lists
+FORMAT_VERSION = 5  # 5: a network's `params` are the base64 text of their little-endian float64 bytes
 
 
 def check_header(d, kind: str | None = None) -> None:
@@ -38,7 +39,7 @@ def read_model_file(path) -> dict:
 
 
 def flat_array(what: str, values, integer: bool = False) -> np.ndarray:
-    """A JSON list or a tuple as a 1-D array of finite numbers (intp if ``integer``, else float64); no bools."""
+    """A JSON list, tuple or array as a 1-D array of finite numbers (intp if ``integer``, else float64); no bools."""
     a = np.asarray(values)
     has_bool = isinstance(values, (list, tuple)) and bool in set(map(type, values))  # [0.5, true] reads as float64
     if has_bool or a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
@@ -46,6 +47,27 @@ def flat_array(what: str, values, integer: bool = False) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} holds non-finite values")
     return a.astype(np.intp if integer else np.float64)
+
+
+def pack_floats(a) -> str:
+    """The base64 text of an array's little-endian float64 bytes, its exact bits; ValueError if any is not finite."""
+    a = np.asarray(a, "<f8")
+    if not np.isfinite(a).all():
+        raise ValueError("cannot write non-finite values")
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def unpack_floats(what: str, text) -> np.ndarray:
+    """The float64 array ``pack_floats`` wrote as ``text``; ValueError, naming ``what``, for any other value."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be base64 text, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{what} is not base64 text: {exc}") from None
+    if len(raw) % 8:
+        raise ValueError(f"{what} holds {len(raw)} bytes, not a whole number of float64 values")
+    return flat_array(what, np.frombuffer(raw, "<f8"))
 
 
 def _integer(value) -> int:

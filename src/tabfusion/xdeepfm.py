@@ -29,8 +29,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, flat_array
-from .artifact import read_model_file, write_json
+from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, pack_floats
+from .artifact import read_model_file, unpack_floats, write_json
 from .dataset import DesignMatrix
 from .metrics import sigmoid
 
@@ -374,7 +374,7 @@ def set_flat_params(model: XDeepFMModel, vec: np.ndarray) -> None:
 
 
 def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDeepFMModel:
-    """Mini-batch Adam on mean BCE; deterministic for a fixed seed."""
+    """Mini-batch Adam on mean BCE; deterministic for a fixed seed. ValueError if an epoch ends non-finite."""
     y = dm.labels.astype(np.float64)
     if y.size == 0:
         raise ValueError("training requires at least one row")
@@ -388,31 +388,34 @@ def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDe
     v = np.zeros_like(theta)
     step = 0
     n = y.size
-    for _ in range(cfg.n_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            g = backward(model, dm.cat_indices[sel], dense[sel], y[sel])
-            step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            theta -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging fit is reported below, not warned of
+        for epoch in range(1, cfg.n_epochs + 1):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                sel = order[start : start + cfg.batch_size]
+                g = backward(model, dm.cat_indices[sel], dense[sel], y[sel])
+                step += 1
+                bias1 = 1.0 - cfg.beta1**step
+                bias2 = 1.0 - cfg.beta2**step
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * g * g
+                theta -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+            if not np.isfinite(theta).all():
+                raise ValueError(f"parameters are not finite after epoch {epoch}")
     return model
 
 
 def xdeepfm_to_dict(model: XDeepFMModel) -> dict:
-    """The model document: the sizes that fix the layout, then ``model.params`` as one list."""
+    """The model document: the sizes that fix the layout, then ``model.params`` as their exact bytes."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": "xdeepfm",
         "config": config_to_dict(model.config),
         "n_dense": model.n_dense,
         "vocab_sizes": [int(m) for m in model.vocab_sizes],  # Python ints, also if built from NumPy ints
-        "params": model.params.tolist(),
+        "params": pack_floats(model.params),
     }
 
 
@@ -425,7 +428,7 @@ def xdeepfm_from_dict(d: dict) -> XDeepFMModel:
         raise ValueError(f"n_dense must be a non-negative integer, got {n_dense!r}")
     if not isinstance(vocab_sizes, list) or any(type(m) is not int or m < 1 for m in vocab_sizes):
         raise ValueError("'vocab_sizes' must be a list of integers >= 1")
-    params = flat_array("'params'", d["params"])
+    params = unpack_floats("'params'", d["params"])
     if 3 * cfg.n_cross_layers > params.size:  # checked first: _shapes lists 3 shapes per cross layer
         raise ValueError(f"'params' has {params.size} entries, too few for {cfg.n_cross_layers} cross layers")
     return XDeepFMModel(cfg, n_dense, tuple(vocab_sizes), params)

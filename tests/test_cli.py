@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabfusion import cli
-from tabfusion.artifact import coerce, config_from_dict, config_to_dict
+from tabfusion.artifact import coerce, config_from_dict, config_to_dict, unpack_floats
 from tabfusion.dataset import apply_transform, load_csv, transform_from_dict
 from tabfusion.ensemble import BlendConfig, blend, ensemble_from_dict
 from tabfusion.gbdt import GBDTConfig, feature_importance, gbdt_from_dict, predict_gbdt
@@ -32,6 +34,7 @@ MINI_OVERRIDES = {
     "gbdt.max_depth": "3",
     "xdfm.n_epochs": "6",
     "xdfm.deep_widths": "16,8",
+    "xdfm.learning_rate": "0.01",  # at the default 0.001, 6 epochs leave the network at chance
 }
 
 
@@ -74,6 +77,9 @@ def completed_run(tmp_path_factory, mini_csv):
     out = tmp / "out"
     config = _write_config(tmp, mini_csv, out)
     assert cli.main(["run", "--config", str(config)]) == 0
+    validation_auc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["validation_auc"]
+    for learner in ("GBDT", "xDeepFM"):  # both learn: a mini run warns of neither
+        assert validation_auc[learner] > cli._NEAR_CHANCE_AUC, (learner, validation_auc)
     return {"out": out, "config": config, "data": mini_csv}
 
 
@@ -270,6 +276,18 @@ def test_run_warns_of_a_network_near_chance_and_still_exits_0(tmp_path, stock_cs
         assert (tmp_path / "pipeline" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
 
+def test_a_diverging_network_fails_at_train_and_writes_nothing(tmp_path, mini_csv):
+    """A learning rate of 1e300 leaves the network's parameters non-finite after its first epoch."""
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, mini_csv, out)
+    args = ["run", "--config", str(config), "--set", "xdfm.learning_rate=1e300"]
+    proc = _tabfusion(args, unbuffered=False, stdout=subprocess.PIPE)
+    stdout, err = proc.communicate(timeout=120)
+    assert (proc.returncode, stdout) == (3, b"")  # no report: the run stops before its files are made
+    assert err == b"error [train]: xDeepFM: parameters are not finite after epoch 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "gbdt_auc, xdfm_auc, warned",
     [(0.6, 0.61, ["GBDT"]), (0.61, 0.6, ["xDeepFM"]), (0.2, 0.5, ["GBDT", "xDeepFM"]), (0.6000001, 0.9, [])],
@@ -402,15 +420,19 @@ def test_network_trained_after_the_gbdt_equals_a_network_trained_alone(completed
     assert json.dumps(doc) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg)))
 
 
-def test_network_warning_during_run_reaches_the_caller(tmp_path, mini_csv, monkeypatch):
+def test_network_overflow_within_a_finite_fit_completes_without_a_warning(tmp_path, mini_csv, monkeypatch):
+    """The fit is judged by its parameters after each epoch, not by the overflows on the way."""
     train_xdeepfm = cli.train_xdeepfm
 
-    def overflowing(dm, cfg):  # Adam's squared gradients overflow to inf
+    def overflowing(dm, cfg):  # Adam's squared gradients overflow to inf; the parameters stay finite
         return train_xdeepfm(dataclasses.replace(dm, dense=dm.dense * 1e100), cfg)
 
     monkeypatch.setattr(cli, "train_xdeepfm", overflowing)
-    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, tmp_path / "out"))]) == 0
+    doc = json.loads((tmp_path / "out" / "xdeepfm.json").read_text(encoding="utf-8"))
+    assert np.isfinite(unpack_floats("'params'", doc["params"])).all()
 
 
 def test_run_interrupted_during_network_training_writes_nothing(tmp_path, mini_csv, monkeypatch):
@@ -636,11 +658,11 @@ def test_predict_rejects_a_version_1_gbdt_file(tmp_path, completed_run, capsys):
     assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [predict]: ")
-    assert "format_version 1" in err and "version 4" in err
+    assert "format_version 1" in err and "version 5" in err
 
 
 def _format_2(name: str, doc: dict) -> dict:
-    """A format-3 gbdt.json or xdeepfm.json document as format version 2 wrote it."""
+    """A gbdt.json or xdeepfm.json document of this build as format version 2 wrote it."""
     if name == "gbdt.json":
         forest = doc["forest"]
         left = [i + 1 if f >= 0 else i for i, f in enumerate(forest["feature"])]
@@ -670,7 +692,7 @@ def test_predict_rejects_a_version_2_model_file(tmp_path, completed_run, capsys,
     assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error [predict]: {old}: unsupported format_version 2 (this build reads version 4)\n"
+        f"error [predict]: {old}: unsupported format_version 2 (this build reads version 5)\n"
     )
     assert captured.out == ""
 
@@ -701,7 +723,25 @@ def test_predict_rejects_a_version_3_model_file(tmp_path, completed_run, capsys,
         assert cli.main(["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"])]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error [predict]: {tmp_path / name}: unsupported format_version 3 (this build reads version 4)\n"
+            f"error [predict]: {tmp_path / name}: unsupported format_version 3 (this build reads version 5)\n"
+        )
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["gbdt.json", "xdeepfm.json", "ensemble.json"])
+def test_predict_rejects_a_version_4_model_file(tmp_path, completed_run, capsys, name):
+    for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
+        (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
+    doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+    doc["format_version"] = 4
+    if name == "xdeepfm.json":  # format 4 wrote the network's parameters as a list of numbers
+        doc["params"] = unpack_floats("'params'", doc["params"]).tolist()
+    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    for model in sorted({name, "ensemble.json"}):  # read alone, and as a component of the ensemble
+        assert cli.main(["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error [predict]: {tmp_path / name}: unsupported format_version 4 (this build reads version 5)\n"
         )
         assert captured.out == ""
 
@@ -1013,11 +1053,19 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
     args = [command, "--model", str(tmp_path / "ensemble.json"), "--data", str(completed_run["data"])]
     args += ["--out", str(out_csv)] if command == "predict" else []
 
-    def huge_cross_weights(d):  # finite, but (c . h) overflows to +inf and -inf in the first cross layer
+    def edit_params(edit):  # edit the list of d["params"] values, then pack them back, non-finite ones too
+        def corrupt(d):
+            values = unpack_floats("'params'", d["params"]).tolist()
+            edit(d, values)
+            d["params"] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+        return corrupt
+
+    def huge_cross_weights(d, values):  # finite, but (c . h) overflows to +inf and -inf in the first cross layer
         k, n_fields, n_dense = d["config"]["embedding_dim"], len(d["vocab_sizes"]), d["n_dense"]
         p = k * n_fields + n_dense
         c = k * sum(d["vocab_sizes"]) + p * p + p  # where the first cross layer's c starts
-        d["params"][c : c + p] = [sys.float_info.max] * p
+        values[c : c + p] = [sys.float_info.max] * p
 
     def swap_refs(d):
         d["gbdt_ref"], d["xdeepfm_ref"] = d["xdeepfm_ref"], d["gbdt_ref"]
@@ -1026,13 +1074,13 @@ def test_malformed_model_parameters_exit_2_without_traceback(tmp_path, completed
         return f"{tmp_path / path}: expected a model file of kind {role!r}, got kind {kind!r}"
 
     for name, corrupt, detail in [
-        ("xdeepfm.json", lambda d: d["params"].__setitem__(-1, float("nan")), "non-finite"),
-        ("xdeepfm.json", lambda d: d["params"].pop(), "'params' has"),
+        ("xdeepfm.json", edit_params(lambda d, v: v.__setitem__(-1, float("nan"))), "non-finite"),
+        ("xdeepfm.json", edit_params(lambda d, v: v.pop()), "'params' has"),
         ("xdeepfm.json", lambda d: d["vocab_sizes"].__setitem__(0, d["vocab_sizes"][0] + 1), "'params' has"),
         ("xdeepfm.json", lambda d: d["vocab_sizes"].__setitem__(0, 0), "vocab_sizes"),
         ("xdeepfm.json", lambda d: d.__setitem__("n_dense", True), "n_dense"),
-        ("xdeepfm.json", lambda d: d.__setitem__("params", [[1.0]]), "'params' must be a flat list"),
-        ("xdeepfm.json", huge_cross_weights, "NaN"),
+        ("xdeepfm.json", lambda d: d.__setitem__("params", [[1.0]]), "'params' must be base64 text"),
+        ("xdeepfm.json", edit_params(huge_cross_weights), "NaN"),
         ("gbdt.json", lambda d: d.__setitem__("base_score", float("nan")), "base_score"),
         ("gbdt.json", lambda d: d.__setitem__("base_score", 1.5), "base_score"),
         ("gbdt.json", lambda d: d.__setitem__("feature_names", 3), "malformed gbdt model file"),

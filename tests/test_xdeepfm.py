@@ -1,8 +1,10 @@
+import base64
 import copy
 import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradients, random_small_model
+from tabfusion.artifact import unpack_floats
 from tabfusion.dataset import DesignMatrix, fit_transform, load_csv
 from tabfusion.xdeepfm import (
     CrossLayer,
@@ -373,7 +376,7 @@ def test_model_is_its_config_sizes_and_params():
     assert np.array_equal(same.params, model.params) and not np.shares_memory(same.params, model.params)
     n = model.params.size
     doc = xdeepfm_to_dict(model)
-    doc["params"].pop()
+    _params(list.pop)(doc)
     message = re.escape(f"'params' has {n - 1} entries, the model needs {n}")
     for build in (lambda: XDeepFMModel(cfg, 2, (3, 4), model.params[:-1]), lambda: xdeepfm_from_dict(doc)):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -471,6 +474,21 @@ def test_train_requires_both_classes():
         train_xdeepfm(bad, XDeepFMConfig())
 
 
+def test_train_fails_at_the_first_epoch_that_leaves_a_parameter_non_finite():
+    """A step of 1e300 leaves the parameters huge but finite; the steps after it overflow.
+
+    The 40 XOR rows make one batch of 256 and five of 8.
+    """
+    dm = xor_design_matrix()
+    cfg = XDeepFMConfig(embedding_dim=3, learning_rate=1e300, n_epochs=3, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow on the way is not warned of
+        for batch_size, epoch in ((8, 1), (256, 2)):
+            with pytest.raises(ValueError, match=f"^parameters are not finite after epoch {epoch}$"):
+                train_xdeepfm(dm, dataclasses.replace(cfg, batch_size=batch_size))
+        assert np.isfinite(train_xdeepfm(dm, dataclasses.replace(cfg, n_epochs=1)).params).all()
+
+
 def test_train_is_deterministic():
     dm = xor_design_matrix()
     cfg = XDeepFMConfig(embedding_dim=3, n_epochs=5, seed=99)
@@ -508,6 +526,22 @@ def _set(path, value):
     return corrupt
 
 
+def _packed(values) -> str:
+    """``values`` as `params` text, the base64 of their little-endian float64 bytes, non-finite ones too."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _params(edit):
+    """A corruption that applies ``edit`` to the list of d["params"] values, then packs them back."""
+
+    def corrupt(d):
+        values = unpack_floats("'params'", d["params"]).tolist()
+        edit(values)
+        d["params"] = _packed(values)
+
+    return corrupt
+
+
 def _small_doc() -> dict:
     cfg = XDeepFMConfig(embedding_dim=2, n_cross_layers=1, deep_widths=(3, 2))
     return json.loads(json.dumps(xdeepfm_to_dict(init_xdeepfm((3, 4), 2, cfg))))
@@ -518,7 +552,8 @@ def test_model_file_holds_the_sizes_and_params_in_order():
     d = xdeepfm_to_dict(model)
     assert list(d) == ["format_version", "kind", "config", "n_dense", "vocab_sizes", "params"]
     assert d["vocab_sizes"] == [3, 3] and d["n_dense"] == 0
-    assert d["params"] == model.params.tolist()  # model.params order: tables, cross, deep, head
+    # model.params order: tables, cross, deep, head, as their little-endian float64 bytes
+    assert base64.b64decode(d["params"], validate=True) == model.params.astype("<f8").tobytes()
     restored = xdeepfm_from_dict(json.loads(json.dumps(d)))
     assert np.array_equal(restored.params, model.params)
     assert restored.config == model.config and restored.vocab_sizes == model.vocab_sizes == (3, 3)
@@ -545,15 +580,15 @@ def test_shapes_give_the_layout_of_params():
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
-        (_set(("params", 0), math.nan), "non-finite"),
-        (_set(("params", -1), math.inf), "non-finite"),
-        (_set(("params", 5), None), "flat list of numbers"),
-        (_set(("params", 3), "0.5"), "flat list of numbers"),
-        (_set(("params", 3), True), "flat list of numbers"),  # NumPy alone would read it as 1.0
-        (_set(("params", 3), [0.5]), "setting an array element"),
-        (_set(("params",), {"a": 1}), "flat list of numbers"),
-        (lambda d: d["params"].pop(), "'params' has"),
-        (lambda d: d["params"].append(0.0), "'params' has"),
+        (_params(lambda v: v.__setitem__(0, math.nan)), "non-finite"),
+        (_params(lambda v: v.__setitem__(-1, math.inf)), "non-finite"),
+        (_set(("params",), None), "'params' must be base64 text"),
+        (_set(("params",), "0.5"), "'params' is not base64 text"),
+        (_set(("params",), True), "'params' must be base64 text"),
+        (lambda d: d.update(params=unpack_floats("'params'", d["params"]).tolist()), "'params' must be base64 text"),
+        (_set(("params",), {"a": 1}), "'params' must be base64 text"),
+        (_params(list.pop), "'params' has"),
+        (_params(lambda v: v.append(0.0)), "'params' has"),
         (_set(("vocab_sizes", 0), 4), "'params' has"),
         (_set(("vocab_sizes", 0), 2**70), "'params' has"),
         (_set(("vocab_sizes", 0), 0), "vocab_sizes"),
@@ -602,6 +637,8 @@ _FUZZ_BATCH = (np.array([[0, 0], [2, 3], [1, 1]]), np.array([[0.5, -1.0], [0.0, 
 @settings(max_examples=300, deadline=None)
 def test_from_dict_fails_closed_on_any_corrupted_entry(name, entry, replacement, drop):
     d = copy.deepcopy(_FUZZ_DOC)
+    if name == "params":  # an entry of the packed list: a number replaces its 8 bytes, anything else the text
+        d["params"] = unpack_floats("'params'", d["params"]).tolist()
     if name == "n_dense":
         container, key = d, "n_dense"
     elif name == "config":
@@ -614,6 +651,8 @@ def test_from_dict_fails_closed_on_any_corrupted_entry(name, entry, replacement,
         del container[key]
     else:
         container[key] = replacement
+    if name == "params" and all(type(v) in (int, float) for v in d["params"]):
+        d["params"] = _packed(d["params"])
     try:
         model = xdeepfm_from_dict(d)
     except (ValueError, KeyError):
@@ -631,7 +670,7 @@ def test_from_dict_fails_closed_on_any_corrupted_entry(name, entry, replacement,
 
 def test_forward_raises_where_a_huge_finite_weight_would_give_nan():
     d = copy.deepcopy(_FUZZ_DOC)
-    d["params"][2] = 1e308  # an embedding entry of field 0; the third row selects it
+    _params(lambda v: v.__setitem__(2, 1e308))(d)  # an embedding entry of field 0; the third row selects it
     model = xdeepfm_from_dict(d)
     assert np.isfinite(forward(model, *(a[:2] for a in _FUZZ_BATCH))).all()
     with pytest.raises(ValueError, match="NaN"), np.errstate(over="ignore", invalid="ignore"):
