@@ -1,5 +1,7 @@
 """Tabular binary classification: boosted trees + embedding/cross/deep net + convex blend."""
 
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before NumPy loads: `run` fits the GBDT on the other core
 from .dataset import (
     DataError,
     DesignMatrix,

@@ -61,8 +61,9 @@ def unpack_floats(what: str, text) -> np.ndarray:
     """The float64 array ``pack_floats`` wrote as ``text``; ValueError, naming ``what``, for any other value."""
     if not isinstance(text, str):
         raise ValueError(f"{what} must be base64 text, got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
+    try:  # only the text b64encode writes: validate=True lets through non-zero bits after the last byte
+        if base64.b64encode(raw := base64.b64decode(text, validate=True)).decode("ascii") != text:
+            raise ValueError("not the canonical encoding of its bytes")
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise ValueError(f"{what} is not base64 text: {exc}") from None
     if len(raw) % 8:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,6 +230,44 @@ def _detail(exc: Exception) -> str:
     return f"missing required field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
+def _train_learners(dm_train, dm_val, cfg: RunConfig):
+    """Fit the GBDT in a forked child while the network trains on this thread; a GBDT error is raised first."""
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader, open(write_end, "wb") as writer:
+        if (pid := os.fork()) == 0:  # pickles (ok, model or exception) into the pipe; os._exit runs no exit handler
+            try:
+                try:
+                    reply = (True, train_gbdt(dm_train, cfg.gbdt, dm_val))
+                except Exception as exc:
+                    reply = (False, exc)
+                writer.write(pickle.dumps(reply))
+                writer.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        writer.close()  # the child's is now the only write end: reading stops when it closes
+        status = xdfm_error = None
+        try:
+            try:
+                xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
+            except Exception as exc:
+                xdfm_error = exc
+            reply, status = reader.read(), os.waitpid(pid, 0)[1]
+        finally:
+            if status is None:  # an interrupt or an error left early: end the child
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if not reply:
+        code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
+        raise RuntimeError(f"GBDT: training process died with {'signal' if code < 0 else 'exit status'} {abs(code)}")
+    ok, gbdt_model = pickle.loads(reply)
+    if not ok:
+        raise gbdt_model
+    if xdfm_error is not None:  # a network error names its learner; a GBDT error reads as it is
+        raise RuntimeError(f"xDeepFM: {xdfm_error}") from xdfm_error
+    return gbdt_model, xdfm_model
+
+
 def run_pipeline(cfg: RunConfig) -> dict:
     """All of `run` in memory, or StageError: the run directory's files by name, `manifest.json` last."""
     seeds = {"split": cfg.seed, "val_split": cfg.seed + 1, "gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
@@ -240,11 +280,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         dm_val = apply_transform(ft, val)
         dm_test = apply_transform(ft, test)
     with _stage("train", EXIT_TRAIN, Exception):
-        gbdt_model = train_gbdt(dm_train, cfg.gbdt, dm_val)
-        try:
-            xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
-        except Exception as exc:  # a network error names its learner; a GBDT error reads as it is
-            raise RuntimeError(f"xDeepFM: {exc}") from exc
+        gbdt_model, xdfm_model = _train_learners(dm_train, dm_val, cfg)
 
     trees_kept = int(gbdt_model.forest.roots.size)
     reports = {}  # partition -> its evaluate rows, one per model

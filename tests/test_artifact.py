@@ -59,6 +59,9 @@ _EIGHT_BYTES = _b64(np.array([0.5]).tobytes())  # "AAAAAAAA4D8="
         (_EIGHT_BYTES + "=", "is not base64 text"),
         ("=" + _EIGHT_BYTES.rstrip("="), "is not base64 text"),
         (_EIGHT_BYTES + _EIGHT_BYTES, "is not base64 text"),
+        # non-zero bits after the last byte: base64 decodes "AAAAAAAAAAB=" to eight zero bytes too
+        ("AAAAAAAAAAB=", "is not base64 text: not the canonical encoding of its bytes"),
+        (_EIGHT_BYTES[:-2] + chr(ord(_EIGHT_BYTES[-2]) + 1) + "=", "is not base64 text: not the canonical"),
         # a byte count that is not a multiple of 8
         (_b64(bytes(7)), "holds 7 bytes, not a whole number of float64 values"),
         (_b64(bytes(9)), "holds 9 bytes, not a whole number of float64 values"),

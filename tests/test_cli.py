@@ -7,9 +7,12 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -116,20 +119,14 @@ def test_run_writes_all_artifacts(completed_run):
 
 
 def test_run_stops_boosting_on_the_validation_rows_and_records_the_trees_kept(tmp_path, mini_csv, monkeypatch):
-    seen = []
-
-    def train_gbdt(dm, cfg, val):
-        seen.append(val.labels.size)
-        return real_train_gbdt(dm, cfg, val)
-
-    real_train_gbdt = cli.train_gbdt
-    monkeypatch.setattr(cli, "train_gbdt", train_gbdt)
+    calls = _learner_spies(monkeypatch, tmp_path)
     out = tmp_path / "out"
     config = _write_config(tmp_path, mini_csv, out, extra={"gbdt.n_trees": "80"})  # a cap it stops short of
     assert cli.main(["run", "--config", str(config)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     report = (out / "report.txt").read_text(encoding="utf-8")
     (rows_line,) = [line for line in report.splitlines() if line.startswith("rows: ")]
+    seen = [args[2].labels.size for name, _, _, args in calls() if name == "gbdt"]
     assert seen == [int(rows_line.split("val=")[1].split()[0])]  # the validation rows, not the test rows
     kept = len(json.loads((out / "gbdt.json").read_text(encoding="utf-8"))["forest"]["roots"])
     assert manifest["gbdt_trees"] == kept < 80
@@ -353,6 +350,7 @@ def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monke
     assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
     assert capsys.readouterr().err == "error [train]: xDeepFM: training requires both classes to be present\n"
     assert not out.exists()
+    _assert_no_child_process()
 
 
 def test_network_failure_raises_train_from_the_networks_own_error(tmp_path, mini_csv, monkeypatch):
@@ -368,52 +366,86 @@ def test_network_failure_raises_train_from_the_networks_own_error(tmp_path, mini
     assert not (tmp_path / "out").exists()
 
 
-def _learner_spies(monkeypatch):
-    """Wrap cli.train_gbdt and cli.train_xdeepfm; each call appends (learner, pid, thread, its arguments)."""
-    calls = []
+def _learner_spies(monkeypatch, tmp_path):
+    """Wrap cli.train_gbdt and cli.train_xdeepfm; each call appends (learner, pid, thread, its arguments)
+    to a file, so that a call in a forked child is recorded too. Returns a reader of the calls so far."""
+    log = tmp_path / "learner_calls.pickle"
     train_gbdt, train_xdeepfm = cli.train_gbdt, cli.train_xdeepfm
 
+    def record(learner, *args):
+        with log.open("ab") as fh:  # one write per call: the child's and the parent's do not interleave
+            fh.write(pickle.dumps((learner, os.getpid(), threading.get_ident(), args)))
+
     def gbdt(dm, cfg, val):
-        calls.append(("gbdt", os.getpid(), threading.get_ident(), (dm, cfg, val)))
+        record("gbdt", dm, cfg, val)
         return train_gbdt(dm, cfg, val)
 
     def xdfm(dm, cfg):
-        calls.append(("xdeepfm", os.getpid(), threading.get_ident(), (dm, cfg)))
+        record("xdeepfm", dm, cfg)
         return train_xdeepfm(dm, cfg)
 
     monkeypatch.setattr(cli, "train_gbdt", gbdt)
     monkeypatch.setattr(cli, "train_xdeepfm", xdfm)
+
+    def calls():
+        if not log.exists():
+            return []
+        with log.open("rb") as fh:
+            return [pickle.load(fh) for _ in iter(lambda: fh.peek(1), b"")]
+
     return calls
 
 
-def test_run_trains_the_gbdt_then_the_network_in_this_process(tmp_path, mini_csv, completed_run, monkeypatch):
-    calls = _learner_spies(monkeypatch)
+def _assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_fits_the_gbdt_in_one_forked_child_and_the_network_on_this_thread(
+    tmp_path, mini_csv, completed_run, monkeypatch
+):
+    calls = _learner_spies(monkeypatch, tmp_path)
+    forked = []
+    fork = os.fork
+
+    def spy_fork():
+        pid = fork()
+        if pid:  # the parent's record: the child's pid
+            forked.append(pid)
+        return pid
 
     def no_process(*args, **kwargs):
-        raise AssertionError("run started a process")
+        raise AssertionError("run started a process other than its one fork")
 
+    monkeypatch.setattr(os, "fork", spy_fork)
     monkeypatch.setattr(subprocess, "Popen", no_process)
-    monkeypatch.setattr(os, "fork", no_process)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 0
+    (child,) = forked
     here = (os.getpid(), threading.get_ident())
-    assert [(name, pid, thread) for name, pid, thread, _ in calls] == [("gbdt", *here), ("xdeepfm", *here)]
-    assert (out / "xdeepfm.json").read_bytes() == (completed_run["out"] / "xdeepfm.json").read_bytes()
+    assert sorted((name, pid) for name, pid, _, _ in calls()) == [("gbdt", child), ("xdeepfm", here[0])]
+    assert [(pid, thread) for name, pid, thread, _ in calls() if name == "xdeepfm"] == [here]
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in completed_run["out"].iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (completed_run["out"] / path.name).read_bytes(), path.name
+    _assert_no_child_process()
 
 
 def test_both_learners_fit_the_same_rows_and_only_the_gbdt_reads_the_validation_rows(tmp_path, mini_csv, monkeypatch):
-    calls = _learner_spies(monkeypatch)
+    calls = _learner_spies(monkeypatch, tmp_path)
     cfg = cli.load_run_config(_write_config(tmp_path, mini_csv, tmp_path / "out"))
     files = cli.run_pipeline(cfg)
-    (_, _, _, (dm, gbdt_cfg, val)), (_, _, _, (xdfm_dm, xdfm_cfg)) = calls
-    assert xdfm_dm is dm and (gbdt_cfg, xdfm_cfg) == (cfg.gbdt, cfg.xdfm)
+    args = {name: args for name, _, _, args in calls()}
+    (dm, gbdt_cfg, val), (xdfm_dm, xdfm_cfg) = args["gbdt"], args["xdeepfm"]
+    assert pickle.dumps(xdfm_dm) == pickle.dumps(dm) and (gbdt_cfg, xdfm_cfg) == (cfg.gbdt, cfg.xdfm)
     assert f"rows: train={dm.labels.size} val={val.labels.size} test=" in files["report.txt"]
 
 
-def test_network_trained_after_the_gbdt_equals_a_network_trained_alone(completed_run, monkeypatch):
-    calls = _learner_spies(monkeypatch)
+def test_network_trained_beside_the_gbdt_equals_a_network_trained_alone(tmp_path, completed_run, monkeypatch):
+    calls = _learner_spies(monkeypatch, tmp_path)
     cli.run_pipeline(cli.load_run_config(completed_run["config"]))
-    _, _, _, (dm, cfg) = calls[1]
+    ((dm, cfg),) = [args for name, _, _, args in calls() if name == "xdeepfm"]
     doc = json.loads((completed_run["out"] / "xdeepfm.json").read_text(encoding="utf-8"))
     del doc["transform"]
     # json text, not dict equality, so that a 0.0 against a -0.0 would differ too
@@ -435,37 +467,85 @@ def test_network_overflow_within_a_finite_fit_completes_without_a_warning(tmp_pa
     assert np.isfinite(unpack_floats("'params'", doc["params"])).all()
 
 
-def test_run_interrupted_during_network_training_writes_nothing(tmp_path, mini_csv, monkeypatch):
-    calls = _learner_spies(monkeypatch)
+def test_run_interrupted_during_network_training_kills_the_gbdt_child_and_writes_nothing(
+    tmp_path, mini_csv, monkeypatch
+):
+    train_gbdt = cli.train_gbdt
+
+    def slow_gbdt(*args):  # still fitting when the network is interrupted, unless it is killed
+        train_gbdt(*args)
+        time.sleep(120)
 
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
+    monkeypatch.setattr(cli, "train_gbdt", slow_gbdt)
     monkeypatch.setattr(cli, "train_xdeepfm", interrupt)
     out = tmp_path / "out"
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))])
-    assert [name for name, *_ in calls] == ["gbdt"] and not out.exists()
+    assert time.monotonic() - start < 60 and not out.exists()  # the run did not wait for the GBDT
+    _assert_no_child_process()
 
 
-def test_gbdt_failure_never_trains_the_network(tmp_path, mini_csv, monkeypatch, capsys):
-    calls = _learner_spies(monkeypatch)
-
+def test_gbdt_error_is_reported_before_a_network_error(tmp_path, mini_csv, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic training failure")
 
+    def network_boom(*args, **kwargs):
+        raise RuntimeError("synthetic network failure")
+
     monkeypatch.setattr(cli, "train_gbdt", boom)
-    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, tmp_path / "out"))]) == 3
+    monkeypatch.setattr(cli, "train_xdeepfm", network_boom)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
     assert capsys.readouterr().err == "error [train]: synthetic training failure\n"
-    assert calls == []
+    assert not out.exists()
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize(
+    "death, detail",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(7), "exit status 7"),
+    ],
+    ids=["SIGKILL", "exit 7"],
+)
+def test_a_gbdt_child_that_dies_without_a_reply_fails_at_train_and_writes_nothing(
+    tmp_path, mini_csv, monkeypatch, capsys, death, detail
+):
+    monkeypatch.setattr(cli, "train_gbdt", lambda *args: death())  # runs in the child only
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
+    assert capsys.readouterr().err == f"error [train]: GBDT: training process died with {detail}\n"
+    assert not out.exists()
+    _assert_no_child_process()
+
+
+def test_the_gbdt_child_runs_no_exit_handler_and_flushes_no_buffer_of_the_caller(tmp_path, mini_csv):
+    """The child ends with os._exit: text the caller left in its stdout buffer and its atexit handlers show once."""
+    config = _write_config(tmp_path, mini_csv, tmp_path / "out")
+    code = (
+        "import atexit, sys; from tabfusion import cli;"
+        "atexit.register(lambda: print('exit handler'));"
+        "print('buffered before run');"
+        f"sys.exit(cli.main(['run', '--config', {str(config)!r}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_source_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = proc.stdout.decode("utf-8").splitlines()
+    assert (lines.count("buffered before run"), lines.count("exit handler")) == (1, 1)
+    assert lines[0] == "buffered before run" and lines[-1] == "exit handler"
 
 
 def test_run_data_error_trains_neither_learner(tmp_path, mini_csv, monkeypatch, capsys):
-    calls = _learner_spies(monkeypatch)
+    calls = _learner_spies(monkeypatch, tmp_path)
     data, message = _with_bad_cell(tmp_path, mini_csv)
     assert cli.main(["run", "--config", str(_write_config(tmp_path, data, tmp_path / "out"))]) == 2
     assert capsys.readouterr().err == f"error [data]: {message}\n"
-    assert calls == []
+    assert calls() == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -480,6 +560,19 @@ def test_run_is_byte_identical_at_one_and_two_blas_threads(tmp_path, completed_r
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (completed_run["out"] / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts the threads in /proc/self/task")
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_importing_tabfusion_sets_one_blas_thread_unless_the_caller_set_a_number(caller):
+    code = "import os, tabfusion; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_source_env(OPENBLAS_NUM_THREADS=caller), capture_output=True, timeout=60
+    )
+    value, threads = proc.stdout.decode("ascii").split()
+    assert (proc.returncode, value) == (0, caller or "1")
+    if caller is None:  # NumPy loaded after the setting: OpenBLAS started no thread of its own
+        assert threads == "1"
 
 
 def _main_within(seconds: float, argv: list) -> int:
@@ -1304,13 +1397,17 @@ def test_stock_config_parses_through_the_one_rule(tmp_path):
     assert cfg.gbdt.seed == cfg.xdfm.seed == cfg.seed == 7  # the run seed, unless gbdt.seed/xdfm.seed is set
 
 
+def _source_env(**settings) -> dict:
+    """This environment for a Python child that imports this source tree, with stdout buffered, plus ``settings``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items() if name not in ("PYTHONUNBUFFERED", *settings)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **{name: value for name, value in settings.items() if value is not None}}
+
+
 def _tabfusion(args, unbuffered: bool, **kwargs) -> subprocess.Popen:
     """`python -m tabfusion args` from this source tree, with stdout unbuffered or not."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = _source_env(PYTHONUNBUFFERED="1" if unbuffered else None)
     return subprocess.Popen([sys.executable, "-m", "tabfusion", *args], env=env, stderr=subprocess.PIPE, **kwargs)
 
 
