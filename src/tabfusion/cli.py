@@ -22,6 +22,7 @@ from .dataset import (
     DataError,
     Schema,
     apply_transform,
+    csv_split,
     fit_transform,
     load_csv,
     read_csv_chunks,
@@ -220,24 +221,30 @@ def _write_stdout(text: str) -> None:
         data = data[buffer.write(data) :]
 
 
+def _prediction_lines(probs: np.ndarray, start: int = 0) -> str:
+    """One `row_id,probability` line per probability, row ids counted from ``start``."""
+    return "".join(f"{i},{p!r}\n" for i, p in enumerate(probs.tolist(), start))
+
+
 def _predictions_csv(probs: np.ndarray) -> str:
-    lines = ["row_id,probability"]
-    lines += [f"{i},{p!r}" for i, p in enumerate(probs.tolist())]
-    return "\n".join(lines) + "\n"
+    return "row_id,probability\n" + _prediction_lines(probs)
 
 
 def _detail(exc: Exception) -> str:
     return f"missing required field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _train_learners(dm_train, dm_val, cfg: RunConfig):
-    """Fit the GBDT in a forked child while the network trains on this thread; a GBDT error is raised first."""
+@contextlib.contextmanager
+def _forked(work, name: str):
+    """Run ``work()`` in a forked child while the block runs. The block gets a function that waits for the
+    child and returns what ``work`` returned or raises what it raised; a block left before that kills the
+    child. The child is always reaped."""
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as reader, open(write_end, "wb") as writer:
-        if (pid := os.fork()) == 0:  # pickles (ok, model or exception) into the pipe; os._exit runs no exit handler
+        if (pid := os.fork()) == 0:  # pickles (ok, value or exception) into the pipe; os._exit runs no exit handler
             try:
                 try:
-                    reply = (True, train_gbdt(dm_train, cfg.gbdt, dm_val))
+                    reply = (True, work())
                 except Exception as exc:
                     reply = (False, exc)
                 writer.write(pickle.dumps(reply))
@@ -246,23 +253,36 @@ def _train_learners(dm_train, dm_val, cfg: RunConfig):
             finally:
                 os._exit(1)
         writer.close()  # the child's is now the only write end: reading stops when it closes
-        status = xdfm_error = None
-        try:
-            try:
-                xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
-            except Exception as exc:
-                xdfm_error = exc
+        status = None
+
+        def result():
+            nonlocal status
             reply, status = reader.read(), os.waitpid(pid, 0)[1]
+            if not reply:
+                code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
+                raise ChildProcessError(f"{name} died with {'signal' if code < 0 else 'exit status'} {abs(code)}")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield result
         finally:
             if status is None:  # an interrupt or an error left early: end the child
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    if not reply:
-        code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
-        raise RuntimeError(f"GBDT: training process died with {'signal' if code < 0 else 'exit status'} {abs(code)}")
-    ok, gbdt_model = pickle.loads(reply)
-    if not ok:
-        raise gbdt_model
+
+
+def _train_learners(dm_train, dm_val, cfg: RunConfig):
+    """Fit the GBDT in a forked child while the network trains on this thread; a GBDT error is raised first."""
+    with _forked(lambda: train_gbdt(dm_train, cfg.gbdt, dm_val), "GBDT: training process") as gbdt_result:
+        xdfm_error = None
+        try:
+            xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
+        except Exception as exc:
+            xdfm_error = exc
+        gbdt_model = gbdt_result()
     if xdfm_error is not None:  # a network error names its learner; a GBDT error reads as it is
         raise RuntimeError(f"xDeepFM: {xdfm_error}") from xdfm_error
     return gbdt_model, xdfm_model
@@ -353,26 +373,32 @@ def cmd_run(cfg: RunConfig) -> None:
 _CHUNK_ROWS = 16 * _BLOCK_ROWS
 
 
-def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    """The model's kind, and its probabilities and the 0/1 labels of every row of data_path.
+def _predict_from_file(model_path: Path, data_path: Path, keep) -> tuple[str, list]:
+    """The model's kind, and ``keep(probs, labels, start)`` of each part of the rows of data_path, in row
+    order: the probabilities and 0/1 labels of a part's rows, and the 0-based index of its first row.
 
     A lone model file is read by its own kind; an ensemble's components by their role, so its
     `gbdt_ref` must name a gbdt file and its `xdeepfm_ref` an xdeepfm file, and an error in a
     component names its file. The CSV is read in chunks of `_CHUNK_ROWS` rows, one pass per
     schema; each chunk is scored by both components, each distinct fitted transform applied
     once (a run writes the same one into both), and only the probabilities and labels are kept.
+
+    On two or more CPUs, a file that `csv_split` can cut at a chunk boundary is read as two
+    parts: this process scores the first and a forked child the second, each reading only its
+    own rows. The chunks are one reader's, so the bytes are the same, and so is the error
+    reported: the one a single pass meets first.
     """
     d = read_model_file(model_path)
     kind = d.get("kind")
-    parts = [(kind, model_path, d)]  # (role, path, document)
+    files = [(kind, model_path, d)]  # (role, path, document)
     if kind == "ensemble":
         ens = ensemble_from_dict(d)
         refs = (("gbdt", ens.gbdt_ref), ("xdeepfm", ens.xdeepfm_ref))
-        parts = [(role, model_path.parent / ref, read_model_file(model_path.parent / ref)) for role, ref in refs]
+        files = [(role, model_path.parent / ref, read_model_file(model_path.parent / ref)) for role, ref in refs]
     elif kind not in ("gbdt", "xdeepfm"):
         raise DataError(f"{model_path}: unknown model kind {kind!r}")
-    models = []  # (role, model, fitted transform) of each part
-    for role, path, doc in parts:
+    models = []  # (role, model, fitted transform) of each file
+    for role, path, doc in files:
         try:
             model = gbdt_from_dict(doc) if role == "gbdt" else xdeepfm_from_dict(doc)  # each checks the kind
             ft = transform_from_dict(doc["transform"]) if "transform" in doc else None
@@ -383,28 +409,48 @@ def _predict_from_file(model_path: Path, data_path: Path) -> tuple[str, np.ndarr
         if ft is None:
             raise DataError(f"{path}: model file carries no fitted transform")
         models.append((role, model, ft))
-    schemas = list(dict.fromkeys(ft.schema for _, _, ft in models))
-    readers = [read_csv_chunks(data_path, schema, _CHUNK_ROWS, _BLOCK_ROWS) for schema in schemas]
-    probs, labels = [], []
-    for chunks in zip(*readers):  # the same file rows under each schema
-        datasets = dict(zip(schemas, chunks))
-        matrices = {ft: apply_transform(ft, datasets[ft.schema]) for ft in dict.fromkeys(ft for _, _, ft in models)}
-        scores = [
-            predict_gbdt(model, matrices[ft].dense)
-            if role == "gbdt"
-            else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
-            for role, model, ft in models
-        ]
-        probs.append(blend(scores[0], scores[1], ens.alpha) if kind == "ensemble" else scores[0])
-        labels.append(matrices[models[0][2]].labels)
-        del chunks, datasets, matrices  # before the next chunk is read
-    return kind, np.concatenate(probs), np.concatenate(labels)
+    transforms = list(dict.fromkeys(ft for _, _, ft in models))
+    schemas = list(dict.fromkeys(ft.schema for ft in transforms))
+
+    def score(part=(0, 1, None), then=None):
+        """keep() of the rows of `part`, as read_csv_chunks reads it; `then`: (offset, first) of the part that
+        follows."""
+        readers = [read_csv_chunks(data_path, schema, _CHUNK_ROWS, _BLOCK_ROWS, part) for schema in schemas]
+        probs, labels = [], []
+        for chunks in zip(*readers):  # the same file rows under each schema
+            try:
+                datasets = dict(zip(schemas, chunks))
+                matrices = {ft: apply_transform(ft, datasets[ft.schema]) for ft in transforms}
+                scores = [
+                    predict_gbdt(model, matrices[ft].dense)
+                    if role == "gbdt"
+                    else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
+                    for role, model, ft in models
+                ]
+            except Exception:
+                # one pass reads min_rows rows past a chunk before scoring it: an error there comes first
+                if then and chunks[0].row_numbers.stop == then[1]:
+                    for _ in read_csv_chunks(data_path, schemas[0], None, 1, (*then, _BLOCK_ROWS)):
+                        pass
+                raise
+            probs.append(blend(scores[0], scores[1], ens.alpha) if kind == "ensemble" else scores[0])
+            labels.append(matrices[models[0][2]].labels)
+            del chunks, datasets, matrices  # before the next chunk is read
+        return keep(np.concatenate(probs), np.concatenate(labels), part[1] - 1)
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    split = len(cpus) > 1 and csv_split(data_path, _CHUNK_ROWS, _BLOCK_ROWS)
+    if not split:  # on one CPU, a second process only slows the first down
+        return kind, [score()]
+    offset, rows = split
+    with _forked(lambda: score((offset, rows + 1, None)), "scoring process") as second:
+        return kind, [score((0, 1, rows), then=(offset, rows + 1)), second()]
 
 
 def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> None:
-    with _stage("predict", EXIT_DATA, (ValueError, KeyError)):
-        _, probs, _ = _predict_from_file(model_path, data_path)
-    text = _predictions_csv(probs)
+    with _stage("predict", EXIT_DATA, (ValueError, KeyError, ChildProcessError)):
+        _, parts = _predict_from_file(model_path, data_path, lambda probs, _, start: _prediction_lines(probs, start))
+    text = "row_id,probability\n" + "".join(parts)
     if out_path is None:
         _write_stdout(text)
     else:
@@ -425,8 +471,9 @@ def cmd_importance(model_path: Path, top_k: int) -> None:
 
 
 def cmd_evaluate(model_path: Path, data_path: Path, name: str | None, roc_out: Path | None) -> None:
-    with _stage("evaluate", EXIT_DATA, (ValueError, KeyError)):
-        kind, probs, labels = _predict_from_file(model_path, data_path)
+    with _stage("evaluate", EXIT_DATA, (ValueError, KeyError, ChildProcessError)):
+        kind, parts = _predict_from_file(model_path, data_path, lambda probs, labels, _: (probs, labels))
+        probs, labels = (np.concatenate(arrays) for arrays in zip(*parts))
         report = evaluate(name or kind, labels, probs)
     print(format_report_table([report]))
     print(f"n: {report.n}  positives: {report.positives}")

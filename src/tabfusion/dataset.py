@@ -30,7 +30,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -126,7 +126,9 @@ def load_csv(path, schema: Schema) -> TabularDataset:
     return ds
 
 
-def read_csv_chunks(path, schema: Schema, chunk_rows: int | None = None, min_rows: int = 1) -> Iterator[TabularDataset]:
+def read_csv_chunks(
+    path, schema: Schema, chunk_rows: int | None = None, min_rows: int = 1, part: tuple = (0, 1, None)
+) -> Iterator[TabularDataset]:
     """``load_csv``'s rows as consecutive datasets of ``chunk_rows`` rows each, or one of every row if None.
 
     A last piece shorter than ``min_rows`` joins the chunk before it, so no
@@ -134,31 +136,90 @@ def read_csv_chunks(path, schema: Schema, chunk_rows: int | None = None, min_row
     ``row_numbers`` are its file rows, and a file without data rows gives one
     empty chunk. Every check of ``load_csv`` raises when the reader reaches its
     row, after the chunks before that row have been yielded.
+
+    ``part = (offset, first, count)`` reads the header, then the lines from
+    byte ``offset`` (0: those after the header) as rows numbered from
+    ``first``, and stops after ``count`` rows (None: at the end of the file).
+    The header must then be one line, and so must each of those ``count`` rows,
+    and the file UTF-8 text, as decoding runs ahead of the rows a part reads:
+    ``csv_split`` finds such parts.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
     try:
-        yield from _read_csv(path, schema, "strict", chunk_rows, min_rows)
+        yield from _read_csv(path, schema, "strict", chunk_rows, min_rows, part)
     except UnicodeDecodeError:  # decoding runs a chunk ahead of the parser: reread to name the row
-        for _ in _read_csv(path, schema, "surrogateescape", chunk_rows, min_rows):
+        for _ in _read_csv(path, schema, "surrogateescape", chunk_rows, min_rows, part):
             pass
         raise DataError(f"{path}: not UTF-8 text") from None  # the reread names the row before this
 
 
-def _utf8_rows(reader, path: Path):
-    """The rows of ``reader``; DataError at the first holding a byte that "surrogateescape" decoded."""
+def csv_split(path, chunk_rows: int, min_rows: int) -> tuple[int, int] | None:
+    """Where ``read_csv_chunks(path, schema, chunk_rows, min_rows)`` may be read as two parts, or None.
+
+    Returns ``(offset, rows)``: the first part is data rows 1..``rows``, the
+    whole chunks nearest half the rows, and the second part starts at byte
+    ``offset`` with data row ``rows + 1``. Each part holds at least one chunk,
+    and their chunks are the ones one reader yields. None unless the file is
+    UTF-8 text of at least two chunks in which no line up to data row
+    ``rows + min_rows`` holds a ``"`` or a CR outside a CRLF, so that up to
+    there each line is one row. One pass reads the file in blocks of whole
+    lines, each at most 2 MiB.
+    """
+    path = Path(path)
+    if not path.is_file():
+        return None
+    blocks, lines, odd, end = [], 0, math.inf, b"\n"  # odd: the first line with a '"' or a lone CR
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20) + fh.readline(1 << 20):
+            if end != b"\n":  # a line longer than a block
+                return None
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+            newline = np.frombuffer(block, np.uint8) == ord("\n")
+            if odd == math.inf:  # the block's first CR stands in for its first lone CR: at worst, no split
+                lone_cr = b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+                if at := [i for i in (block.find(b'"'), block.find(b"\r") if lone_cr else -1) if i >= 0]:
+                    odd = lines + int(np.count_nonzero(newline[: min(at)]))
+            blocks.append((fh.tell() - len(block), lines))
+            lines += int(np.count_nonzero(newline))
+            end = block[-1:]
+        n_rows = lines - (end == b"\n")  # the lines but the header, a last one without a newline too
+        chunks = (n_rows - min_rows) // chunk_rows + 1
+        rows = chunk_rows * min(max((n_rows + chunk_rows) // (2 * chunk_rows), 1), chunks - 1)  # about half
+        if chunks < 2 or odd <= rows + min_rows:
+            return None
+        start, before = max(b for b in blocks if b[1] <= rows)  # the block that ends data row `rows`
+        fh.seek(start)
+        ends = np.flatnonzero(np.frombuffer(fh.read(1 << 20) + fh.readline(1 << 20), np.uint8) == ord("\n"))
+    return start + int(ends[rows - before]) + 1, rows
+
+
+def _utf8_rows(reader, path: Path, first: int):
+    """The rows of ``reader``, data rows numbered from ``first``; DataError at the first holding a byte
+    that "surrogateescape" decoded."""
     for i, row in enumerate(reader):
         if any("\udc80" <= ch <= "\udcff" for ch in "".join(row)):
-            raise DataError(f"{path}: {f'row {i}' if i else 'header'}: not UTF-8 text")
+            raise DataError(f"{path}: {f'row {first + i - 1}' if i else 'header'}: not UTF-8 text")
         yield row
 
 
-def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, min_rows: int):
-    header, rows, first = None, [], 1  # first: the file row of rows[0]
+def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, min_rows: int, part: tuple):
+    offset, first, count = part
+    header, rows, start = None, [], first  # first: the file row of rows[0]; start: of the part's first row
     held = math.inf if chunk_rows is None else chunk_rows + min_rows  # rows that let a chunk go
     with path.open(newline="", encoding="utf-8-sig", errors=errors) as fh:  # a leading BOM is dropped
-        reader = csv.reader(fh) if errors == "strict" else _utf8_rows(csv.reader(fh), path)
+        lines = fh
+        if offset:  # at a line start, a byte offset is the position tell() gives there
+            lines = chain([fh.readline()], lines)
+            fh.seek(offset)
+        if count is not None:
+            lines = islice(lines, count + 1)
+        reader = csv.reader(lines) if errors == "strict" else _utf8_rows(csv.reader(lines), path, first)
         try:
             header = next(reader, None)
             if header is None:
@@ -170,7 +231,7 @@ def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, m
             perm = [header.index(name) for name in names]
             # itemgetter of one index returns the bare cell, not a 1-tuple
             pick = operator.itemgetter(*perm) if len(perm) > 1 else lambda row: (row[perm[0]],)
-            for row_number, row in enumerate(reader, start=1):
+            for row_number, row in enumerate(reader, start=first):
                 if len(row) != len(header):
                     raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
                 rows.append(pick(row))
@@ -180,7 +241,7 @@ def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, m
                     first += chunk_rows
         except csv.Error as exc:  # a field over the size limit, e.g. after an unmatched quote
             raise DataError(f"{path}: {'header' if header is None else f'row {first + len(rows)}'}: {exc}") from None
-    if rows or first == 1:
+    if rows or first == start:
         yield TabularDataset(schema, tuple(rows), range(first, first + len(rows)))
 
 

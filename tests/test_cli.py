@@ -366,26 +366,14 @@ def test_network_failure_raises_train_from_the_networks_own_error(tmp_path, mini
     assert not (tmp_path / "out").exists()
 
 
-def _learner_spies(monkeypatch, tmp_path):
-    """Wrap cli.train_gbdt and cli.train_xdeepfm; each call appends (learner, pid, thread, its arguments)
-    to a file, so that a call in a forked child is recorded too. Returns a reader of the calls so far."""
-    log = tmp_path / "learner_calls.pickle"
-    train_gbdt, train_xdeepfm = cli.train_gbdt, cli.train_xdeepfm
+def _call_log(tmp_path):
+    """A log of calls kept in a file, so that a call in a forked child is recorded too: record(name, details)
+    appends (name, pid, thread, details), and calls() reads the entries so far."""
+    log = tmp_path / "calls.pickle"
 
-    def record(learner, *args):
+    def record(name, details):
         with log.open("ab") as fh:  # one write per call: the child's and the parent's do not interleave
-            fh.write(pickle.dumps((learner, os.getpid(), threading.get_ident(), args)))
-
-    def gbdt(dm, cfg, val):
-        record("gbdt", dm, cfg, val)
-        return train_gbdt(dm, cfg, val)
-
-    def xdfm(dm, cfg):
-        record("xdeepfm", dm, cfg)
-        return train_xdeepfm(dm, cfg)
-
-    monkeypatch.setattr(cli, "train_gbdt", gbdt)
-    monkeypatch.setattr(cli, "train_xdeepfm", xdfm)
+            fh.write(pickle.dumps((name, os.getpid(), threading.get_ident(), details)))
 
     def calls():
         if not log.exists():
@@ -393,7 +381,67 @@ def _learner_spies(monkeypatch, tmp_path):
         with log.open("rb") as fh:
             return [pickle.load(fh) for _ in iter(lambda: fh.peek(1), b"")]
 
+    return record, calls
+
+
+def _learner_spies(monkeypatch, tmp_path):
+    """Wrap cli.train_gbdt and cli.train_xdeepfm; each call is logged as (learner, pid, thread, its arguments),
+    in every process. Returns a reader of the calls so far."""
+    record, calls = _call_log(tmp_path)
+    train_gbdt, train_xdeepfm = cli.train_gbdt, cli.train_xdeepfm
+
+    def gbdt(dm, cfg, val):
+        record("gbdt", (dm, cfg, val))
+        return train_gbdt(dm, cfg, val)
+
+    def xdfm(dm, cfg):
+        record("xdeepfm", (dm, cfg))
+        return train_xdeepfm(dm, cfg)
+
+    monkeypatch.setattr(cli, "train_gbdt", gbdt)
+    monkeypatch.setattr(cli, "train_xdeepfm", xdfm)
     return calls
+
+
+def _scoring_spies(monkeypatch, tmp_path):
+    """Wrap cli.read_csv_chunks and cli.apply_transform, in every process: each chunk a reader yields is logged as
+    ("read", pid, thread, its row numbers), and each call of apply_transform as ("apply", pid, thread,
+    (transform, row numbers)). Returns a reader of the calls so far."""
+    record, calls = _call_log(tmp_path)
+    read_csv_chunks, apply_transform = cli.read_csv_chunks, cli.apply_transform
+
+    def reader(*args):
+        for chunk in read_csv_chunks(*args):
+            record("read", chunk.row_numbers)
+            yield chunk
+
+    def apply(ft, ds):
+        record("apply", (ft, ds.row_numbers))
+        return apply_transform(ft, ds)
+
+    monkeypatch.setattr(cli, "read_csv_chunks", reader)
+    monkeypatch.setattr(cli, "apply_transform", apply)
+    return calls
+
+
+def _use_cpus(monkeypatch, n: int):
+    """Make this process see n CPUs in its affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _fork_spy(monkeypatch):
+    """The pids of the children os.fork starts from now on, as the parent sees them."""
+    forked = []
+    fork = os.fork
+
+    def spy_fork():
+        pid = fork()
+        if pid:  # the parent's record: the child's pid
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    return forked
 
 
 def _assert_no_child_process():
@@ -406,19 +454,11 @@ def test_run_fits_the_gbdt_in_one_forked_child_and_the_network_on_this_thread(
     tmp_path, mini_csv, completed_run, monkeypatch
 ):
     calls = _learner_spies(monkeypatch, tmp_path)
-    forked = []
-    fork = os.fork
-
-    def spy_fork():
-        pid = fork()
-        if pid:  # the parent's record: the child's pid
-            forked.append(pid)
-        return pid
+    forked = _fork_spy(monkeypatch)
 
     def no_process(*args, **kwargs):
         raise AssertionError("run started a process other than its one fork")
 
-    monkeypatch.setattr(os, "fork", spy_fork)
     monkeypatch.setattr(subprocess, "Popen", no_process)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 0
@@ -852,43 +892,56 @@ def test_predict_malformed_tree_arrays_exit_2_without_traceback(tmp_path, comple
 
 
 def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed_run, tmp_path, monkeypatch):
-    # one pass over the file per command, and one apply_transform per distinct transform per chunk
+    # each row parsed once, by one process, and one apply_transform per distinct transform per chunk
     data = tmp_path / "data.csv"
     write_stroke_csv(data, n_rows=2500, seed=3)
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1024)  # chunks of 1,024 and 1,476 rows
-    calls = {"read_csv_chunks": 0, "apply_transform": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    ensemble = str(completed_run["out"] / "ensemble.json")
-    out_csv = tmp_path / "preds.csv"
-    assert cli.main(["predict", "--model", ensemble, "--data", str(data), "--out", str(out_csv)]) == 0
-    assert calls == {"read_csv_chunks": 1, "apply_transform": 2}
-    assert cli.main(["evaluate", "--model", ensemble, "--data", str(data)]) == 0
-    assert calls == {"read_csv_chunks": 2, "apply_transform": 4}
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1024)  # chunks of 1,024 and 1,476 rows, the second in a child on 2 CPUs
+    forked = _fork_spy(monkeypatch)
+    calls = _scoring_spies(monkeypatch, tmp_path)
+    chunks = [range(1, 1025), range(1025, 2501)]
     # components fitted apart: two transforms over one schema still share one parse
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
         (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
     doc = json.loads((tmp_path / "gbdt.json").read_text(encoding="utf-8"))
     doc["transform"]["mean"][0] += 1.0
     (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(data)]) == 0
-    assert calls == {"read_csv_chunks": 3, "apply_transform": 8}
+    ensemble = str(completed_run["out"] / "ensemble.json")
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        for argv, n_transforms in [
+            (["predict", "--model", ensemble, "--data", str(data), "--out", str(tmp_path / "preds.csv")], 1),
+            (["evaluate", "--model", ensemble, "--data", str(data)], 1),
+            (["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(data)], 2),
+        ]:
+            before, forks = len(calls()), len(forked)
+            assert cli.main(argv) == 0
+            new = calls()[before:]
+            assert len(forked) - forks == (cpus == 2)
+            readers = [os.getpid(), forked[-1] if cpus == 2 else os.getpid()]  # the process that reads each chunk
+            assert sorted((rows.start, pid) for name, pid, _, rows in new if name == "read") == [
+                (chunk.start, pid) for chunk, pid in zip(chunks, readers)
+            ]
+            applied = [details for name, _, _, details in new if name == "apply"]
+            assert sorted((rows.start, rows.stop) for _, rows in applied) == sorted(
+                (chunk.start, chunk.stop) for chunk in chunks * n_transforms
+            )
+            assert len(set(applied)) == len(applied) == len(chunks) * len({ft for ft, _ in applied}) == 2 * n_transforms
+    _assert_no_child_process()
 
 
 @pytest.fixture(scope="module")
 def boundary_tables(tmp_path_factory):
-    """Synthetic tables whose lengths fall on and around the edges of 2,048-row chunks and 1,024-row blocks."""
+    """Synthetic tables whose lengths fall on and around the edges of 2,048-row chunks, 1,024-row blocks and the
+    cut into two parts, and two copies of the 8,192-row table: one with a quoted cell before the cut, read in one
+    process, and one with CRLF line ends."""
     root = tmp_path_factory.mktemp("boundaries")
-    sizes = (1, 1023, 2047, 2048, 2049, 3071, 3072, 4097)
-    return {n: write_stroke_csv(root / f"t{n}.csv", n_rows=n, seed=n) for n in sizes}
+    sizes = (1, 1023, 2047, 2048, 2049, 3071, 3072, 4095, 4096, 4097, 5119, 5120, 6143, 8192)
+    tables = {str(n): write_stroke_csv(root / f"t{n}.csv", n_rows=n, seed=n) for n in sizes}
+    lines = tables["8192"].read_bytes().split(b"\n")
+    lines[10] = b'"' + lines[10].replace(b",", b'",', 1)  # data row 10's first cell
+    (root / "quoted.csv").write_bytes(b"\n".join(lines))
+    (root / "crlf.csv").write_bytes(tables["8192"].read_bytes().replace(b"\n", b"\r\n"))
+    return {**tables, "8192 quoted": root / "quoted.csv", "8192 CRLF": root / "crlf.csv"}
 
 
 @pytest.mark.parametrize("model", ["ensemble.json", "gbdt.json", "xdeepfm.json"])
@@ -896,26 +949,50 @@ def test_chunked_predict_and_evaluate_equal_whole_table_scoring_byte_for_byte(
     completed_run, boundary_tables, tmp_path, monkeypatch, capsys, model
 ):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    _use_cpus(monkeypatch, 2)
+    forked = _fork_spy(monkeypatch)
     names = ("gbdt.json", "xdeepfm.json", "ensemble.json")
     docs = {name: json.loads((completed_run["out"] / name).read_text(encoding="utf-8")) for name in names}
     ft = transform_from_dict(docs["gbdt.json"]["transform"])
     preds, roc = tmp_path / "preds.csv", tmp_path / "roc.csv"
-    for n, data in boundary_tables.items():
+    for table, data in boundary_tables.items():
         dm = apply_transform(ft, load_csv(data, ft.schema))  # the whole table at once
+        n = dm.labels.size
         p_gbdt = predict_gbdt(gbdt_from_dict(docs["gbdt.json"]), dm.dense)
         p_xdfm = forward(xdeepfm_from_dict(docs["xdeepfm.json"]), dm.cat_indices, dm.dense)
         probs = {"gbdt.json": p_gbdt, "xdeepfm.json": p_xdfm}.get(model)
         if probs is None:
             probs = blend(p_gbdt, p_xdfm, docs["ensemble.json"]["alpha"])
         args = ["--model", str(completed_run["out"] / model), "--data", str(data)]
+        forks = len(forked)
         assert cli.main(["predict", *args, "--out", str(preds)]) == 0
-        assert preds.read_bytes() == cli._predictions_csv(probs).encode("utf-8"), n
+        assert preds.read_bytes() == cli._predictions_csv(probs).encode("utf-8"), table
+        # two parts from two chunks of rows on, unless a quote comes before the cut
+        assert len(forked) - forks == (n >= 2048 + 1024 and "quoted" not in table), table
         if dm.labels.min() == dm.labels.max():
             continue  # AUC needs both classes
         report = evaluate("x", dm.labels, probs)
         assert cli.main(["evaluate", *args, "--name", "x", "--roc-csv", str(roc)]) == 0
         assert capsys.readouterr().out == f"{format_report_table([report])}\nn: {n}  positives: {report.positives}\n"
-        assert roc.read_text(encoding="utf-8") == roc_points_csv(roc_curve(dm.labels, probs)), n
+        assert roc.read_text(encoding="utf-8") == roc_points_csv(roc_curve(dm.labels, probs)), table
+    _assert_no_child_process()
+
+
+def test_scoring_on_one_cpu_forks_nothing_and_writes_the_same_bytes(
+    completed_run, boundary_tables, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    args = ["--model", str(completed_run["out"] / "ensemble.json"), "--data", str(boundary_tables["8192"])]
+    outputs = {}
+    for cpus in (2, 1):
+        _use_cpus(monkeypatch, cpus)
+        if cpus == 1:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("scoring forked on one CPU"))
+        preds, roc = tmp_path / f"preds{cpus}.csv", tmp_path / f"roc{cpus}.csv"
+        assert cli.main(["predict", *args, "--out", str(preds)]) == 0
+        assert cli.main(["evaluate", *args, "--roc-csv", str(roc)]) == 0
+        outputs[cpus] = (preds.read_bytes(), roc.read_bytes())
+    assert outputs[1] == outputs[2]
 
 
 def _edit_row(path, data_row, edit):
@@ -932,19 +1009,15 @@ def test_chunked_scoring_holds_one_chunk_and_fails_closed_on_a_late_bad_row(
     completed_run, tmp_path, monkeypatch, capsys, command
 ):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
-    seen = []
-    apply = cli.apply_transform
-
-    def counted(ft, ds):
-        seen.append(ds.n_rows)
-        return apply(ft, ds)
-
-    monkeypatch.setattr(cli, "apply_transform", counted)
+    _use_cpus(monkeypatch, 2)
+    calls = _scoring_spies(monkeypatch, tmp_path)
     data, out = tmp_path / "data.csv", tmp_path / "out.csv"
     args = [command, "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(data)]
     args += ["--out", str(out)] if command == "predict" else ["--roc-csv", str(out)]
     write_stroke_csv(data, n_rows=2 * 2048 + 3071, seed=4)  # chunks of 2,048, 2,048 and 3,071 rows
-    assert cli.main(args) == 0 and seen == [2048, 2048, 3071]
+    assert cli.main(args) == 0
+    applied = [details[1] for name, _, _, details in calls() if name == "apply"]
+    assert sorted((rows.start, len(rows)) for rows in applied) == [(1, 2048), (2049, 2048), (4097, 3071)]
     out.unlink()
     capsys.readouterr()
 
@@ -965,7 +1038,107 @@ def test_chunked_scoring_holds_one_chunk_and_fails_closed_on_a_late_bad_row(
         captured = capsys.readouterr()
         assert captured.err == f"error [{command}]: {message}\n" and captured.out == ""
         assert not out.exists()
-    assert max(seen) == 2048 + 1023
+    assert max(len(rows) for name, _, _, details in calls() if name == "apply" for rows in details[1:]) == 2048 + 1023
+    _assert_no_child_process()
+
+
+def _edit_line(line: bytes, header: bytes, column: str, cell: bytes | None) -> bytes:
+    """A data line of a quote-free CSV with one cell replaced, or its last cell dropped if cell is None."""
+    cells = line.split(b",")
+    if cell is None:
+        return b",".join(cells[:-1])
+    cells[header.split(b",").index(column.encode())] = cell
+    return b",".join(cells)
+
+
+_SHORT = ("stroke", None)
+_BAD_BMI = ("bmi", b"12..5")
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # one pass reads min_rows rows past a chunk before it scores it: the short row comes first
+        ({4000: _BAD_BMI, 4500: _SHORT}, "row 4500: expected 11 cells, got 10"),
+        ({4000: _BAD_BMI, 5200: _SHORT}, "row 4000: cannot parse '12..5' as a number in column 'bmi'"),
+        ({6000: _BAD_BMI}, "row 6000: cannot parse '12..5' as a number in column 'bmi'"),
+        ({100: _SHORT, 5000: _BAD_BMI}, "row 100: expected 11 cells, got 10"),
+        ({6000: ("age", b"4\xff5")}, None),
+        ({6500: ("age", b"4\x005")}, "row 6500: cannot parse '4\\x005' as a number in column 'age'"),
+        ({5500: ("age", b"4\x005"), 6000: ("bmi", b"2\xff")}, None),
+    ],
+    ids=["short row read ahead", "short row past the read-ahead", "bad cell after the cut", "short row first",
+         "undecodable byte", "NUL", "undecodable byte and NUL"],
+)
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_two_process_scoring_reports_the_error_one_process_meets_first(
+    completed_run, tmp_path, monkeypatch, capsys, command, edits, message
+):
+    """The 7,167-row table is cut after row 4,096 at 2,048-row chunks; a file that is not UTF-8 is read whole."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+    lines = write_stroke_csv(data, n_rows=7167, seed=4).read_bytes().split(b"\n")
+    for row, (column, cell) in edits.items():
+        lines[row] = _edit_line(lines[row], lines[0], column, cell)
+    data.write_bytes(b"\n".join(lines))
+    args = [command, "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(data)]
+    args += ["--out", str(out)] if command == "predict" else ["--roc-csv", str(out)]
+    forked = _fork_spy(monkeypatch)
+    results = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        results.append((cli.main(args), capsys.readouterr()))
+        assert not out.exists()
+        _assert_no_child_process()
+    (code, one), (_, two) = results
+    assert results[0][0] == results[1][0] == 2 and one.out == two.out == ""
+    assert two.err == one.err and (message is None or one.err == f"error [{command}]: {message}\n")
+    assert len(forked) == (message is not None)  # a file that is not UTF-8 is read in one process
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_a_scoring_child_that_dies_without_a_reply_exits_2_and_writes_nothing(
+    completed_run, boundary_tables, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    _use_cpus(monkeypatch, 2)
+    parent, apply = os.getpid(), cli.apply_transform
+
+    def dies_in_the_child(ft, ds):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return apply(ft, ds)
+
+    monkeypatch.setattr(cli, "apply_transform", dies_in_the_child)
+    out = tmp_path / "out.csv"
+    args = [command, "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(boundary_tables["8192"])]
+    assert cli.main(args + (["--out", str(out)] if command == "predict" else ["--roc-csv", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error [{command}]: scoring process died with signal {int(signal.SIGKILL)}\n"
+    assert captured.out == "" and not out.exists()
+    _assert_no_child_process()
+
+
+def test_predict_interrupted_while_scoring_kills_the_child_and_writes_nothing(
+    completed_run, boundary_tables, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2048)
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def interrupt(*args):  # the child would score for minutes, unless it is killed
+        if os.getpid() != parent:
+            time.sleep(120)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "apply_transform", interrupt)
+    out = tmp_path / "out.csv"
+    args = ["predict", "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(boundary_tables["8192"])]
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(args + ["--out", str(out)])
+    assert time.monotonic() - start < 60 and not out.exists()
+    _assert_no_child_process()
 
 
 @pytest.mark.parametrize("failure", _BROKEN_CSV)

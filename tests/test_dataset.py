@@ -14,6 +14,7 @@ from tabfusion.dataset import (
     TabularDataset,
     _numeric_values,
     apply_transform,
+    csv_split,
     fit_transform,
     load_csv,
     read_csv_chunks,
@@ -163,6 +164,95 @@ def test_load_csv_reports_the_first_bad_row_in_file_order(tmp_path):
     path.write_bytes(_HEADER + b"10,n\xffever,0\n60,smokes\n")
     with pytest.raises(DataError, match="row 1: not UTF-8 text$"):
         load_csv(path, SIMPLE)
+
+
+def _one_reader_and_two_parts(path, chunk_rows, min_rows):
+    """What one reader and the two parts csv_split names, read in order, give: their chunks as (row numbers,
+    rows) pairs, or their first DataError."""
+
+    def read(*parts):
+        try:
+            chunks = [c for part in parts for c in read_csv_chunks(path, SIMPLE, chunk_rows, min_rows, part)]
+        except DataError as exc:  # a part's chunks before its error are left out: one reader reads on first
+            return str(exc)
+        return [(list(c.row_numbers), c.rows) for c in chunks]
+
+    offset, rows = csv_split(path, chunk_rows, min_rows)
+    return read((0, 1, None)), read((0, 1, rows), (offset, rows + 1, None))
+
+
+@pytest.mark.parametrize("n_rows, rows", [(6, 4), (9, 4), (10, 4), (13, 8), (14, 8), (17, 8), (21, 12)])
+@pytest.mark.parametrize("form", ["LF", "CRLF", "BOM", "no final newline"])
+def test_csv_split_cuts_at_the_whole_chunks_nearest_half_the_rows(tmp_path, n_rows, rows, form):
+    lines = [b"stroke,age,smoking_status"] + [b"%d,%d,never" % (i % 2, i) for i in range(n_rows)]
+    eol = b"\r\n" if form == "CRLF" else b"\n"
+    bom = b"\xef\xbb\xbf" if form == "BOM" else b""
+    content = bom + eol.join(lines) + (b"" if form == "no final newline" else eol)
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    offset, got = csv_split(path, chunk_rows=4, min_rows=2)
+    assert got == rows and content[offset:].startswith(lines[rows + 1] + eol[:1])
+    one, two = _one_reader_and_two_parts(path, 4, 2)
+    assert two == one and [i for numbers, _ in one for i in numbers] == list(range(1, n_rows + 1))
+
+
+@pytest.mark.parametrize(
+    "n_rows, edit",
+    [
+        (5, None),  # one chunk
+        (14, (10, b'"0",10,never')),  # a quote on data row rows + min_rows = 10
+        (14, (10, b"0,10,nev\rer")),  # a CR that ends no CRLF
+        (14, (0, b'stroke,"age",smoking_status')),  # a quoted header
+        (14, (14, b"0,1\xff,never")),  # not UTF-8, past the split
+        (14, (14, b"0,1\xc3,never")),  # a cut UTF-8 sequence
+        (14, (14, b"0," + b"1" * (2 << 20) + b",never")),  # a line longer than a block
+    ],
+)
+def test_csv_split_reads_in_one_part_what_lines_cannot_cut(tmp_path, n_rows, edit):
+    lines = [b"stroke,age,smoking_status"] + [b"%d,%d,never" % (i % 2, i) for i in range(n_rows)]
+    if edit:
+        lines[edit[0]] = edit[1]
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert csv_split(path, chunk_rows=4, min_rows=2) is None
+    assert csv_split(tmp_path / "absent.csv", chunk_rows=4, min_rows=2) is None
+    if edit and edit[0] == 10:  # one row further on, the same edit leaves the split
+        lines[10], lines[11] = lines[11], lines[10]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert csv_split(path, chunk_rows=4, min_rows=2)[1] == 8
+
+
+@pytest.mark.parametrize(
+    "bad_row, where", [(b"60,smokes", "row 11: expected 3 cells, got 2"), (b"6\xff,never,1", "row 11: not UTF-8 text")]
+)
+def test_a_part_names_the_file_rows_of_its_errors(tmp_path, bad_row, where):
+    lines = [_HEADER.rstrip(b"\n")] + [b"%d,never,0" % i for i in range(14)]
+    lines[11] = bad_row
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    offset = len(b"\n".join(lines[:9])) + 1  # data row 9
+    with pytest.raises(DataError, match=re.escape(where) + "$"):
+        list(read_csv_chunks(path, SIMPLE, chunk_rows=4, min_rows=2, part=(offset, 9, None)))
+    if b"\xff" not in bad_row:  # decoding runs ahead of the parser, past the rows of a part
+        assert [c.row_numbers for c in read_csv_chunks(path, SIMPLE, 4, 2, (offset, 9, 2))] == [range(9, 11)]
+
+
+_SPLIT_PIECES = [b"10,never,0", b"60,smokes,1", b"10", b",", b'"', b"\r", b"\xff", b"\xc3\xa9", b"\x00"]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_SPLIT_PIECES), min_size=1, max_size=3).map(b"".join), max_size=14),
+    st.sampled_from([b"\n", b"\r\n"]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_two_parts_read_the_chunks_and_the_first_error_of_one_reader(tmp_path_factory, rows, eol, final_eol):
+    """Wherever csv_split cuts a file, its two parts, read in order, yield one reader's chunks or raise its error."""
+    path = tmp_path_factory.getbasetemp() / "split-fuzz.csv"
+    path.write_bytes(_HEADER + eol.join(rows) + (eol if final_eol else b""))
+    if csv_split(path, chunk_rows=2, min_rows=1) is not None:
+        one, two = _one_reader_and_two_parts(path, 2, 1)
+        assert two == one
 
 
 _CSV_PIECES = [
