@@ -368,8 +368,8 @@ def cmd_run(cfg: RunConfig) -> None:
 
 
 # Rows `predict` and `evaluate` parse, transform and score at a time: whole blocks of
-# `forward`, and a last piece under one block joins the chunk before it, so every row
-# goes through the same matrix products as in one call on the whole table.
+# `forward`, so every chunk starts on a block boundary and every row goes through the
+# same matrix products as in one call on the whole table.
 _CHUNK_ROWS = 16 * _BLOCK_ROWS
 
 
@@ -412,39 +412,31 @@ def _predict_from_file(model_path: Path, data_path: Path, keep) -> tuple[str, li
     transforms = list(dict.fromkeys(ft for _, _, ft in models))
     schemas = list(dict.fromkeys(ft.schema for ft in transforms))
 
-    def score(part=(0, 1, None), then=None):
-        """keep() of the rows of `part`, as read_csv_chunks reads it; `then`: (offset, first) of the part that
-        follows."""
-        readers = [read_csv_chunks(data_path, schema, _CHUNK_ROWS, _BLOCK_ROWS, part) for schema in schemas]
+    def score(part=(0, 1, None)):
+        """keep() of the rows of `part`, as read_csv_chunks reads it."""
+        readers = [read_csv_chunks(data_path, schema, _CHUNK_ROWS, part) for schema in schemas]
         probs, labels = [], []
         for chunks in zip(*readers):  # the same file rows under each schema
-            try:
-                datasets = dict(zip(schemas, chunks))
-                matrices = {ft: apply_transform(ft, datasets[ft.schema]) for ft in transforms}
-                scores = [
-                    predict_gbdt(model, matrices[ft].dense)
-                    if role == "gbdt"
-                    else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
-                    for role, model, ft in models
-                ]
-            except Exception:
-                # one pass reads min_rows rows past a chunk before scoring it: an error there comes first
-                if then and chunks[0].row_numbers.stop == then[1]:
-                    for _ in read_csv_chunks(data_path, schemas[0], None, 1, (*then, _BLOCK_ROWS)):
-                        pass
-                raise
+            datasets = dict(zip(schemas, chunks))
+            matrices = {ft: apply_transform(ft, datasets[ft.schema]) for ft in transforms}
+            scores = [
+                predict_gbdt(model, matrices[ft].dense)
+                if role == "gbdt"
+                else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
+                for role, model, ft in models
+            ]
             probs.append(blend(scores[0], scores[1], ens.alpha) if kind == "ensemble" else scores[0])
             labels.append(matrices[models[0][2]].labels)
             del chunks, datasets, matrices  # before the next chunk is read
         return keep(np.concatenate(probs), np.concatenate(labels), part[1] - 1)
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    split = len(cpus) > 1 and csv_split(data_path, _CHUNK_ROWS, _BLOCK_ROWS)
+    split = len(cpus) > 1 and csv_split(data_path, _CHUNK_ROWS)
     if not split:  # on one CPU, a second process only slows the first down
         return kind, [score()]
     offset, rows = split
     with _forked(lambda: score((offset, rows + 1, None)), "scoring process") as second:
-        return kind, [score((0, 1, rows), then=(offset, rows + 1)), second()]
+        return kind, [score((0, 1, rows)), second()]
 
 
 def cmd_predict(model_path: Path, data_path: Path, out_path: Path | None) -> None:

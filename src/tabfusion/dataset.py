@@ -127,15 +127,14 @@ def load_csv(path, schema: Schema) -> TabularDataset:
 
 
 def read_csv_chunks(
-    path, schema: Schema, chunk_rows: int | None = None, min_rows: int = 1, part: tuple = (0, 1, None)
+    path, schema: Schema, chunk_rows: int | None = None, part: tuple = (0, 1, None)
 ) -> Iterator[TabularDataset]:
     """``load_csv``'s rows as consecutive datasets of ``chunk_rows`` rows each, or one of every row if None.
 
-    A last piece shorter than ``min_rows`` joins the chunk before it, so no
-    chunk holds more than ``chunk_rows + min_rows - 1`` rows. Each chunk's
-    ``row_numbers`` are its file rows, and a file without data rows gives one
-    empty chunk. Every check of ``load_csv`` raises when the reader reaches its
-    row, after the chunks before that row have been yielded.
+    The last chunk may be shorter. A chunk is yielded as soon as its last row
+    is read, and each chunk's ``row_numbers`` are its file rows; a file without
+    data rows gives one empty chunk. Every check of ``load_csv`` raises when the
+    reader reaches its row, after the chunks before that row have been yielded.
 
     ``part = (offset, first, count)`` reads the header, then the lines from
     byte ``offset`` (0: those after the header) as rows numbered from
@@ -148,24 +147,24 @@ def read_csv_chunks(
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
     try:
-        yield from _read_csv(path, schema, "strict", chunk_rows, min_rows, part)
+        yield from _read_csv(path, schema, "strict", chunk_rows, part)
     except UnicodeDecodeError:  # decoding runs a chunk ahead of the parser: reread to name the row
-        for _ in _read_csv(path, schema, "surrogateescape", chunk_rows, min_rows, part):
+        for _ in _read_csv(path, schema, "surrogateescape", chunk_rows, part):
             pass
         raise DataError(f"{path}: not UTF-8 text") from None  # the reread names the row before this
 
 
-def csv_split(path, chunk_rows: int, min_rows: int) -> tuple[int, int] | None:
-    """Where ``read_csv_chunks(path, schema, chunk_rows, min_rows)`` may be read as two parts, or None.
+def csv_split(path, chunk_rows: int) -> tuple[int, int] | None:
+    """Where ``read_csv_chunks(path, schema, chunk_rows)`` may be read as two parts, or None.
 
     Returns ``(offset, rows)``: the first part is data rows 1..``rows``, the
     whole chunks nearest half the rows, and the second part starts at byte
     ``offset`` with data row ``rows + 1``. Each part holds at least one chunk,
     and their chunks are the ones one reader yields. None unless the file is
-    UTF-8 text of at least two chunks in which no line up to data row
-    ``rows + min_rows`` holds a ``"`` or a CR outside a CRLF, so that up to
-    there each line is one row. One pass reads the file in blocks of whole
-    lines, each at most 2 MiB.
+    UTF-8 text of at least two chunks in which no line up to data row ``rows``
+    holds a ``"`` or a CR outside a CRLF, so that up to the cut each line is
+    one row. One pass reads the file in blocks of whole lines, each at most
+    2 MiB.
     """
     path = Path(path)
     if not path.is_file():
@@ -189,9 +188,9 @@ def csv_split(path, chunk_rows: int, min_rows: int) -> tuple[int, int] | None:
             lines += int(np.count_nonzero(newline))
             end = block[-1:]
         n_rows = lines - (end == b"\n")  # the lines but the header, a last one without a newline too
-        chunks = (n_rows - min_rows) // chunk_rows + 1
+        chunks = -(-n_rows // chunk_rows)
         rows = chunk_rows * min(max((n_rows + chunk_rows) // (2 * chunk_rows), 1), chunks - 1)  # about half
-        if chunks < 2 or odd <= rows + min_rows:
+        if chunks < 2 or odd <= rows:
             return None
         start, before = max(b for b in blocks if b[1] <= rows)  # the block that ends data row `rows`
         fh.seek(start)
@@ -208,10 +207,9 @@ def _utf8_rows(reader, path: Path, first: int):
         yield row
 
 
-def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, min_rows: int, part: tuple):
+def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, part: tuple):
     offset, first, count = part
     header, rows, start = None, [], first  # first: the file row of rows[0]; start: of the part's first row
-    held = math.inf if chunk_rows is None else chunk_rows + min_rows  # rows that let a chunk go
     with path.open(newline="", encoding="utf-8-sig", errors=errors) as fh:  # a leading BOM is dropped
         lines = fh
         if offset:  # at a line start, a byte offset is the position tell() gives there
@@ -235,9 +233,9 @@ def _read_csv(path: Path, schema: Schema, errors: str, chunk_rows: int | None, m
                 if len(row) != len(header):
                     raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
                 rows.append(pick(row))
-                if len(rows) == held:  # at least min_rows rows follow the chunk
-                    yield TabularDataset(schema, tuple(rows[:chunk_rows]), range(first, first + chunk_rows))
-                    del rows[:chunk_rows]
+                if len(rows) == chunk_rows:
+                    yield TabularDataset(schema, tuple(rows), range(first, first + chunk_rows))
+                    rows.clear()
                     first += chunk_rows
         except csv.Error as exc:  # a field over the size limit, e.g. after an unmatched quote
             raise DataError(f"{path}: {'header' if header is None else f'row {first + len(rows)}'}: {exc}") from None

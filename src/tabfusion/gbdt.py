@@ -51,7 +51,7 @@ class GBDTConfig:
     gamma: float = 0.0
     min_child_hessian: float = 1.0
     base_score: float | None = None  # None: use the training positive rate
-    seed: int = 0
+    seed: int = 0  # boosting is deterministic and reads no seed; kept for callers that pass one
 
     def __post_init__(self):
         if self.n_trees < 0 or self.max_depth < 0 or self.seed < 0:
@@ -277,9 +277,8 @@ def _grow(
     depth: int,
     cfg: GBDTConfig,
     nodes: list,
-    leaves: list,
 ) -> None:
-    """Append the subtree over rows ``idx`` to ``nodes`` in preorder, and (rows, weight) of each leaf to ``leaves``.
+    """Append the subtree over rows ``idx`` to ``nodes`` in preorder.
 
     A node is (feature, threshold, gain, right, value), ids counted from the start of ``nodes``.
     """
@@ -291,14 +290,13 @@ def _grow(
             feature, threshold, gain = found
             mask = ranked.values[ranked.bins[idx, feature]] < threshold
             nodes.append(None)  # set once the right child's id is known
-            _grow(ranked, idx[mask], g, h, depth + 1, cfg, nodes, leaves)
+            _grow(ranked, idx[mask], g, h, depth + 1, cfg, nodes)
             right = len(nodes)
-            _grow(ranked, idx[~mask], g, h, depth + 1, cfg, nodes, leaves)
+            _grow(ranked, idx[~mask], g, h, depth + 1, cfg, nodes)
             nodes[i] = (feature, threshold, gain, right, 0.0)
             return
     weight = leaf_weight(float(g_node.sum()), float(h_node.sum()), cfg.lambda1, cfg.lambda2)
     nodes.append((-1, 0.0, 0.0, i, weight))
-    leaves.append((idx, weight))
 
 
 def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
@@ -317,7 +315,7 @@ def build_tree(dense, g, h, cfg: GBDTConfig) -> Forest:
         raise ValueError("g must be finite, and h finite and positive")
     nodes: list = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        _grow(ranked, np.arange(n), g, h, 0, cfg, nodes, [])
+        _grow(ranked, np.arange(n), g, h, 0, cfg, nodes)
     return Forest((0,), *zip(*nodes))
 
 
@@ -376,28 +374,24 @@ def train_gbdt(dm: DesignMatrix, cfg: GBDTConfig = GBDTConfig(), val: DesignMatr
         raw_val = np.full(y_val.size, logit(base))
         best_k, best_loss = 0, bce(y_val, sigmoid(raw_val))  # bce rejects an empty val
     ranked = rank_features(X)
-    roots, nodes = [], []  # every tree's nodes in one list, so node ids are forest-wide
+    trees = []
     for t in range(cfg.n_trees):
         if val is not None and t - best_k >= _EARLY_STOPPING_ROUNDS:
             break
         p = clip_probs(sigmoid(raw))
         g, h = grad_hess(y, p)  # every h is positive: p is clipped away from 0 and 1
-        roots.append(len(nodes))
-        leaves: list = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _grow(ranked, np.arange(y.size), g, h, 0, cfg, nodes, leaves)
-        for idx, weight in leaves:  # the rows _walk sends to each leaf, so the margins are predict_gbdt's
-            raw[idx] += cfg.learning_rate * weight
+        trees.append(build_tree(ranked, g, h, cfg))
+        raw += cfg.learning_rate * _tree_values(trees[-1], X)  # predict_gbdt's walk, so its margins
         if val is not None:
-            root = roots[-1]  # the new tree alone, its node ids counted from its root
-            tree = Forest((0,), *zip(*((f, x, gain, r - root, v) for f, x, gain, r, v in nodes[root:])))
-            raw_val += cfg.learning_rate * _tree_values(tree, val.dense)
+            raw_val += cfg.learning_rate * _tree_values(trees[-1], val.dense)
             if (loss := bce(y_val, sigmoid(raw_val))) < best_loss:
                 best_k, best_loss = t + 1, loss
-    if val is not None and best_k < len(roots):
-        nodes = nodes[: roots[best_k]]
-        roots = roots[:best_k]
-    forest = Forest(roots, *(zip(*nodes) if nodes else [()] * 5))  # no trees: five empty node arrays
+    if val is not None:
+        del trees[best_k:]
+    roots = np.cumsum([0] + [tree.feature.size for tree in trees])  # node ids are forest-wide
+    parts = {name: [getattr(tree, name) for tree in trees] for name in FOREST_ARRAYS[1:]}
+    parts["right"] = [tree.right + root for tree, root in zip(trees, roots)]
+    forest = Forest(roots[:-1], **{name: np.concatenate(arrays) if trees else () for name, arrays in parts.items()})
     return GBDTModel(config=cfg, base_score=base, forest=forest, feature_names=tuple(dm.dense_names))
 
 
@@ -408,15 +402,13 @@ def _score_rows(forest: Forest, X: np.ndarray, base: float, rate: float) -> np.n
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         leaves = _walk(forest, X[start:stop])
-        # Row 0 holds the base margin, row t + 1 tree t's shrunk output, so
-        # summing down the rows adds the trees in order, as training did.
+        # Row 0 holds the base margin, row t + 1 tree t's shrunk output, so a
+        # running sum down the rows adds the trees in order, as training did,
+        # for a block of one row as for many.
         terms = np.empty((leaves.shape[0] + 1, leaves.shape[1]))
         terms[0] = base
         np.multiply(rate, forest.value.take(leaves), out=terms[1:])
-        if stop - start > 1:  # reduce adds one row of terms after another, elementwise
-            raw[start:stop] = np.add.reduce(terms, axis=0)
-        else:  # one contiguous column, which reduce would sum pairwise, out of order
-            raw[start] = np.add.accumulate(terms[:, 0])[-1]
+        raw[start:stop] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return raw
 
 

@@ -276,20 +276,18 @@ _BLOCK_ROWS = 1024
 def forward(model: XDeepFMModel, cat_idx, dense):
     """Predicted probability/probabilities; accepts one row or a batch.
 
-    Rows are scored in blocks of ``_BLOCK_ROWS``; the last block also takes the
-    remainder, so no block is small enough to switch BLAS to another kernel.
+    Rows are scored in blocks of ``_BLOCK_ROWS`` and a shorter last block, so
+    scoring the rows in pieces cut at multiples of ``_BLOCK_ROWS`` gives the
+    same bits as one call.
     """
     cat_idx, dense, single = _as_batch(model, cat_idx, dense)
-    n = cat_idx.shape[0]
-    n_blocks = max(n // _BLOCK_ROWS, 1)
     activation = model.config.hidden_activation
-    p = np.empty(n)
-    for b in range(n_blocks):
-        lo = b * _BLOCK_ROWS
-        hi = n if b == n_blocks - 1 else lo + _BLOCK_ROWS
-        h0 = _stack_batch(model.embeddings, cat_idx[lo:hi], dense[lo:hi])
+    p = np.empty(cat_idx.shape[0])
+    for lo in range(0, p.size, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        h0 = _stack_batch(model.embeddings, cat_idx[block], dense[block])
         u = np.concatenate([cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0, activation)], axis=1)
-        p[lo:hi] = sigmoid(u @ model.head_w + model.head_b[0])
+        p[block] = sigmoid(u @ model.head_w + model.head_b[0])
     if np.isnan(p).any():  # some layer met inf - inf or inf * 0
         raise ValueError("the network's output is NaN: its parameters or inputs overflow")
     return float(p[0]) if single else p

@@ -895,10 +895,10 @@ def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed
     # each row parsed once, by one process, and one apply_transform per distinct transform per chunk
     data = tmp_path / "data.csv"
     write_stroke_csv(data, n_rows=2500, seed=3)
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1024)  # chunks of 1,024 and 1,476 rows, the second in a child on 2 CPUs
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1024)  # chunks of 1,024, 1,024 and 452 rows; on 2 CPUs a child reads two
     forked = _fork_spy(monkeypatch)
     calls = _scoring_spies(monkeypatch, tmp_path)
-    chunks = [range(1, 1025), range(1025, 2501)]
+    chunks = [range(1, 1025), range(1025, 2049), range(2049, 2501)]
     # components fitted apart: two transforms over one schema still share one parse
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
         (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
@@ -917,7 +917,7 @@ def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed
             assert cli.main(argv) == 0
             new = calls()[before:]
             assert len(forked) - forks == (cpus == 2)
-            readers = [os.getpid(), forked[-1] if cpus == 2 else os.getpid()]  # the process that reads each chunk
+            readers = [os.getpid()] + [forked[-1] if cpus == 2 else os.getpid()] * 2  # the reader of each chunk
             assert sorted((rows.start, pid) for name, pid, _, rows in new if name == "read") == [
                 (chunk.start, pid) for chunk, pid in zip(chunks, readers)
             ]
@@ -925,7 +925,7 @@ def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed
             assert sorted((rows.start, rows.stop) for _, rows in applied) == sorted(
                 (chunk.start, chunk.stop) for chunk in chunks * n_transforms
             )
-            assert len(set(applied)) == len(applied) == len(chunks) * len({ft for ft, _ in applied}) == 2 * n_transforms
+            assert len(set(applied)) == len(applied) == len(chunks) * len({ft for ft, _ in applied}) == 3 * n_transforms
     _assert_no_child_process()
 
 
@@ -968,7 +968,7 @@ def test_chunked_predict_and_evaluate_equal_whole_table_scoring_byte_for_byte(
         assert cli.main(["predict", *args, "--out", str(preds)]) == 0
         assert preds.read_bytes() == cli._predictions_csv(probs).encode("utf-8"), table
         # two parts from two chunks of rows on, unless a quote comes before the cut
-        assert len(forked) - forks == (n >= 2048 + 1024 and "quoted" not in table), table
+        assert len(forked) - forks == (n > 2048 and "quoted" not in table), table
         if dm.labels.min() == dm.labels.max():
             continue  # AUC needs both classes
         report = evaluate("x", dm.labels, probs)
@@ -1014,10 +1014,10 @@ def test_chunked_scoring_holds_one_chunk_and_fails_closed_on_a_late_bad_row(
     data, out = tmp_path / "data.csv", tmp_path / "out.csv"
     args = [command, "--model", str(completed_run["out"] / "ensemble.json"), "--data", str(data)]
     args += ["--out", str(out)] if command == "predict" else ["--roc-csv", str(out)]
-    write_stroke_csv(data, n_rows=2 * 2048 + 3071, seed=4)  # chunks of 2,048, 2,048 and 3,071 rows
+    write_stroke_csv(data, n_rows=2 * 2048 + 3071, seed=4)  # chunks of 2,048, 2,048, 2,048 and 1,023 rows
     assert cli.main(args) == 0
     applied = [details[1] for name, _, _, details in calls() if name == "apply"]
-    assert sorted((rows.start, len(rows)) for rows in applied) == [(1, 2048), (2049, 2048), (4097, 3071)]
+    assert sorted((rows.start, len(rows)) for rows in applied) == [(1, 2048), (2049, 2048), (4097, 2048), (6145, 1023)]
     out.unlink()
     capsys.readouterr()
 
@@ -1038,7 +1038,7 @@ def test_chunked_scoring_holds_one_chunk_and_fails_closed_on_a_late_bad_row(
         captured = capsys.readouterr()
         assert captured.err == f"error [{command}]: {message}\n" and captured.out == ""
         assert not out.exists()
-    assert max(len(rows) for name, _, _, details in calls() if name == "apply" for rows in details[1:]) == 2048 + 1023
+    assert max(len(rows) for name, _, _, details in calls() if name == "apply" for rows in details[1:]) == 2048
     _assert_no_child_process()
 
 
@@ -1058,16 +1058,16 @@ _BAD_BMI = ("bmi", b"12..5")
 @pytest.mark.parametrize(
     "edits, message",
     [
-        # one pass reads min_rows rows past a chunk before it scores it: the short row comes first
-        ({4000: _BAD_BMI, 4500: _SHORT}, "row 4500: expected 11 cells, got 10"),
-        ({4000: _BAD_BMI, 5200: _SHORT}, "row 4000: cannot parse '12..5' as a number in column 'bmi'"),
+        # one pass scores a chunk as soon as its last row is read: the bad cell before the cut comes first
+        ({4000: _BAD_BMI, 4500: _SHORT}, "row 4000: cannot parse '12..5' as a number in column 'bmi'"),
+        ({4000: _BAD_BMI, 4097: _SHORT}, "row 4000: cannot parse '12..5' as a number in column 'bmi'"),
         ({6000: _BAD_BMI}, "row 6000: cannot parse '12..5' as a number in column 'bmi'"),
         ({100: _SHORT, 5000: _BAD_BMI}, "row 100: expected 11 cells, got 10"),
         ({6000: ("age", b"4\xff5")}, None),
         ({6500: ("age", b"4\x005")}, "row 6500: cannot parse '4\\x005' as a number in column 'age'"),
         ({5500: ("age", b"4\x005"), 6000: ("bmi", b"2\xff")}, None),
     ],
-    ids=["short row read ahead", "short row past the read-ahead", "bad cell after the cut", "short row first",
+    ids=["short row after the cut", "short row right after the cut", "bad cell after the cut", "short row first",
          "undecodable byte", "NUL", "undecodable byte and NUL"],
 )
 @pytest.mark.parametrize("command", ["predict", "evaluate"])

@@ -109,12 +109,12 @@ _HEADER = b"age,smoking_status,stroke\n"
 
 @pytest.mark.parametrize(
     "n_rows, sizes",
-    [(0, [0]), (1, [1]), (5, [5]), (6, [4, 2]), (9, [4, 5]), (10, [4, 4, 2]), (13, [4, 4, 5]), (14, [4, 4, 4, 2])],
+    [(0, [0]), (1, [1]), (4, [4]), (5, [4, 1]), (6, [4, 2]), (8, [4, 4]), (9, [4, 4, 1]), (14, [4, 4, 4, 2])],
 )
-def test_read_csv_chunks_cuts_whole_chunks_and_joins_a_short_tail(tmp_path, n_rows, sizes):
+def test_read_csv_chunks_cuts_whole_chunks_and_a_shorter_last_one(tmp_path, n_rows, sizes):
     path = tmp_path / "data.csv"
     path.write_bytes(b"stroke,age,smoking_status\n" + b"".join(b"%d,%d,never\n" % (i % 2, i) for i in range(n_rows)))
-    chunks = list(read_csv_chunks(path, SIMPLE, chunk_rows=4, min_rows=2))
+    chunks = list(read_csv_chunks(path, SIMPLE, chunk_rows=4))
     assert [c.n_rows for c in chunks] == sizes
     whole = load_csv(path, SIMPLE)
     assert sum((c.rows for c in chunks), ()) == whole.rows
@@ -130,11 +130,11 @@ def test_read_csv_chunks_yields_the_chunks_before_a_bad_row(tmp_path, bad_row, m
     path.write_bytes(_HEADER + b"10,never,0\n" * 1000 + bad_row + b"10,never,0\n" * 3)
     seen = []
     with pytest.raises(DataError, match=message):
-        for chunk in read_csv_chunks(path, SIMPLE, chunk_rows=4, min_rows=2):
+        for chunk in read_csv_chunks(path, SIMPLE, chunk_rows=4):
             seen.append(chunk.row_numbers)
-    # a chunk goes once min_rows rows after it are read; decoding runs ahead of the parser
+    # a chunk goes once its last row is read; decoding runs ahead of the parser
     assert seen == [range(i, i + 4) for i in range(1, 4 * len(seen), 4)]
-    assert len(seen) == 249 if b"\xff" not in bad_row else 0 < len(seen) < 249
+    assert len(seen) == 250 if b"\xff" not in bad_row else 0 < len(seen) < 250
 
 
 @pytest.mark.parametrize(
@@ -166,22 +166,22 @@ def test_load_csv_reports_the_first_bad_row_in_file_order(tmp_path):
         load_csv(path, SIMPLE)
 
 
-def _one_reader_and_two_parts(path, chunk_rows, min_rows):
+def _one_reader_and_two_parts(path, chunk_rows):
     """What one reader and the two parts csv_split names, read in order, give: their chunks as (row numbers,
     rows) pairs, or their first DataError."""
 
     def read(*parts):
         try:
-            chunks = [c for part in parts for c in read_csv_chunks(path, SIMPLE, chunk_rows, min_rows, part)]
+            chunks = [c for part in parts for c in read_csv_chunks(path, SIMPLE, chunk_rows, part)]
         except DataError as exc:  # a part's chunks before its error are left out: one reader reads on first
             return str(exc)
         return [(list(c.row_numbers), c.rows) for c in chunks]
 
-    offset, rows = csv_split(path, chunk_rows, min_rows)
+    offset, rows = csv_split(path, chunk_rows)
     return read((0, 1, None)), read((0, 1, rows), (offset, rows + 1, None))
 
 
-@pytest.mark.parametrize("n_rows, rows", [(6, 4), (9, 4), (10, 4), (13, 8), (14, 8), (17, 8), (21, 12)])
+@pytest.mark.parametrize("n_rows, rows", [(5, 4), (6, 4), (9, 4), (10, 4), (13, 8), (14, 8), (17, 8), (21, 12)])
 @pytest.mark.parametrize("form", ["LF", "CRLF", "BOM", "no final newline"])
 def test_csv_split_cuts_at_the_whole_chunks_nearest_half_the_rows(tmp_path, n_rows, rows, form):
     lines = [b"stroke,age,smoking_status"] + [b"%d,%d,never" % (i % 2, i) for i in range(n_rows)]
@@ -190,18 +190,18 @@ def test_csv_split_cuts_at_the_whole_chunks_nearest_half_the_rows(tmp_path, n_ro
     content = bom + eol.join(lines) + (b"" if form == "no final newline" else eol)
     path = tmp_path / "data.csv"
     path.write_bytes(content)
-    offset, got = csv_split(path, chunk_rows=4, min_rows=2)
-    assert got == rows and content[offset:].startswith(lines[rows + 1] + eol[:1])
-    one, two = _one_reader_and_two_parts(path, 4, 2)
+    offset, got = csv_split(path, chunk_rows=4)
+    assert got == rows and (content[offset:] + eol).startswith(lines[rows + 1] + eol[:1])  # + eol: a last line
+    one, two = _one_reader_and_two_parts(path, 4)
     assert two == one and [i for numbers, _ in one for i in numbers] == list(range(1, n_rows + 1))
 
 
 @pytest.mark.parametrize(
     "n_rows, edit",
     [
-        (5, None),  # one chunk
-        (14, (10, b'"0",10,never')),  # a quote on data row rows + min_rows = 10
-        (14, (10, b"0,10,nev\rer")),  # a CR that ends no CRLF
+        (4, None),  # one chunk
+        (14, (8, b'"0",8,never')),  # a quote on data row rows = 8, the last before the cut
+        (14, (8, b"0,8,nev\rer")),  # a CR that ends no CRLF
         (14, (0, b'stroke,"age",smoking_status')),  # a quoted header
         (14, (14, b"0,1\xff,never")),  # not UTF-8, past the split
         (14, (14, b"0,1\xc3,never")),  # a cut UTF-8 sequence
@@ -214,12 +214,12 @@ def test_csv_split_reads_in_one_part_what_lines_cannot_cut(tmp_path, n_rows, edi
         lines[edit[0]] = edit[1]
     path = tmp_path / "data.csv"
     path.write_bytes(b"\n".join(lines) + b"\n")
-    assert csv_split(path, chunk_rows=4, min_rows=2) is None
-    assert csv_split(tmp_path / "absent.csv", chunk_rows=4, min_rows=2) is None
-    if edit and edit[0] == 10:  # one row further on, the same edit leaves the split
-        lines[10], lines[11] = lines[11], lines[10]
+    assert csv_split(path, chunk_rows=4) is None
+    assert csv_split(tmp_path / "absent.csv", chunk_rows=4) is None
+    if edit and edit[0] == 8:  # one row further on, past the cut, the same edit leaves the split
+        lines[8], lines[9] = lines[9], lines[8]
         path.write_bytes(b"\n".join(lines) + b"\n")
-        assert csv_split(path, chunk_rows=4, min_rows=2)[1] == 8
+        assert csv_split(path, chunk_rows=4)[1] == 8
 
 
 @pytest.mark.parametrize(
@@ -232,9 +232,9 @@ def test_a_part_names_the_file_rows_of_its_errors(tmp_path, bad_row, where):
     path.write_bytes(b"\n".join(lines) + b"\n")
     offset = len(b"\n".join(lines[:9])) + 1  # data row 9
     with pytest.raises(DataError, match=re.escape(where) + "$"):
-        list(read_csv_chunks(path, SIMPLE, chunk_rows=4, min_rows=2, part=(offset, 9, None)))
+        list(read_csv_chunks(path, SIMPLE, chunk_rows=4, part=(offset, 9, None)))
     if b"\xff" not in bad_row:  # decoding runs ahead of the parser, past the rows of a part
-        assert [c.row_numbers for c in read_csv_chunks(path, SIMPLE, 4, 2, (offset, 9, 2))] == [range(9, 11)]
+        assert [c.row_numbers for c in read_csv_chunks(path, SIMPLE, 4, (offset, 9, 2))] == [range(9, 11)]
 
 
 _SPLIT_PIECES = [b"10,never,0", b"60,smokes,1", b"10", b",", b'"', b"\r", b"\xff", b"\xc3\xa9", b"\x00"]
@@ -250,8 +250,8 @@ def test_two_parts_read_the_chunks_and_the_first_error_of_one_reader(tmp_path_fa
     """Wherever csv_split cuts a file, its two parts, read in order, yield one reader's chunks or raise its error."""
     path = tmp_path_factory.getbasetemp() / "split-fuzz.csv"
     path.write_bytes(_HEADER + eol.join(rows) + (eol if final_eol else b""))
-    if csv_split(path, chunk_rows=2, min_rows=1) is not None:
-        one, two = _one_reader_and_two_parts(path, 2, 1)
+    if csv_split(path, chunk_rows=2) is not None:
+        one, two = _one_reader_and_two_parts(path, 2)
         assert two == one
 
 

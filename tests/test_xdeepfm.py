@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradients, random_small_model
 from tabfusion.artifact import unpack_floats
-from tabfusion.dataset import DesignMatrix, fit_transform, load_csv
+from tabfusion.dataset import DesignMatrix, apply_transform, fit_transform, load_csv
 from tabfusion.xdeepfm import (
     CrossLayer,
     XDeepFMConfig,
@@ -34,6 +34,7 @@ from tabfusion.xdeepfm import (
     xdeepfm_to_dict,
 )
 from tabfusion.metrics import auc, bce, sigmoid
+from tabfusion.synth import write_stroke_csv
 
 
 def xor_design_matrix(n_per_cell: int = 10, seed: int = 0) -> DesignMatrix:
@@ -225,6 +226,27 @@ def test_forward_in_blocks_matches_row_by_row():
     cat[-1, 2] = 7  # out of range, in the last block
     with pytest.raises(ValueError, match="field 2"):
         forward(model, cat, dense)
+
+
+@pytest.fixture(scope="module")
+def stock_network(stroke_csv, stroke_schema):
+    """The stroke fixture's fitted transform, and a network of the stock config trained on its rows."""
+    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema), "one_hot")
+    return ft, train_xdeepfm(dm, XDeepFMConfig(seed=7))
+
+
+@pytest.mark.parametrize("n", [1025, 1026, 1061, 2047, 16_385])  # a last block of 1, 2, 37, 1,023 and 1 rows
+def test_forward_on_pieces_cut_at_block_multiples_equals_one_call_bitwise(stock_network, stroke_schema, tmp_path, n):
+    """Chunked and two-process scoring rest on this: every block of a piece is a block of the whole."""
+    ft, model = stock_network
+    dm = apply_transform(ft, load_csv(write_stroke_csv(tmp_path / "fresh.csv", n_rows=n, seed=11), stroke_schema))
+    cat, dense = dm.cat_indices, dm.dense
+    whole = forward(model, cat, dense).tobytes()
+    for cut in range(_BLOCK_ROWS, n, _BLOCK_ROWS):
+        pieces = [forward(model, cat[lo:hi], dense[lo:hi]) for lo, hi in ((0, cut), (cut, n))]
+        assert np.concatenate(pieces).tobytes() == whole, cut
+    blocks = [forward(model, cat[lo : lo + _BLOCK_ROWS], dense[lo : lo + _BLOCK_ROWS]) for lo in range(0, n, _BLOCK_ROWS)]
+    assert np.concatenate(blocks).tobytes() == whole
 
 
 def test_backward_near_zero_at_perfect_predictions():
