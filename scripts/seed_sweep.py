@@ -2,11 +2,11 @@
 """Run the pipeline once per seed, in memory, and print one CSV to stdout.
 
 One row per seed: the run seed, the blend coefficient alpha, the number of
-trees the GBDT kept, and each model's validation and test AUC, every value as
-its repr. The row for seed s holds the values of `manifest.json` of
-`tabfusion run --config C --seed s` with the same `--set` options. Nothing is
-written to disk; a failure exits as `tabfusion run` would, with its
-`error [stage]` line.
+trees the GBDT kept, the number of epochs the network kept, and each model's
+validation and test AUC, every value as its repr. The row for seed s holds
+the values of `manifest.json` of `tabfusion run --config C --seed s` with the
+same `--set` options. Nothing is written to disk; a failure exits as
+`tabfusion run` would, with its `error [stage]` line.
 
     python scripts/seed_sweep.py --config configs/stroke.conf --seeds 7,11,23,42,99 [--set KEY=VALUE ...]
 """
@@ -33,9 +33,10 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return exc.code
     columns = [(model, part) for model in manifests[0]["test_auc"] for part in ("validation", "test")]
-    lines = [",".join(["seed", "alpha", "GBDT_trees"] + [f"{model}_{part}_auc" for model, part in columns])]
+    header = ["seed", "alpha", "GBDT_trees", "xDeepFM_epochs"] + [f"{model}_{part}_auc" for model, part in columns]
+    lines = [",".join(header)]
     for manifest in manifests:
-        values = [manifest["seeds"]["split"], manifest["alpha"], manifest["gbdt_trees"]]
+        values = [manifest["seeds"]["split"], manifest["alpha"], manifest["gbdt_trees"], manifest["xdfm_epochs"]]
         values += [manifest[f"{part}_auc"][model] for model, part in columns]
         lines.append(",".join(map(repr, values)))
     sys.stdout.write("\n".join(lines) + "\n")

@@ -275,11 +275,12 @@ def _forked(work, name: str):
 
 
 def _train_learners(dm_train, dm_val, cfg: RunConfig):
-    """Fit the GBDT in a forked child while the network trains on this thread; a GBDT error is raised first."""
+    """Fit the GBDT in a forked child while the network trains on this thread, both stopping on the validation
+    rows; a GBDT error is raised first."""
     with _forked(lambda: train_gbdt(dm_train, cfg.gbdt, dm_val), "GBDT: training process") as gbdt_result:
         xdfm_error = None
         try:
-            xdfm_model = train_xdeepfm(dm_train, cfg.xdfm)
+            xdfm_model = train_xdeepfm(dm_train, cfg.xdfm, dm_val)
         except Exception as exc:
             xdfm_error = exc
         gbdt_model = gbdt_result()
@@ -294,7 +295,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     with _stage("data", EXIT_DATA, DataError):
         full = load_csv(cfg.data_path, cfg.schema)
         train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
-        # validation rows choose the GBDT's tree count and the blend coefficient; test rows neither
+        # validation rows choose the GBDT's tree count, the network's epochs and the blend coefficient; test rows none
         fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
         ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
         dm_val = apply_transform(ft, val)
@@ -303,6 +304,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         gbdt_model, xdfm_model = _train_learners(dm_train, dm_val, cfg)
 
     trees_kept = int(gbdt_model.forest.roots.size)
+    epochs_kept = xdfm_model.config.n_epochs
     reports = {}  # partition -> its evaluate rows, one per model
     with _stage("evaluate", EXIT_TRAIN, Exception):  # the validation partition comes first: alpha is searched on it
         for partition, dm in (("validation", dm_val), ("test", dm_test)):
@@ -321,10 +323,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "",
             f"Validation metrics (blend coefficient alpha = {alpha!r})",
             format_report_table(reports["validation"]),
-            "These rows chose the GBDT's tree count and alpha, so the GBDT and Ensemble AUCs above read high.",
+            "These rows chose the GBDT's tree count, the network's epochs and alpha, so every AUC above reads high.",
             "",
             f"rows: train={dm_train.labels.size} val={dm_val.labels.size} test={dm_test.labels.size}",
             f"gbdt trees: {trees_kept} kept of at most n_trees={cfg.gbdt.n_trees}",
+            f"xdeepfm epochs: {epochs_kept} kept of at most n_epochs={cfg.xdfm.n_epochs}",
             "seeds: " + " ".join(f"{name}={seed}" for name, seed in seeds.items()),
             f"format_version: {FORMAT_VERSION}",
         ]
@@ -345,6 +348,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "seeds": seeds,
         "alpha": alpha,
         "gbdt_trees": trees_kept,
+        "xdfm_epochs": epochs_kept,
         "validation_auc": {r.model: r.auc for r in reports["validation"]},
         "test_auc": {r.model: r.auc for r in reports["test"]},
         "artifacts": list(files),

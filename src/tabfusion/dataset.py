@@ -159,12 +159,12 @@ def csv_split(path, chunk_rows: int) -> tuple[int, int] | None:
 
     Returns ``(offset, rows)``: the first part is data rows 1..``rows``, the
     whole chunks nearest half the rows, and the second part starts at byte
-    ``offset`` with data row ``rows + 1``. Each part holds at least one chunk,
-    and their chunks are the ones one reader yields. None unless the file is
-    UTF-8 text of at least two chunks in which no line up to data row ``rows``
-    holds a ``"`` or a CR outside a CRLF, so that up to the cut each line is
-    one row. One pass reads the file in blocks of whole lines, each at most
-    2 MiB.
+    ``offset`` with data row ``rows + 1``. The first part holds at least one
+    chunk and the second at least half of one, and their chunks are the ones
+    one reader yields. None unless the file is UTF-8 text of at least one and
+    a half chunks in which no line up to data row ``rows`` holds a ``"`` or a
+    CR outside a CRLF, so that up to the cut each line is one row. One pass
+    reads the file in blocks of whole lines, each at most 2 MiB.
     """
     path = Path(path)
     if not path.is_file():
@@ -190,7 +190,8 @@ def csv_split(path, chunk_rows: int) -> tuple[int, int] | None:
         n_rows = lines - (end == b"\n")  # the lines but the header, a last one without a newline too
         chunks = -(-n_rows // chunk_rows)
         rows = chunk_rows * min(max((n_rows + chunk_rows) // (2 * chunk_rows), 1), chunks - 1)  # about half
-        if chunks < 2 or odd <= rows:
+        # a second part under half a chunk costs its process more than it saves
+        if chunks < 2 or n_rows - rows < chunk_rows // 2 or odd <= rows:
             return None
         start, before = max(b for b in blocks if b[1] <= rows)  # the block that ends data row `rows`
         fh.seek(start)

@@ -24,7 +24,7 @@ is the GBDT's alone, which ``forward`` and ``backward`` accept and skip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -32,7 +32,10 @@ import numpy as np
 from .artifact import FORMAT_VERSION, check_header, config_from_dict, config_to_dict, pack_floats
 from .artifact import read_model_file, unpack_floats, write_json
 from .dataset import DesignMatrix
-from .metrics import sigmoid
+from .metrics import bce, sigmoid
+
+# with validation rows, training stops this many epochs after the lowest validation BCE
+_EARLY_STOPPING_EPOCHS = 3
 
 
 @dataclass(frozen=True)
@@ -371,8 +374,18 @@ def set_flat_params(model: XDeepFMModel, vec: np.ndarray) -> None:
     model.params[...] = vec
 
 
-def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDeepFMModel:
-    """Mini-batch Adam on mean BCE; deterministic for a fixed seed. ValueError if an epoch ends non-finite."""
+def train_xdeepfm(
+    dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig(), val: DesignMatrix | None = None
+) -> XDeepFMModel:
+    """Mini-batch Adam on mean BCE; deterministic for a fixed seed. ValueError if an epoch ends non-finite.
+
+    Without ``val``, the model is the one after all cfg.n_epochs epochs. With
+    ``val``, ``forward`` scores its rows after each epoch. Training stops once
+    ``_EARLY_STOPPING_EPOCHS`` epochs in a row have not lowered their BCE
+    strictly, and the model keeps the parameters of the lowest BCE, the first
+    such epoch on a tie. It is the model a fit of that many epochs without
+    ``val`` gives, its config's n_epochs included.
+    """
     y = dm.labels.astype(np.float64)
     if y.size == 0:
         raise ValueError("training requires at least one row")
@@ -386,8 +399,11 @@ def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDe
     v = np.zeros_like(theta)
     step = 0
     n = y.size
+    best_epoch, best_loss, kept = 0, math.inf, theta  # kept: the parameters after epoch best_epoch
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging fit is reported below, not warned of
         for epoch in range(1, cfg.n_epochs + 1):
+            if val is not None and epoch - 1 - best_epoch >= _EARLY_STOPPING_EPOCHS:
+                break
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 sel = order[start : start + cfg.batch_size]
@@ -402,6 +418,10 @@ def train_xdeepfm(dm: DesignMatrix, cfg: XDeepFMConfig = XDeepFMConfig()) -> XDe
                 theta -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
             if not np.isfinite(theta).all():
                 raise ValueError(f"parameters are not finite after epoch {epoch}")
+            if val is not None and (loss := bce(val.labels, forward(model, val.cat_indices, val.dense))) < best_loss:
+                best_epoch, best_loss, kept = epoch, loss, theta.copy()
+    if val is not None:  # the model a fit of best_epoch epochs gives
+        return XDeepFMModel(replace(cfg, n_epochs=best_epoch), model.n_dense, model.vocab_sizes, kept)
     return model
 
 

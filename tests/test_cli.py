@@ -116,6 +116,9 @@ def test_run_writes_all_artifacts(completed_run):
     kept = len(json.loads((out / "gbdt.json").read_text(encoding="utf-8"))["forest"]["roots"])
     assert manifest["gbdt_trees"] == kept <= 25
     assert f"gbdt trees: {kept} kept of at most n_trees=25" in report
+    epochs = json.loads((out / "xdeepfm.json").read_text(encoding="utf-8"))["config"]["n_epochs"]
+    assert manifest["xdfm_epochs"] == epochs <= 6
+    assert f"xdeepfm epochs: {epochs} kept of at most n_epochs=6" in report
 
 
 def test_run_stops_boosting_on_the_validation_rows_and_records_the_trees_kept(tmp_path, mini_csv, monkeypatch):
@@ -225,12 +228,13 @@ def test_seed_sweep_rows_equal_the_run_manifests_and_reruns_are_byte_identical(
     assert outputs[0] == outputs[1]
     header, *_ = outputs[0].splitlines()
     models = [f"{model}_{part}_auc" for model in ("GBDT", "xDeepFM", "Ensemble") for part in ("validation", "test")]
-    assert header.split(",") == ["seed", "alpha", "GBDT_trees"] + models
+    assert header.split(",") == ["seed", "alpha", "GBDT_trees", "xDeepFM_epochs"] + models
     rows = list(csv.DictReader(io.StringIO(outputs[0])))
     assert [row["seed"] for row in rows] == ["7", "11"]
     for row in rows:
         manifest = json.loads(manifests[row["seed"]].read_text(encoding="utf-8"))
         expected = {"seed": row["seed"], "alpha": repr(manifest["alpha"]), "GBDT_trees": repr(manifest["gbdt_trees"])}
+        expected["xDeepFM_epochs"] = repr(manifest["xdfm_epochs"])
         for part in ("validation", "test"):
             expected.update((f"{model}_{part}_auc", repr(auc)) for model, auc in manifest[f"{part}_auc"].items())
         assert row == expected
@@ -342,8 +346,8 @@ def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch, capsys):
 def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monkeypatch, capsys):
     train_xdeepfm = cli.train_xdeepfm
 
-    def one_class(dm, cfg):  # the GBDT trains on the real labels; only the network fails
-        return train_xdeepfm(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
+    def one_class(dm, cfg, val):  # the GBDT trains on the real labels; only the network fails
+        return train_xdeepfm(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg, val)
 
     monkeypatch.setattr(cli, "train_xdeepfm", one_class)
     out = tmp_path / "out"
@@ -355,15 +359,36 @@ def test_run_network_failure_exits_3_without_traceback(tmp_path, mini_csv, monke
 
 def test_network_failure_raises_train_from_the_networks_own_error(tmp_path, mini_csv, monkeypatch):
     train_xdeepfm = cli.train_xdeepfm
-    monkeypatch.setattr(
-        cli, "train_xdeepfm", lambda dm, cfg: train_xdeepfm(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg)
-    )
+
+    def one_class(dm, cfg, val):
+        return train_xdeepfm(dataclasses.replace(dm, labels=np.zeros_like(dm.labels)), cfg, val)
+
+    monkeypatch.setattr(cli, "train_xdeepfm", one_class)
     with pytest.raises(cli.StageError) as info:
         cli.run_pipeline(cli.load_run_config(_write_config(tmp_path, mini_csv, tmp_path / "out")))
     assert (info.value.stage, info.value.code) == ("train", 3)
     assert str(info.value) == "error [train]: xDeepFM: training requires both classes to be present"
     assert isinstance(info.value.__cause__.__cause__, ValueError)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_nan_validation_forward_of_the_network_exits_3_at_train_with_one_line(
+    tmp_path, mini_csv, monkeypatch, capsys
+):
+    train_xdeepfm = cli.train_xdeepfm
+
+    def nan_validation(dm, cfg, val):  # the GBDT stops on the real validation rows; the network scores NaN
+        return train_xdeepfm(dm, cfg, dataclasses.replace(val, dense=np.full_like(val.dense, np.nan)))
+
+    monkeypatch.setattr(cli, "train_xdeepfm", nan_validation)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", str(_write_config(tmp_path, mini_csv, out))]) == 3
+    message = "xDeepFM: the network's output is NaN: its parameters or inputs overflow"
+    assert capsys.readouterr().err == f"error [train]: {message}\n"
+    assert not out.exists()
+    _assert_no_child_process()
 
 
 def _call_log(tmp_path):
@@ -394,9 +419,9 @@ def _learner_spies(monkeypatch, tmp_path):
         record("gbdt", (dm, cfg, val))
         return train_gbdt(dm, cfg, val)
 
-    def xdfm(dm, cfg):
-        record("xdeepfm", (dm, cfg))
-        return train_xdeepfm(dm, cfg)
+    def xdfm(dm, cfg, val):
+        record("xdeepfm", (dm, cfg, val))
+        return train_xdeepfm(dm, cfg, val)
 
     monkeypatch.setattr(cli, "train_gbdt", gbdt)
     monkeypatch.setattr(cli, "train_xdeepfm", xdfm)
@@ -472,32 +497,33 @@ def test_run_fits_the_gbdt_in_one_forked_child_and_the_network_on_this_thread(
     _assert_no_child_process()
 
 
-def test_both_learners_fit_the_same_rows_and_only_the_gbdt_reads_the_validation_rows(tmp_path, mini_csv, monkeypatch):
+def test_both_learners_fit_the_same_rows_and_stop_on_the_same_validation_rows(tmp_path, mini_csv, monkeypatch):
     calls = _learner_spies(monkeypatch, tmp_path)
     cfg = cli.load_run_config(_write_config(tmp_path, mini_csv, tmp_path / "out"))
     files = cli.run_pipeline(cfg)
     args = {name: args for name, _, _, args in calls()}
-    (dm, gbdt_cfg, val), (xdfm_dm, xdfm_cfg) = args["gbdt"], args["xdeepfm"]
+    (dm, gbdt_cfg, val), (xdfm_dm, xdfm_cfg, xdfm_val) = args["gbdt"], args["xdeepfm"]
     assert pickle.dumps(xdfm_dm) == pickle.dumps(dm) and (gbdt_cfg, xdfm_cfg) == (cfg.gbdt, cfg.xdfm)
+    assert pickle.dumps(xdfm_val) == pickle.dumps(val)
     assert f"rows: train={dm.labels.size} val={val.labels.size} test=" in files["report.txt"]
 
 
 def test_network_trained_beside_the_gbdt_equals_a_network_trained_alone(tmp_path, completed_run, monkeypatch):
     calls = _learner_spies(monkeypatch, tmp_path)
     cli.run_pipeline(cli.load_run_config(completed_run["config"]))
-    ((dm, cfg),) = [args for name, _, _, args in calls() if name == "xdeepfm"]
+    ((dm, cfg, dm_val),) = [args for name, _, _, args in calls() if name == "xdeepfm"]
     doc = json.loads((completed_run["out"] / "xdeepfm.json").read_text(encoding="utf-8"))
     del doc["transform"]
     # json text, not dict equality, so that a 0.0 against a -0.0 would differ too
-    assert json.dumps(doc) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg)))
+    assert json.dumps(doc) == json.dumps(xdeepfm_to_dict(train_xdeepfm(dm, cfg, dm_val)))
 
 
 def test_network_overflow_within_a_finite_fit_completes_without_a_warning(tmp_path, mini_csv, monkeypatch):
     """The fit is judged by its parameters after each epoch, not by the overflows on the way."""
     train_xdeepfm = cli.train_xdeepfm
 
-    def overflowing(dm, cfg):  # Adam's squared gradients overflow to inf; the parameters stay finite
-        return train_xdeepfm(dataclasses.replace(dm, dense=dm.dense * 1e100), cfg)
+    def overflowing(dm, cfg, val):  # Adam's squared gradients overflow to inf; the parameters stay finite
+        return train_xdeepfm(dataclasses.replace(dm, dense=dm.dense * 1e100), cfg, val)
 
     monkeypatch.setattr(cli, "train_xdeepfm", overflowing)
     with warnings.catch_warnings():
@@ -967,8 +993,8 @@ def test_chunked_predict_and_evaluate_equal_whole_table_scoring_byte_for_byte(
         forks = len(forked)
         assert cli.main(["predict", *args, "--out", str(preds)]) == 0
         assert preds.read_bytes() == cli._predictions_csv(probs).encode("utf-8"), table
-        # two parts from two chunks of rows on, unless a quote comes before the cut
-        assert len(forked) - forks == (n > 2048 and "quoted" not in table), table
+        # two parts once the second holds half a chunk, unless a quote comes before the cut
+        assert len(forked) - forks == (n >= 2048 + 1024 and "quoted" not in table), table
         if dm.labels.min() == dm.labels.max():
             continue  # AUC needs both classes
         report = evaluate("x", dm.labels, probs)

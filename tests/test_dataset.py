@@ -181,7 +181,7 @@ def _one_reader_and_two_parts(path, chunk_rows):
     return read((0, 1, None)), read((0, 1, rows), (offset, rows + 1, None))
 
 
-@pytest.mark.parametrize("n_rows, rows", [(5, 4), (6, 4), (9, 4), (10, 4), (13, 8), (14, 8), (17, 8), (21, 12)])
+@pytest.mark.parametrize("n_rows, rows", [(6, 4), (7, 4), (9, 4), (10, 4), (13, 8), (14, 8), (17, 8), (21, 12)])
 @pytest.mark.parametrize("form", ["LF", "CRLF", "BOM", "no final newline"])
 def test_csv_split_cuts_at_the_whole_chunks_nearest_half_the_rows(tmp_path, n_rows, rows, form):
     lines = [b"stroke,age,smoking_status"] + [b"%d,%d,never" % (i % 2, i) for i in range(n_rows)]
@@ -200,6 +200,7 @@ def test_csv_split_cuts_at_the_whole_chunks_nearest_half_the_rows(tmp_path, n_ro
     "n_rows, edit",
     [
         (4, None),  # one chunk
+        (5, None),  # a second part of one row, under half a chunk
         (14, (8, b'"0",8,never')),  # a quote on data row rows = 8, the last before the cut
         (14, (8, b"0,8,nev\rer")),  # a CR that ends no CRLF
         (14, (0, b'stroke,"age",smoking_status')),  # a quoted header

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradients, random_small_model
+from tabfusion import xdeepfm
 from tabfusion.artifact import unpack_floats
 from tabfusion.dataset import DesignMatrix, apply_transform, fit_transform, load_csv
 from tabfusion.xdeepfm import (
@@ -517,6 +518,61 @@ def test_train_is_deterministic():
     a = train_xdeepfm(dm, cfg)
     b = train_xdeepfm(dm, cfg)
     assert np.array_equal(get_flat_params(a), get_flat_params(b))
+
+
+def _rows(dm, sl):
+    """The rows ``sl`` of a design matrix."""
+    return dataclasses.replace(dm, dense=dm.dense[sl], cat_indices=dm.cat_indices[sl], labels=dm.labels[sl])
+
+
+@pytest.fixture(scope="module")
+def stopping_rows(stroke_matrices):
+    """The stroke fixture's one-hot matrix as fitting rows and validation rows."""
+    dm = stroke_matrices[0]
+    return _rows(dm, slice(0, 4000)), _rows(dm, slice(4000, None))
+
+
+_STOPPING_FIT = XDeepFMConfig(embedding_dim=3, deep_widths=(8,), learning_rate=0.05, n_epochs=30, seed=5)
+
+
+@pytest.mark.parametrize(
+    "cfg, stops_early",
+    [(_STOPPING_FIT, True), (dataclasses.replace(_STOPPING_FIT, learning_rate=0.001, n_epochs=3), False)],
+    ids=["stops early", "reaches the cap"],
+)
+def test_the_kept_network_equals_a_fit_of_the_kept_epochs_without_validation_rows(stopping_rows, cfg, stops_early):
+    train, val = stopping_rows
+    kept = train_xdeepfm(train, cfg, val)
+    epochs = kept.config.n_epochs
+    assert (epochs + 3 < cfg.n_epochs) if stops_early else (epochs == cfg.n_epochs)
+    assert kept.config == dataclasses.replace(cfg, n_epochs=epochs)
+    fresh = train_xdeepfm(train, kept.config)
+    assert json.dumps(xdeepfm_to_dict(kept)) == json.dumps(xdeepfm_to_dict(fresh))
+
+
+def test_without_validation_rows_every_epoch_runs_as_before(stopping_rows):
+    """The fit that stops early on validation rows runs all its epochs without them, as the per-array reference."""
+    train, val = stopping_rows
+    assert train_xdeepfm(train, _STOPPING_FIT, val).config.n_epochs < _STOPPING_FIT.n_epochs
+    dense = np.ascontiguousarray(train.dense[:, : train.dense.shape[1] - train.n_onehot])
+    reference = _per_array_adam(dataclasses.replace(train, dense=dense, n_onehot=0), _STOPPING_FIT)
+    for model in (train_xdeepfm(train, _STOPPING_FIT), train_xdeepfm(train, _STOPPING_FIT, None)):
+        assert model.config == _STOPPING_FIT and model.params.tobytes() == reference.params.tobytes()
+
+
+def test_on_a_tie_the_first_best_epoch_is_kept_and_training_stops_three_epochs_later(stopping_rows, monkeypatch):
+    train, val = stopping_rows
+    losses = []
+
+    def constant_bce(y, p):
+        losses.append(p.size)
+        return 0.5
+
+    monkeypatch.setattr(xdeepfm, "bce", constant_bce)
+    kept = train_xdeepfm(train, _STOPPING_FIT, val)
+    assert losses == [val.labels.size] * 4  # epoch 1, then 2, 3 and 4 that do not lower it
+    one_epoch = dataclasses.replace(_STOPPING_FIT, n_epochs=1)
+    assert kept.config == one_epoch and kept.params.tobytes() == train_xdeepfm(train, one_epoch).params.tobytes()
 
 
 def test_serialization_round_trip_preserves_predictions():
