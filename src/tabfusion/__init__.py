@@ -30,8 +30,6 @@ from .xdeepfm import (
     XDeepFMConfig,
     XDeepFMModel,
     backward,
-    cross_forward,
-    deep_forward,
     forward,
     init_xdeepfm,
     train_xdeepfm,
@@ -69,8 +67,6 @@ __all__ = [
     "XDeepFMConfig",
     "XDeepFMModel",
     "backward",
-    "cross_forward",
-    "deep_forward",
     "forward",
     "init_xdeepfm",
     "train_xdeepfm",

@@ -491,7 +491,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--data", type=Path, help="override the config's data path")
     run.add_argument("--out", type=Path, help="override the config's output directory")
     run.add_argument("--seed", type=int, help="override the config's seed")
-    run.add_argument("--test-fraction", type=float, help="override the config's test fraction")
     run.add_argument(
         "--set",
         action="append",
@@ -522,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         with _stage("write", EXIT_DATA, BrokenPipeError):  # the reader of stdout has gone, e.g. `| head -1`
             args = _build_parser().parse_args(argv)
             if args.command == "run":
-                flags = {"data": args.data, "out_dir": args.out, "seed": args.seed, "test_fraction": args.test_fraction}
+                flags = {"data": args.data, "out_dir": args.out, "seed": args.seed}
                 cmd_run(load_run_config(args.config, args.set, **flags))
             elif args.command == "predict":
                 cmd_predict(args.model, args.data, args.out)

@@ -13,8 +13,9 @@ out by ``_shapes`` with the embedding tables first. So h0's embedding part is
 one gather at positions computed from each row's indices, ``backward``
 returns one gradient vector of the same layout (its embedding part one
 ``np.bincount``), and an Adam step is a few whole-vector operations.
-``forward`` scores a batch in blocks of ``_BLOCK_ROWS`` rows, so the
-network's intermediates stay a few MiB however many rows are scored.
+``forward`` and ``backward`` share one pass, ``_passes``: ``forward`` runs
+it on blocks of ``_BLOCK_ROWS`` rows, so the network's intermediates stay a
+few MiB however many rows are scored, and ``backward`` on its whole batch.
 
 h0's dense part is a design matrix's first ``n_dense`` columns, the numeric and
 binary ones: each categorical enters once, as its embedding, and a one-hot tail
@@ -211,20 +212,6 @@ def _stack_batch(emb: EmbeddingTable, cat_idx: np.ndarray, dense: np.ndarray) ->
     return h0
 
 
-def _cross_step(layer: CrossLayer, h: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = c . h, and the layer's output W h + b + s h0."""
-    s = h @ layer.c
-    return s, h @ layer.W.T + layer.b + s[..., None] * h0
-
-
-def cross_forward(layers: list[CrossLayer], h0: np.ndarray) -> np.ndarray:
-    """Apply h_{l+1} = W_l h_l + b_l + (c_l . h_l) h0 in order; width is preserved."""
-    h = h0
-    for layer in layers:
-        _, h = _cross_step(layer, h, h0)
-    return h
-
-
 def _activate(z: np.ndarray, name: str) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
@@ -242,18 +229,35 @@ def _activate_grad(z: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def deep_forward(net: DeepNet, h0: np.ndarray, activation: str) -> np.ndarray:
-    """Alternating affine + activation; an empty net returns h0 unchanged."""
+def _passes(model: XDeepFMModel, h0: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Everything after a batch's h0: the cross and deep paths, the head input u and the probabilities p.
+
+    Returns (crosses, deeps, u, p): each cross layer's input h and its c . h,
+    and each deep layer's input a and pre-activation z, in layer order.
+    """
+    crosses = []
+    h = h0
+    for layer in model.cross_layers:  # h_{l+1} = W_l h_l + b_l + (c_l . h_l) h0
+        s = h @ layer.c
+        crosses.append((h, s))
+        h = h @ layer.W.T + layer.b + s[:, None] * h0
+    deeps = []
     a = h0
-    for layer in net.layers:
-        a = _activate(a @ layer.W.T + layer.b, activation)
-    return a
+    for layer in model.deep.layers:
+        z = a @ layer.W.T + layer.b
+        deeps.append((a, z))
+        a = _activate(z, model.config.hidden_activation)
+    u = np.concatenate([h, a], axis=1)
+    return crosses, deeps, u, np.asarray(sigmoid(u @ model.head_w + model.head_b[0]))
 
 
 def _as_batch(model: XDeepFMModel, cat_idx, dense) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both inputs as a batch, and whether they were one row; ValueError unless both are 1-D or both 2-D."""
     cat_idx = np.asarray(cat_idx, dtype=np.int64)
     dense = np.asarray(dense, dtype=np.float64)
-    single = cat_idx.ndim == 1 and dense.ndim == 1
+    if cat_idx.ndim != dense.ndim or cat_idx.ndim not in (1, 2):
+        raise ValueError(f"expected one row or a batch of both, got {cat_idx.ndim}-D indices, {dense.ndim}-D features")
+    single = cat_idx.ndim == 1
     if single:
         cat_idx = cat_idx[None, :]
         dense = dense[None, :]
@@ -284,13 +288,10 @@ def forward(model: XDeepFMModel, cat_idx, dense):
     same bits as one call.
     """
     cat_idx, dense, single = _as_batch(model, cat_idx, dense)
-    activation = model.config.hidden_activation
     p = np.empty(cat_idx.shape[0])
     for lo in range(0, p.size, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        h0 = _stack_batch(model.embeddings, cat_idx[block], dense[block])
-        u = np.concatenate([cross_forward(model.cross_layers, h0), deep_forward(model.deep, h0, activation)], axis=1)
-        p[block] = sigmoid(u @ model.head_w + model.head_b[0])
+        p[block] = _passes(model, _stack_batch(model.embeddings, cat_idx[block], dense[block]))[-1]
     if np.isnan(p).any():  # some layer met inf - inf or inf * 0
         raise ValueError("the network's output is NaN: its parameters or inputs overflow")
     return float(p[0]) if single else p
@@ -299,34 +300,19 @@ def forward(model: XDeepFMModel, cat_idx, dense):
 def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
     """Exact gradient of mean BCE over the batch, laid out like ``model.params``.
 
-    Embedding rows not referenced by the batch get exactly zero gradient.
+    ``y`` holds one label per row, or is a scalar for one row; ValueError
+    otherwise. Embedding rows not referenced by the batch get exactly zero
+    gradient.
     """
-    cat_idx, dense, _ = _as_batch(model, cat_idx, dense)
+    cat_idx, dense, single = _as_batch(model, cat_idx, dense)
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
+    n = cat_idx.shape[0]
+    if y.shape != (n,) and not (single and y.ndim == 0):
+        raise ValueError(f"expected one label per row, {n} in all, got labels of shape {y.shape}")
     if n == 0:
         raise ValueError("backward requires a non-empty batch")
     h0 = _stack_batch(model.embeddings, cat_idx, dense)
-    activation = model.config.hidden_activation
-
-    # forward pass, keeping what the backward sweep needs
-    hs = [h0]
-    dots = []
-    h = h0
-    for layer in model.cross_layers:
-        s, h = _cross_step(layer, h, h0)
-        dots.append(s)
-        hs.append(h)
-    acts = [h0]
-    zs = []
-    a = h0
-    for layer in model.deep.layers:
-        z = a @ layer.W.T + layer.b
-        zs.append(z)
-        a = _activate(z, activation)
-        acts.append(a)
-    u = np.concatenate([hs[-1], acts[-1]], axis=1)
-    p = np.asarray(sigmoid(u @ model.head_w + model.head_b[0]))
+    crosses, deeps, u, p = _passes(model, h0)
 
     d_logit = (p - y) / n
     rev = [np.array([d_logit.sum()]), u.T @ d_logit]  # gradient pieces, last parameter first
@@ -336,21 +322,17 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
 
     # deep path
     grad = du[:, width:]
-    for li in reversed(range(len(model.deep.layers))):
-        layer = model.deep.layers[li]
-        dz = grad * _activate_grad(zs[li], activation)
-        rev += [dz.sum(axis=0), dz.T @ acts[li]]
+    for layer, (a, z) in zip(reversed(model.deep.layers), reversed(deeps)):
+        dz = grad * _activate_grad(z, model.config.hidden_activation)
+        rev += [dz.sum(axis=0), dz.T @ a]
         grad = dz @ layer.W
     d_h0 += grad
 
     # cross path; each layer touches h0 directly through the interaction term
     grad = du[:, :width]
-    for li in reversed(range(len(model.cross_layers))):
-        layer = model.cross_layers[li]
-        h_in = hs[li]
-        s = dots[li]
+    for layer, (h, s) in zip(reversed(model.cross_layers), reversed(crosses)):
         ds = (grad * h0).sum(axis=1)
-        rev += [h_in.T @ ds, grad.sum(axis=0), grad.T @ h_in]
+        rev += [h.T @ ds, grad.sum(axis=0), grad.T @ h]
         d_h0 += grad * s[:, None]
         grad = grad @ layer.W + ds[:, None] * layer.c[None, :]
     d_h0 += grad

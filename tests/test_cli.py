@@ -329,8 +329,12 @@ def test_run_unknown_config_key_exits_1(tmp_path, mini_csv):
     assert cli.main(["run", "--config", str(config)]) == 1
 
 
-def test_run_bad_flag_exits_1():
+def test_run_bad_flag_exits_1(tmp_path):
     assert cli.main(["run", "--no-such-flag"]) == 1
+    # `--set test_fraction=X` is the one way to override the test fraction
+    argv = ["run", "--config", str(_STOCK_CONFIG), "--out", str(tmp_path / "out"), "--test-fraction", "0.3"]
+    assert cli.main(argv) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_training_failure_exits_3(tmp_path, mini_csv, monkeypatch, capsys):

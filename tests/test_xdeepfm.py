@@ -16,16 +16,14 @@ from tabfusion import xdeepfm
 from tabfusion.artifact import unpack_floats
 from tabfusion.dataset import DesignMatrix, apply_transform, fit_transform, load_csv
 from tabfusion.xdeepfm import (
-    CrossLayer,
     XDeepFMConfig,
     XDeepFMModel,
     _BLOCK_ROWS,
     _init_model,
+    _passes,
     _shapes,
     _stack_batch,
     backward,
-    cross_forward,
-    deep_forward,
     forward,
     get_flat_params,
     init_xdeepfm,
@@ -100,30 +98,46 @@ def test_stack_batch_index_zero_selects_oov_row():
             _stack(emb, [bad], [])
 
 
+def _cross_model(W, b, c):
+    """A model of ``len(b)`` dense features whose one cross layer holds W, b and c, with no deep layer."""
+    model = init_xdeepfm((), len(b), XDeepFMConfig(n_cross_layers=1, deep_widths=()))
+    layer = model.cross_layers[0]
+    layer.W[...], layer.b[...], layer.c[...] = W, b, c
+    return model
+
+
+def _cross_output(model, h0):
+    """The cross path's output for the one row h0: u's leading columns, the deep path adding h0 after them."""
+    _, _, u, _ = _passes(model, np.array([h0]))
+    return u[0, : len(h0)].tolist()
+
+
 def test_cross_forward_zero_parameters():
-    layer = CrossLayer(W=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(2))
-    assert cross_forward([layer], np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+    model = _cross_model(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+    assert _cross_output(model, [1.0, 2.0]) == [0.0, 0.0]
 
 
 def test_cross_forward_identity():
-    layer = CrossLayer(W=np.eye(2), b=np.zeros(2), c=np.zeros(2))
-    assert cross_forward([layer], np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
+    model = _cross_model(np.eye(2), np.zeros(2), np.zeros(2))
+    assert _cross_output(model, [1.0, 2.0]) == [1.0, 2.0]
 
 
 def test_cross_forward_interaction_term():
     # (c . h0) h0 with c = [1, 0] and h0 = [1, 2] gives h0 back
-    layer = CrossLayer(W=np.zeros((2, 2)), b=np.zeros(2), c=np.array([1.0, 0.0]))
-    assert cross_forward([layer], np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
+    model = _cross_model(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 0.0]))
+    assert _cross_output(model, [1.0, 2.0]) == [1.0, 2.0]
+    ((h, s),), _, _, _ = _passes(model, np.array([[1.0, 2.0]]))  # what backward keeps: the layer's input and c . h
+    assert h.tolist() == [[1.0, 2.0]] and s.tolist() == [1.0]
 
 
 def test_cross_forward_width_mismatch():
-    layer = CrossLayer(W=np.zeros((3, 3)), b=np.zeros(3), c=np.zeros(3))
+    model = _cross_model(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        cross_forward([layer], np.array([1.0, 2.0]))
+        _passes(model, np.array([[1.0, 2.0]]))
 
 
 def _deep_model(W, b, activation):
-    """A model of ``W.shape[1]`` dense features whose one deep layer holds W and b."""
+    """A model of ``W.shape[1]`` dense features whose one deep layer holds W and b, with no cross layer."""
     cfg = XDeepFMConfig(n_cross_layers=0, deep_widths=(len(b),), hidden_activation=activation)
     model = init_xdeepfm((), W.shape[1], cfg)
     model.deep.layers[0].W[...] = W
@@ -131,22 +145,30 @@ def _deep_model(W, b, activation):
     return model
 
 
+def _deep_output(model, h0):
+    """The deep path's output for the one row h0: u's columns after h0, which the empty cross path passes on."""
+    _, _, u, _ = _passes(model, np.array([h0]))
+    return u[0, len(h0) :]
+
+
 def test_deep_forward_relu():
     model = _deep_model(np.eye(2), np.zeros(2), "relu")
-    assert deep_forward(model.deep, np.array([-1.0, 2.0]), model.config.hidden_activation).tolist() == [0.0, 2.0]
+    assert _deep_output(model, [-1.0, 2.0]).tolist() == [0.0, 2.0]
+    _, ((a, z),), _, _ = _passes(model, np.array([[-1.0, 2.0]]))  # what backward keeps: the input and z
+    assert a.tolist() == [[-1.0, 2.0]] and z.tolist() == [[-1.0, 2.0]]
 
 
 def test_deep_forward_sigmoid_bias():
     model = _deep_model(np.zeros((1, 2)), np.array([0.3]), "sigmoid")
     expected = 1.0 / (1.0 + math.exp(-0.3))
-    got = deep_forward(model.deep, np.array([1.0, 2.0]), model.config.hidden_activation)
-    assert got[0] == pytest.approx(expected, abs=1e-15)
+    assert _deep_output(model, [1.0, 2.0])[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_deep_forward_empty_net_is_identity():
     model = init_xdeepfm((), 3, XDeepFMConfig(deep_widths=()))
-    h0 = np.array([1.0, -2.0, 3.0])
-    assert deep_forward(model.deep, h0, model.config.hidden_activation) is h0
+    h0 = np.array([[1.0, -2.0, 3.0]])
+    _, deeps, u, _ = _passes(model, h0)
+    assert deeps == [] and u[:, 3:].tolist() == h0.tolist()
 
 
 def test_forward_all_zero_parameters_gives_half():
@@ -351,6 +373,38 @@ def test_embedding_gradient_equals_a_per_field_add_at_bitwise():
         got = emb.gradient(cat, d_emb)
         assert got.shape == emb.values.shape
         assert got.tobytes() == np.concatenate([r.ravel() for r in reference]).tobytes()
+
+
+def test_backward_takes_one_label_per_row():
+    model = init_xdeepfm((3,), 1, XDeepFMConfig(embedding_dim=2, seed=1))
+    cat, dense = np.array([[1], [2]]), np.array([[0.1], [0.2]])
+    for y in ([1.0], [1.0, 0.0, 1.0], [[1.0], [0.0]], 1.0):
+        with pytest.raises(ValueError, match="^expected one label per row, 2 in all, got labels of shape"):
+            backward(model, cat, dense, y)
+    # one row takes its label as a scalar, as a one-entry vector, or as a one-row batch's
+    one_row = backward(model, cat[:1], dense[:1], [1.0]).tobytes()
+    assert backward(model, [1], [0.1], 1.0).tobytes() == backward(model, [1], [0.1], [1.0]).tobytes() == one_row
+    with pytest.raises(ValueError, match="one label per row"):
+        backward(model, [1], [0.1], [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "cat, dense, message",
+    [
+        ([1], [[0.1]], "expected one row or a batch of both, got 1-D indices, 2-D features"),
+        ([[1], [2]], [0.1], "expected one row or a batch of both, got 2-D indices, 1-D features"),
+        (1, 0.1, "expected one row or a batch of both, got 0-D indices, 0-D features"),
+        ([[[1]]], [[[0.1]]], "expected one row or a batch of both, got 3-D indices, 3-D features"),
+        ([[1], [2]], [[0.1], [0.2], [0.3]], "categorical and dense batches differ in length"),
+    ],
+    ids=["1-2", "2-1", "0-0", "3-3", "2-3-rows"],
+)
+def test_forward_and_backward_take_one_row_or_equal_batches_of_both(cat, dense, message):
+    model = init_xdeepfm((3,), 1, XDeepFMConfig(embedding_dim=2, seed=1))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        forward(model, cat, dense)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        backward(model, cat, dense, [1.0])
 
 
 def test_backward_untouched_embedding_rows_get_zero_gradient():
@@ -824,7 +878,7 @@ def test_a_model_that_reads_the_one_hot_columns_scores_them_as_before(stroke_mat
     """A model file written before the network dropped the one-hot tail has n_dense = 21, the full width.
 
     Its h0 holds every dense column, the one-hot ones included, as when it was written; 1,000 rows are one
-    forward block, so the reference takes the same matrix products.
+    forward block, so the reference, written out here, takes the same matrix products in the same order.
     """
     dm, _, _ = stroke_matrices
     old = train_xdeepfm(dataclasses.replace(dm, n_onehot=0), _SHORT_FIT)  # the layout of such a file
@@ -832,8 +886,14 @@ def test_a_model_that_reads_the_one_hot_columns_scores_them_as_before(stroke_mat
     assert (restored.n_dense, restored.full_width) == (21, 37)
     cat, dense = dm.cat_indices[:1000], dm.dense[:1000]
     h0 = _reference_h0(restored, cat, dense)
-    u = np.concatenate([cross_forward(restored.cross_layers, h0), deep_forward(restored.deep, h0, "relu")], axis=1)
-    expected = sigmoid(u @ restored.head_w + restored.head_b[0])
+    h = h0
+    for layer in restored.cross_layers:
+        s = h @ layer.c
+        h = h @ layer.W.T + layer.b + s[:, None] * h0
+    a = h0
+    for layer in restored.deep.layers:
+        a = np.maximum(a @ layer.W.T + layer.b, 0.0)
+    expected = sigmoid(np.concatenate([h, a], axis=1) @ restored.head_w + restored.head_b[0])
     assert forward(restored, cat, dense).tobytes() == np.asarray(expected).tobytes()
     with pytest.raises(ValueError, match="expected 21 dense features per row, or 37"):
         forward(restored, cat, dense[:, :5])
