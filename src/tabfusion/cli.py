@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import FORMAT_VERSION, _write_atomic, coerce, config_from_dict, read_model_file, write_json
+from .artifact import FORMAT_VERSION, _write_atomic, config_from_dict, read_model_file, write_json
 from .dataset import (
     DataError,
     Schema,
@@ -84,7 +84,7 @@ class RunConfig:
 
 
 def parse_kv_file(path: Path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; order is preserved; a leading BOM is dropped."""
+    """Flat `key = value` lines in order, a leading BOM dropped; a line whose first non-blank is '#' is a comment."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -109,79 +109,70 @@ def parse_kv_file(path: Path) -> dict[str, str]:
     return out
 
 
-def _option(kv: dict[str, str], key: str, default: str, hint):
-    """A top-level option's value, read by the config rule of `tabfusion.artifact`."""
-    try:
-        return coerce(hint, kv.get(key, default), text=True)
-    except ValueError as exc:
-        raise ConfigError(f"option {key!r}: {exc}") from None
+@dataclass(frozen=True)
+class RunOptions:
+    """A run config's top-level keys, the ones without a dot, with their defaults."""
+
+    data: str = ""
+    out_dir: str = "runs/out"
+    missing_token: str = "N/A"
+    positive_label: str = "1"
+    encoding_mode: str = "one_hot"
+    test_fraction: float = 0.2
+    val_fraction: float = 0.2
+    seed: int = 0
+
+    def __post_init__(self):
+        if not self.data:
+            raise ValueError("missing required option 'data'")
+        if self.encoding_mode not in ("one_hot", "label"):
+            raise ValueError(f"encoding_mode must be 'one_hot' or 'label', got {self.encoding_mode!r}")
+        for name in ("test_fraction", "val_fraction"):
+            if not 0.0 < (fraction := getattr(self, name)) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {fraction}")
+        if self.seed < 0:  # NumPy's generators take no negative seed
+            raise ValueError(f"option 'seed' must be non-negative, got {self.seed}")
 
 
-def _sub_config(kv: dict[str, str], prefix: str, config_cls, **defaults):
-    """Build a config dataclass from `prefix.field` keys over `defaults`, by the one config rule."""
-    raw = dict(defaults)
-    raw.update((key[len(prefix) + 1 :], value) for key, value in kv.items() if key.startswith(prefix + "."))
-    try:
-        return config_from_dict(config_cls, raw, text=True)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from None
-
-
-_TOP_KEYS = {
-    "data",
-    "out_dir",
-    "missing_token",
-    "positive_label",
-    "encoding_mode",
-    "test_fraction",
-    "val_fraction",
-    "seed",
-}
+# The config class of each section: a key `section.field` sets that field, and a key without a dot a field of
+# RunOptions. The `column` section is the schema: `column.<name> = <kind>`, in column order.
+_SECTIONS = {"": RunOptions, "gbdt": GBDTConfig, "xdfm": XDeepFMConfig, "blend": BlendConfig}
 
 
 def build_run_config(kv: dict[str, str]) -> RunConfig:
-    columns = []
+    raw = {section: {} for section in ("column", *_SECTIONS)}  # section -> {field: text}
     for key, value in kv.items():
-        if key.startswith("column."):
-            columns.append((key[len("column.") :], value))
-        elif key in _TOP_KEYS or key.split(".", 1)[0] in ("gbdt", "xdfm", "blend"):
-            continue
-        else:
+        head, dot, name = key.partition(".")
+        section, name = (head, name) if dot else ("", key)
+        if section not in raw or (section != "column" and name not in _SECTIONS[section].__dataclass_fields__):
             raise ConfigError(f"unknown option {key!r}")
-    if "data" not in kv:
-        raise ConfigError("missing required option 'data'")
-    if not columns:
+        raw[section][name] = value
+    configs = {}
+    for section, config_cls in _SECTIONS.items():
+        if section in ("gbdt", "xdfm"):  # a learner's seed is the run's unless set
+            raw[section].setdefault("seed", configs[""].seed)
+        try:
+            configs[section] = config_from_dict(config_cls, raw[section], text=True)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}" if section else str(exc)) from None
+    options = configs[""]
+    if not raw["column"]:
         raise ConfigError("no 'column.<name>' entries found")
     try:
-        schema = Schema(
-            columns=tuple(columns),
-            missing_token=kv.get("missing_token", "N/A"),
-            positive_label=kv.get("positive_label", "1"),
-        )
+        schema = Schema(tuple(raw["column"].items()), options.missing_token, options.positive_label)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
-    encoding_mode = kv.get("encoding_mode", "one_hot")
-    if encoding_mode not in ("one_hot", "label"):
-        raise ConfigError(f"encoding_mode must be 'one_hot' or 'label', got {encoding_mode!r}")
-    test_fraction = _option(kv, "test_fraction", "0.2", float)
-    val_fraction = _option(kv, "val_fraction", "0.2", float)
-    for name, fraction in (("test_fraction", test_fraction), ("val_fraction", val_fraction)):
-        if not 0.0 < fraction < 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1), got {fraction}")
-    seed = _option(kv, "seed", "0", int)
-    if seed < 0:  # NumPy's generators take no negative seed
-        raise ConfigError(f"option 'seed' must be non-negative, got {seed}")
     return RunConfig(
-        data_path=Path(kv["data"]),
-        out_dir=Path(kv.get("out_dir", "runs/out")),
+        data_path=Path(options.data),
+        out_dir=Path(options.out_dir),
         schema=schema,
-        encoding_mode=encoding_mode,
-        test_fraction=test_fraction,
-        val_fraction=val_fraction,
-        seed=seed,
-        gbdt=_sub_config(kv, "gbdt", GBDTConfig, seed=seed),
-        xdfm=_sub_config(kv, "xdfm", XDeepFMConfig, seed=seed),
-        blend=_sub_config(kv, "blend", BlendConfig),
+        encoding_mode=options.encoding_mode,
+        test_fraction=options.test_fraction,
+        val_fraction=options.val_fraction,
+        seed=options.seed,
+        gbdt=configs["gbdt"],
+        xdfm=configs["xdfm"],
+        blend=configs["blend"],
     )
 
 
@@ -382,10 +373,11 @@ def _predict_from_file(model_path: Path, data_path: Path, keep) -> tuple[str, li
     order: the probabilities and 0/1 labels of a part's rows, and the 0-based index of its first row.
 
     A lone model file is read by its own kind; an ensemble's components by their role, so its
-    `gbdt_ref` must name a gbdt file and its `xdeepfm_ref` an xdeepfm file, and an error in a
-    component names its file. The CSV is read in chunks of `_CHUNK_ROWS` rows, one pass per
-    schema; each chunk is scored by both components, each distinct fitted transform applied
-    once (a run writes the same one into both), and only the probabilities and labels are kept.
+    `gbdt_ref` must name a gbdt file and its `xdeepfm_ref` an xdeepfm file. An error in a model
+    file names that file, and an ensemble whose components carry different fitted transforms is
+    refused: a run writes the same one into both. The CSV is read in chunks of `_CHUNK_ROWS`
+    rows; that transform is applied to each chunk once, both components score it, and only the
+    probabilities and labels are kept.
 
     On two or more CPUs, a file that `csv_split` can cut at a chunk boundary is read as two
     parts: this process scores the first and a forked child the second, each reading only its
@@ -396,42 +388,37 @@ def _predict_from_file(model_path: Path, data_path: Path, keep) -> tuple[str, li
     kind = d.get("kind")
     files = [(kind, model_path, d)]  # (role, path, document)
     if kind == "ensemble":
-        ens = ensemble_from_dict(d)
+        try:
+            ens = ensemble_from_dict(d)
+        except (ValueError, KeyError) as exc:
+            raise DataError(f"{model_path}: {_detail(exc)}") from None
         refs = (("gbdt", ens.gbdt_ref), ("xdeepfm", ens.xdeepfm_ref))
         files = [(role, model_path.parent / ref, read_model_file(model_path.parent / ref)) for role, ref in refs]
     elif kind not in ("gbdt", "xdeepfm"):
         raise DataError(f"{model_path}: unknown model kind {kind!r}")
-    models = []  # (role, model, fitted transform) of each file
+    models, transforms = [], set()  # (role, model) of each file, and the fitted transforms they carry
     for role, path, doc in files:
-        try:
-            model = gbdt_from_dict(doc) if role == "gbdt" else xdeepfm_from_dict(doc)  # each checks the kind
-            ft = transform_from_dict(doc["transform"]) if "transform" in doc else None
+        try:  # each reader checks the kind
+            models.append((role, gbdt_from_dict(doc) if role == "gbdt" else xdeepfm_from_dict(doc)))
+            transforms.add(transform_from_dict(doc["transform"]))
         except (ValueError, KeyError) as exc:
-            if kind != "ensemble":
-                raise
             raise DataError(f"{path}: {_detail(exc)}") from None
-        if ft is None:
-            raise DataError(f"{path}: model file carries no fitted transform")
-        models.append((role, model, ft))
-    transforms = list(dict.fromkeys(ft for _, _, ft in models))
-    schemas = list(dict.fromkeys(ft.schema for ft in transforms))
+    if len(transforms) > 1:
+        raise DataError(f"{model_path}: its gbdt and xdeepfm files carry different fitted transforms")
+    (ft,) = transforms
 
     def score(part=(0, 1, None)):
         """keep() of the rows of `part`, as read_csv_chunks reads it."""
-        readers = [read_csv_chunks(data_path, schema, _CHUNK_ROWS, part) for schema in schemas]
         probs, labels = [], []
-        for chunks in zip(*readers):  # the same file rows under each schema
-            datasets = dict(zip(schemas, chunks))
-            matrices = {ft: apply_transform(ft, datasets[ft.schema]) for ft in transforms}
+        for chunk in read_csv_chunks(data_path, ft.schema, _CHUNK_ROWS, part):
+            dm = apply_transform(ft, chunk)
             scores = [
-                predict_gbdt(model, matrices[ft].dense)
-                if role == "gbdt"
-                else np.asarray(forward(model, matrices[ft].cat_indices, matrices[ft].dense))
-                for role, model, ft in models
+                predict_gbdt(model, dm.dense) if role == "gbdt" else forward(model, dm.cat_indices, dm.dense)
+                for role, model in models
             ]
             probs.append(blend(scores[0], scores[1], ens.alpha) if kind == "ensemble" else scores[0])
-            labels.append(matrices[models[0][2]].labels)
-            del chunks, datasets, matrices  # before the next chunk is read
+            labels.append(dm.labels)
+            del chunk, dm  # before the next chunk is read
         return keep(np.concatenate(probs), np.concatenate(labels), part[1] - 1)
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()

@@ -215,18 +215,14 @@ def _stack_batch(emb: EmbeddingTable, cat_idx: np.ndarray, dense: np.ndarray) ->
 def _activate(z: np.ndarray, name: str) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return np.asarray(sigmoid(z))
-    raise ValueError(f"unknown activation {name!r}")
+    return np.asarray(sigmoid(z))  # XDeepFMConfig admits no other name
 
 
 def _activate_grad(z: np.ndarray, name: str) -> np.ndarray:
     if name == "relu":
         return (z > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        s = np.asarray(sigmoid(z))
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation {name!r}")
+    s = np.asarray(sigmoid(z))
+    return s * (1.0 - s)
 
 
 def _passes(model: XDeepFMModel, h0: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:

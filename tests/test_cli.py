@@ -329,6 +329,80 @@ def test_run_unknown_config_key_exits_1(tmp_path, mini_csv):
     assert cli.main(["run", "--config", str(config)]) == 1
 
 
+def _replace(old: str, new: str):
+    """A config edit that replaces the line ``old`` with ``new``."""
+    return lambda lines: [new if line == old else line for line in lines]
+
+
+def _drop(prefix: str):
+    """A config edit that drops the lines starting with ``prefix``."""
+    return lambda lines: [line for line in lines if not line.startswith(prefix)]
+
+
+def _append(line: str):
+    return lambda lines: [*lines, line]
+
+
+@pytest.mark.parametrize(
+    "edit, settings, message",
+    [
+        pytest.param(None, [], "config file not found: {config}", id="no-config-file"),
+        pytest.param(_append("seed = 8"), [], "{config}:{last}: duplicate key 'seed'", id="duplicate-key"),
+        pytest.param(None, ["--set", "seed"], "--set expects KEY=VALUE, got 'seed'", id="set-without-equals"),
+        pytest.param(_append("wat = 1"), [], "unknown option 'wat'", id="unknown-bare-key"),
+        pytest.param(_append("gbdt = 7"), [], "unknown option 'gbdt'", id="bare-gbdt"),
+        pytest.param(_append("xdfm = 7"), [], "unknown option 'xdfm'", id="bare-xdfm"),
+        pytest.param(None, ["--set", "blend=7"], "unknown option 'blend'", id="bare-blend-set"),
+        pytest.param(_append("foo.bar = 1"), [], "unknown option 'foo.bar'", id="unknown-dotted-key"),
+        pytest.param(None, ["--set", "gbdt.wat=1"], "unknown option 'gbdt.wat'", id="unknown-section-field"),
+        pytest.param(_drop("data ="), [], "missing required option 'data'", id="missing-data"),
+        pytest.param(None, ["--set", "data="], "missing required option 'data'", id="empty-data"),
+        pytest.param(_drop("column."), [], "no 'column.<name>' entries found", id="no-columns"),
+        pytest.param(
+            _replace("column.age = numeric", "column.age = number"),
+            [],
+            "unknown column kind 'number' for column 'age'",
+            id="bad-column-kind",
+        ),
+        pytest.param(
+            _replace("column.gender = categorical", "column.gender = target"),
+            [],
+            "schema must declare exactly one target column, found ['gender', 'stroke']",
+            id="two-targets",
+        ),
+        pytest.param(
+            None,
+            ["--set", "encoding_mode=onehot"],
+            "encoding_mode must be 'one_hot' or 'label', got 'onehot'",
+            id="bad-encoding-mode",
+        ),
+        pytest.param(None, ["--set", "test_fraction=0"], "test_fraction must lie in (0, 1), got 0.0", id="test-0"),
+        pytest.param(None, ["--set", "test_fraction=1"], "test_fraction must lie in (0, 1), got 1.0", id="test-1"),
+        pytest.param(None, ["--set", "val_fraction=1.5"], "val_fraction must lie in (0, 1), got 1.5", id="val-1.5"),
+        pytest.param(None, ["--set", "val_fraction=-0.1"], "val_fraction must lie in (0, 1), got -0.1", id="val-neg"),
+        pytest.param(
+            None, ["--set", "seed=1.5"], "invalid config: seed: expected an integer, got '1.5'", id="non-integer-seed"
+        ),
+    ],
+)
+def test_each_config_failure_exits_1_with_one_line_and_writes_nothing(
+    tmp_path, mini_csv, capsys, edit, settings, message
+):
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, mini_csv, out)
+    lines = config.read_text(encoding="utf-8").splitlines()
+    if edit is not None:
+        lines = edit(lines)
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif "not found" in message:
+        config.unlink()
+    assert cli.main(["run", "--config", str(config), *settings]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error [config]: {message.format(config=config, last=len(lines))}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if "not found" in message else ["run.conf"])
+
+
 def test_run_bad_flag_exits_1(tmp_path):
     assert cli.main(["run", "--no-such-flag"]) == 1
     # `--set test_fraction=X` is the one way to override the test fraction
@@ -921,41 +995,51 @@ def test_predict_malformed_tree_arrays_exit_2_without_traceback(tmp_path, comple
         assert err.startswith("error [predict]: ") and "Traceback" not in err, (name, value, err)
 
 
-def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed_run, tmp_path, monkeypatch):
-    # each row parsed once, by one process, and one apply_transform per distinct transform per chunk
+def test_ensemble_predict_and_evaluate_read_and_transform_the_csv_once(completed_run, tmp_path, monkeypatch, capsys):
+    # each row parsed once, by one process, and one apply_transform per chunk
     data = tmp_path / "data.csv"
     write_stroke_csv(data, n_rows=2500, seed=3)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 1024)  # chunks of 1,024, 1,024 and 452 rows; on 2 CPUs a child reads two
     forked = _fork_spy(monkeypatch)
     calls = _scoring_spies(monkeypatch, tmp_path)
     chunks = [range(1, 1025), range(1025, 2049), range(2049, 2501)]
-    # components fitted apart: two transforms over one schema still share one parse
+    # components fitted apart: an ensemble whose files carry different transforms is refused before any row is read
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
     for name in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
-        (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
-    doc = json.loads((tmp_path / "gbdt.json").read_text(encoding="utf-8"))
+        (mixed / name).write_bytes((completed_run["out"] / name).read_bytes())
+    doc = json.loads((mixed / "gbdt.json").read_text(encoding="utf-8"))
     doc["transform"]["mean"][0] += 1.0
-    (tmp_path / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
-    ensemble = str(completed_run["out"] / "ensemble.json")
+    (mixed / "gbdt.json").write_text(json.dumps(doc), encoding="utf-8")
+    preds, roc = tmp_path / "preds.csv", tmp_path / "roc.csv"
     for cpus in (1, 2):
         _use_cpus(monkeypatch, cpus)
-        for argv, n_transforms in [
-            (["predict", "--model", ensemble, "--data", str(data), "--out", str(tmp_path / "preds.csv")], 1),
-            (["evaluate", "--model", ensemble, "--data", str(data)], 1),
-            (["predict", "--model", str(tmp_path / "ensemble.json"), "--data", str(data)], 2),
-        ]:
-            before, forks = len(calls()), len(forked)
-            assert cli.main(argv) == 0
-            new = calls()[before:]
-            assert len(forked) - forks == (cpus == 2)
-            readers = [os.getpid()] + [forked[-1] if cpus == 2 else os.getpid()] * 2  # the reader of each chunk
-            assert sorted((rows.start, pid) for name, pid, _, rows in new if name == "read") == [
-                (chunk.start, pid) for chunk, pid in zip(chunks, readers)
-            ]
-            applied = [details for name, _, _, details in new if name == "apply"]
-            assert sorted((rows.start, rows.stop) for _, rows in applied) == sorted(
-                (chunk.start, chunk.stop) for chunk in chunks * n_transforms
-            )
-            assert len(set(applied)) == len(applied) == len(chunks) * len({ft for ft, _ in applied}) == 3 * n_transforms
+        for model, expect_code in [(completed_run["out"] / "ensemble.json", 0), (mixed / "ensemble.json", 2)]:
+            for argv in [
+                ["predict", "--model", str(model), "--data", str(data), "--out", str(preds)],
+                ["evaluate", "--model", str(model), "--data", str(data), "--roc-csv", str(roc)],
+            ]:
+                before, forks = len(calls()), len(forked)
+                assert cli.main(argv) == expect_code
+                new = calls()[before:]
+                captured = capsys.readouterr()
+                if expect_code:
+                    assert captured.err == (
+                        f"error [{argv[0]}]: {model}: its gbdt and xdeepfm files carry different fitted transforms\n"
+                    )
+                    assert captured.out == "" and new == [] and len(forked) == forks
+                    assert not preds.exists() and not roc.exists()
+                    continue
+                assert len(forked) - forks == (cpus == 2)
+                readers = [os.getpid()] + [forked[-1] if cpus == 2 else os.getpid()] * 2  # the reader of each chunk
+                assert sorted((rows.start, pid) for name, pid, _, rows in new if name == "read") == [
+                    (chunk.start, pid) for chunk, pid in zip(chunks, readers)
+                ]
+                applied = [details for name, _, _, details in new if name == "apply"]
+                assert sorted((rows.start, rows.stop) for _, rows in applied) == [(c.start, c.stop) for c in chunks]
+                assert len({ft for ft, _ in applied}) == 1
+                preds.unlink(missing_ok=True)
+                roc.unlink(missing_ok=True)
     _assert_no_child_process()
 
 
@@ -1323,8 +1407,10 @@ def test_run_bad_cell_names_its_file_row(tmp_path, capsys, data_row, column, cel
 def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_run, capsys, command, model):
     doc = json.loads((completed_run["out"] / model).read_text(encoding="utf-8"))
     args = [command, "--model", str(tmp_path / model)]
+    prefix = ""  # importance reads only a gbdt file; predict and evaluate name the model file in every error
     if command != "importance":
         args += ["--data", str(completed_run["data"])]
+        prefix = f"{tmp_path / model}: "
     for config, detail in [
         ({**doc["config"], "bogus": 1}, "unknown config key 'bogus'"),
         ([1, 2], "'config' must be an object"),
@@ -1338,7 +1424,7 @@ def test_malformed_model_config_exits_2_without_traceback(tmp_path, completed_ru
         (tmp_path / model).write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
         assert cli.main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error [{command}]: {detail}"), err
+        assert err.startswith(f"error [{command}]: {prefix}{detail}"), err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge cross weights overflow, as they should
@@ -1449,6 +1535,44 @@ def test_model_file_that_is_not_an_object_exits_2_without_traceback(tmp_path, co
     for reader in (gbdt_from_dict, xdeepfm_from_dict, ensemble_from_dict):
         with pytest.raises(ValueError, match="must be a JSON object"):
             reader(doc)
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_a_model_file_that_cannot_be_loaded_exits_2_naming_the_file(tmp_path, completed_run, capsys, command):
+    from tabfusion.gbdt import save_gbdt
+    from tabfusion.xdeepfm import save_xdeepfm
+
+    names = ("gbdt.json", "xdeepfm.json", "ensemble.json")
+    docs = {name: json.loads((completed_run["out"] / name).read_text(encoding="utf-8")) for name in names}
+    absent, odd = tmp_path / "absent.json", tmp_path / "odd.json"
+    odd.write_text(json.dumps({**docs["gbdt.json"], "kind": "forest"}), encoding="utf-8")
+    bare_gbdt, bare_xdfm = tmp_path / "bare_gbdt.json", tmp_path / "bare_xdeepfm.json"  # no fitted transform
+    save_gbdt(gbdt_from_dict(docs["gbdt.json"]), bare_gbdt)
+    save_xdeepfm(xdeepfm_from_dict(docs["xdeepfm.json"]), bare_xdfm)
+    for name in names[:2]:  # the components an ensemble below does not replace
+        (tmp_path / name).write_bytes((completed_run["out"] / name).read_bytes())
+
+    def ensemble(name, **refs):
+        path = tmp_path / name
+        path.write_text(json.dumps({**docs["ensemble.json"], **refs}), encoding="utf-8")
+        return path
+
+    out_file = tmp_path / "written.csv"
+    for model, message in [
+        (absent, f"model file not found: {absent}"),
+        (odd, f"{odd}: unknown model kind 'forest'"),
+        (bare_gbdt, f"{bare_gbdt}: missing required field 'transform'"),
+        (bare_xdfm, f"{bare_xdfm}: missing required field 'transform'"),
+        (ensemble("e1.json", gbdt_ref=absent.name), f"model file not found: {absent}"),
+        (ensemble("e2.json", xdeepfm_ref=bare_xdfm.name), f"{bare_xdfm}: missing required field 'transform'"),
+        (ensemble("e3.json", gbdt_ref=bare_gbdt.name), f"{bare_gbdt}: missing required field 'transform'"),
+    ]:
+        args = [command, "--model", str(model), "--data", str(completed_run["data"])]
+        args += ["--out" if command == "predict" else "--roc-csv", str(out_file)]
+        assert cli.main(args) == 2, message
+        captured = capsys.readouterr()
+        assert captured.err == f"error [{command}]: {message}\n" and captured.out == ""
+        assert not out_file.exists()
 
 
 @pytest.mark.parametrize("command, flag", [("predict", "--out"), ("evaluate", "--roc-csv")])
@@ -1576,7 +1700,7 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@given(st.sampled_from([GBDTConfig, XDeepFMConfig, BlendConfig]), st.data())
+@given(st.sampled_from([GBDTConfig, XDeepFMConfig, BlendConfig, cli.RunOptions]), st.data())
 @settings(max_examples=500, deadline=None)
 def test_config_from_dict_fails_closed_on_arbitrary_json_values(config_cls, data):
     keys = st.sampled_from([f.name for f in dataclasses.fields(config_cls)]) | st.text(max_size=4)
