@@ -69,20 +69,6 @@ def _stage(name: str, code: int, errors):
         raise StageError(name, code) from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    data_path: Path
-    out_dir: Path
-    schema: Schema
-    encoding_mode: str
-    test_fraction: float
-    val_fraction: float
-    seed: int
-    gbdt: GBDTConfig
-    xdfm: XDeepFMConfig
-    blend: BlendConfig
-
-
 def parse_kv_file(path: Path) -> dict[str, str]:
     """Flat `key = value` lines in order, a leading BOM dropped; a line whose first non-blank is '#' is a comment."""
     if not path.is_file():
@@ -134,6 +120,16 @@ class RunOptions:
             raise ValueError(f"option 'seed' must be non-negative, got {self.seed}")
 
 
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(RunOptions):
+    """A run's options, its schema and each learner's and the blend's config."""
+
+    schema: Schema
+    gbdt: GBDTConfig
+    xdfm: XDeepFMConfig
+    blend: BlendConfig
+
+
 # The config class of each section: a key `section.field` sets that field, and a key without a dot a field of
 # RunOptions. The `column` section is the schema: `column.<name> = <kind>`, in column order.
 _SECTIONS = {"": RunOptions, "gbdt": GBDTConfig, "xdfm": XDeepFMConfig, "blend": BlendConfig}
@@ -147,33 +143,22 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         if section not in raw or (section != "column" and name not in _SECTIONS[section].__dataclass_fields__):
             raise ConfigError(f"unknown option {key!r}")
         raw[section][name] = value
-    configs = {}
+    sections = {}  # section -> its config
     for section, config_cls in _SECTIONS.items():
         if section in ("gbdt", "xdfm"):  # a learner's seed is the run's unless set
-            raw[section].setdefault("seed", configs[""].seed)
+            raw[section].setdefault("seed", sections[""].seed)
         try:
-            configs[section] = config_from_dict(config_cls, raw[section], text=True)
+            sections[section] = config_from_dict(config_cls, raw[section], text=True)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}" if section else str(exc)) from None
-    options = configs[""]
+    options = sections.pop("")
     if not raw["column"]:
         raise ConfigError("no 'column.<name>' entries found")
     try:
         schema = Schema(tuple(raw["column"].items()), options.missing_token, options.positive_label)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        data_path=Path(options.data),
-        out_dir=Path(options.out_dir),
-        schema=schema,
-        encoding_mode=options.encoding_mode,
-        test_fraction=options.test_fraction,
-        val_fraction=options.val_fraction,
-        seed=options.seed,
-        gbdt=configs["gbdt"],
-        xdfm=configs["xdfm"],
-        blend=configs["blend"],
-    )
+    return RunConfig(**vars(options), schema=schema, **sections)
 
 
 def load_run_config(path: Path, settings=(), **flags) -> RunConfig:
@@ -284,7 +269,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """All of `run` in memory, or StageError: the run directory's files by name, `manifest.json` last."""
     seeds = {"split": cfg.seed, "val_split": cfg.seed + 1, "gbdt": cfg.gbdt.seed, "xdfm": cfg.xdfm.seed}
     with _stage("data", EXIT_DATA, DataError):
-        full = load_csv(cfg.data_path, cfg.schema)
+        full = load_csv(cfg.data, cfg.schema)
         train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
         # validation rows choose the GBDT's tree count, the network's epochs and the blend coefficient; test rows none
         fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
@@ -354,7 +339,7 @@ _NEAR_CHANCE_AUC = 0.6
 def cmd_run(cfg: RunConfig) -> None:
     files = run_pipeline(cfg)
     for name, content in files.items():
-        _write_output(cfg.out_dir / name, content)
+        _write_output(Path(cfg.out_dir) / name, content)
     sys.stdout.write(files["report.txt"])
     for learner in ("GBDT", "xDeepFM"):  # the run succeeds, and stderr says which learner it can hardly use
         auc = files["manifest.json"]["validation_auc"][learner]

@@ -103,15 +103,14 @@ class EmbeddingTable:
         at += self._base
         return at
 
-    def gradient(self, cat_idx: np.ndarray, d_emb: np.ndarray) -> np.ndarray:
-        """The gradient of ``values`` from the (n, width) gradient of the h0 entries a batch selected.
+    def gradient(self, at: np.ndarray, d_emb: np.ndarray) -> np.ndarray:
+        """The gradient of ``values`` from the (n, width) gradient of the h0 entries at a batch's ``positions``.
 
         ``np.bincount`` adds its weights in input order, batch row after batch
         row, so each entry sums the same addends in the same order as a
         per-field ``np.add.at`` would.
         """
-        at = self.positions(cat_idx).ravel()
-        return np.bincount(at, weights=d_emb.ravel(), minlength=self.values.size)
+        return np.bincount(at.ravel(), weights=d_emb.ravel(), minlength=self.values.size)
 
 
 @dataclass
@@ -204,10 +203,10 @@ def init_xdeepfm(vocab_sizes, n_dense: int, cfg: XDeepFMConfig = XDeepFMConfig()
     return _init_model(np.random.default_rng(cfg.seed), tuple(vocab_sizes), n_dense, cfg)
 
 
-def _stack_batch(emb: EmbeddingTable, cat_idx: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """h0 for each row: the selected embedding rows of every field, then the dense features."""
-    h0 = np.empty((cat_idx.shape[0], emb.width + dense.shape[1]))
-    emb.values.take(emb.positions(cat_idx), out=h0[:, : emb.width])
+def _stack_batch(emb: EmbeddingTable, at: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """h0 for each row: the embedding entries at the batch's ``positions``, then the dense features."""
+    h0 = np.empty((at.shape[0], emb.width + dense.shape[1]))
+    emb.values.take(at, out=h0[:, : emb.width])
     h0[:, emb.width :] = dense
     return h0
 
@@ -284,10 +283,11 @@ def forward(model: XDeepFMModel, cat_idx, dense):
     same bits as one call.
     """
     cat_idx, dense, single = _as_batch(model, cat_idx, dense)
+    emb = model.embeddings
     p = np.empty(cat_idx.shape[0])
     for lo in range(0, p.size, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        p[block] = _passes(model, _stack_batch(model.embeddings, cat_idx[block], dense[block]))[-1]
+        p[block] = _passes(model, _stack_batch(emb, emb.positions(cat_idx[block]), dense[block]))[-1]
     if np.isnan(p).any():  # some layer met inf - inf or inf * 0
         raise ValueError("the network's output is NaN: its parameters or inputs overflow")
     return float(p[0]) if single else p
@@ -307,7 +307,8 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
         raise ValueError(f"expected one label per row, {n} in all, got labels of shape {y.shape}")
     if n == 0:
         raise ValueError("backward requires a non-empty batch")
-    h0 = _stack_batch(model.embeddings, cat_idx, dense)
+    at = model.embeddings.positions(cat_idx)  # found once, for the gather and for the gradient
+    h0 = _stack_batch(model.embeddings, at, dense)
     crosses, deeps, u, p = _passes(model, h0)
 
     d_logit = (p - y) / n
@@ -333,7 +334,7 @@ def backward(model: XDeepFMModel, cat_idx, dense, y) -> np.ndarray:
         grad = grad @ layer.W + ds[:, None] * layer.c[None, :]
     d_h0 += grad
 
-    rev.append(model.embeddings.gradient(cat_idx, d_h0[:, : model.embeddings.width]))
+    rev.append(model.embeddings.gradient(at, d_h0[:, : model.embeddings.width]))
     return np.concatenate(rev[::-1], axis=None)
 
 

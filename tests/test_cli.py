@@ -353,6 +353,7 @@ def _append(line: str):
         pytest.param(_append("gbdt = 7"), [], "unknown option 'gbdt'", id="bare-gbdt"),
         pytest.param(_append("xdfm = 7"), [], "unknown option 'xdfm'", id="bare-xdfm"),
         pytest.param(None, ["--set", "blend=7"], "unknown option 'blend'", id="bare-blend-set"),
+        pytest.param(_append("schema = x"), [], "unknown option 'schema'", id="bare-schema"),
         pytest.param(_append("foo.bar = 1"), [], "unknown option 'foo.bar'", id="unknown-dotted-key"),
         pytest.param(None, ["--set", "gbdt.wat=1"], "unknown option 'gbdt.wat'", id="unknown-section-field"),
         pytest.param(_drop("data ="), [], "missing required option 'data'", id="missing-data"),
@@ -709,7 +710,7 @@ def test_run_is_byte_identical_at_one_and_two_blas_threads(tmp_path, completed_r
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts the threads in /proc/self/task")
 @pytest.mark.parametrize("caller", [None, "2"])
 def test_importing_tabfusion_sets_one_blas_thread_unless_the_caller_set_a_number(caller):
-    code = "import os, tabfusion; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    code = "import os, tabfusion, numpy; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=_source_env(OPENBLAS_NUM_THREADS=caller), capture_output=True, timeout=60
     )
@@ -717,6 +718,13 @@ def test_importing_tabfusion_sets_one_blas_thread_unless_the_caller_set_a_number
     assert (proc.returncode, value) == (0, caller or "1")
     if caller is None:  # NumPy loaded after the setting: OpenBLAS started no thread of its own
         assert threads == "1"
+
+
+def test_importing_tabfusion_loads_no_submodule_and_no_numpy():
+    """The package root only sets the BLAS thread count: each module is loaded when it is imported by name."""
+    code = "import sys, tabfusion; print(*sorted(m for m in sys.modules if m.split('.')[0] in ('tabfusion', 'numpy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_source_env(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout.decode("ascii").split(), proc.stderr) == (0, ["tabfusion"], b"")
 
 
 def _main_within(seconds: float, argv: list) -> int:

@@ -65,9 +65,12 @@ XOR_CONFIG = XDeepFMConfig(
 
 def _stack(emb, row_cats, row_dense):
     """_stack_batch on a single row."""
-    return _stack_batch(
-        emb, np.array([row_cats], dtype=np.int64), np.array([row_dense], dtype=np.float64).reshape(1, -1)
-    )
+    return _h0(emb, np.array([row_cats], dtype=np.int64), np.array([row_dense], dtype=np.float64).reshape(1, -1))
+
+
+def _h0(emb, cat, dense):
+    """_stack_batch at the positions of a batch's indices, as forward and backward find them."""
+    return _stack_batch(emb, emb.positions(cat), dense)
 
 
 def _embeddings(tables, n_dense):
@@ -81,7 +84,7 @@ def _embeddings(tables, n_dense):
 def test_stack_batch_concatenates_fields_in_order():
     emb = _embeddings([[[0.0, 0.0], [0.1, 0.2]], [[7.0, 7.5], [8.0, 8.5], [9.0, 9.5]]], 1)
     assert _stack(emb, [1, 2], [3.0]).tolist() == [[0.1, 0.2, 9.0, 9.5, 3.0]]
-    h0 = _stack_batch(emb, np.array([[1, 0], [0, 1]]), np.array([[3.0], [4.0]]))
+    h0 = _h0(emb, np.array([[1, 0], [0, 1]]), np.array([[3.0], [4.0]]))
     assert h0.tolist() == [[0.1, 0.2, 7.0, 7.5, 3.0], [0.0, 0.0, 8.0, 8.5, 4.0]]
 
 
@@ -308,12 +311,12 @@ def test_forward_sees_in_place_edits_of_the_tables():
     model.embeddings.tables[1][cat[0, 1]] += 0.5
     after = forward(model, cat, dense)
     assert after[0] != before[0]
-    assert np.array_equal(_stack_batch(model.embeddings, cat, dense), _reference_h0(model, cat, dense))
+    assert np.array_equal(_h0(model.embeddings, cat, dense), _reference_h0(model, cat, dense))
     flat = get_flat_params(model)
     flat[: model.embeddings.values.size] = 0.0  # the tables lead the parameter vector
     set_flat_params(model, flat)
     assert not model.embeddings.values.any()
-    assert np.array_equal(_stack_batch(model.embeddings, cat, dense)[:, :6], np.zeros((9, 6)))
+    assert np.array_equal(_h0(model.embeddings, cat, dense)[:, :6], np.zeros((9, 6)))
 
 
 def test_model_without_categorical_fields_scores_and_trains():
@@ -324,7 +327,7 @@ def test_model_without_categorical_fields_scores_and_trains():
     assert model.embeddings.width == 0
     positions = model.embeddings.positions(cat)
     assert positions.shape == (6, 0) and positions.dtype == np.int64
-    assert np.array_equal(_stack_batch(model.embeddings, cat, dense), dense)
+    assert np.array_equal(_stack_batch(model.embeddings, positions, dense), dense)
     p = forward(model, cat, dense)
     assert p.shape == (6,) and np.all((p > 0.0) & (p < 1.0))
     assert forward(model, [], dense[0]) == pytest.approx(p[0], abs=1e-15)
@@ -370,7 +373,7 @@ def test_embedding_gradient_equals_a_per_field_add_at_bitwise():
         reference = [np.zeros((m, k)) for m in sizes]
         for f in range(len(sizes)):
             np.add.at(reference[f], cat[:, f], d_emb[:, f * k : (f + 1) * k])
-        got = emb.gradient(cat, d_emb)
+        got = emb.gradient(emb.positions(cat), d_emb)
         assert got.shape == emb.values.shape
         assert got.tobytes() == np.concatenate([r.ravel() for r in reference]).tobytes()
 
