@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 5  # 5: a network's `params` are the base64 text of their little-endian float64 bytes
+FORMAT_VERSION = 6  # 6: a design matrix holds each categorical field as one index column
 
 
 def check_header(d, kind: str | None = None) -> None:

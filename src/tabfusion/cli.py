@@ -103,7 +103,6 @@ class RunOptions:
     out_dir: str = "runs/out"
     missing_token: str = "N/A"
     positive_label: str = "1"
-    encoding_mode: str = "one_hot"
     test_fraction: float = 0.2
     val_fraction: float = 0.2
     seed: int = 0
@@ -111,8 +110,6 @@ class RunOptions:
     def __post_init__(self):
         if not self.data:
             raise ValueError("missing required option 'data'")
-        if self.encoding_mode not in ("one_hot", "label"):
-            raise ValueError(f"encoding_mode must be 'one_hot' or 'label', got {self.encoding_mode!r}")
         for name in ("test_fraction", "val_fraction"):
             if not 0.0 < (fraction := getattr(self, name)) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {fraction}")
@@ -273,7 +270,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         train_all, test = stratified_split(full, cfg.test_fraction, seeds["split"])
         # validation rows choose the GBDT's tree count, the network's epochs and the blend coefficient; test rows none
         fit_train, val = stratified_split(train_all, cfg.val_fraction, seeds["val_split"])
-        ft, dm_train = fit_transform(fit_train, cfg.encoding_mode)
+        ft, dm_train = fit_transform(fit_train)
         dm_val = apply_transform(ft, val)
         dm_test = apply_transform(ft, test)
     with _stage("train", EXIT_TRAIN, Exception):

@@ -9,15 +9,15 @@ A fitted transform holds exactly what ``apply_transform`` reads: ``fill``,
 and ``vocabs``, one tuple of cell texts per categorical column. A model file
 stores these as plain lists. When a transform is built it derives, once, a
 column plan: where the numeric, binary and categorical columns sit, the mean
-and std as vectors, each vocabulary's text-to-index dict and the one-hot
-offsets.
+and std as vectors, and each vocabulary's text-to-index dict.
 
 The read path is column-wise: a dataset keeps its raw rows, and
 ``fit_transform``/``apply_transform`` transpose them once per call. Both read
 the numeric cells through one parser, a single ``float()`` pass over every
 numeric cell. ``apply_transform`` then encodes a batch with a fixed number of
-NumPy calls however many columns there are: that pass, one scaling, one
-vocabulary pass over every categorical cell and one one-hot scatter. Each row
+NumPy calls however many columns there are: that pass, one scaling and one
+vocabulary pass over every categorical cell. A categorical field is encoded
+once, as its index, which the network embeds and the GBDT splits on. Each row
 carries its 1-based data-row number from the file, so an error names the file
 row even after a shuffled split. ``read_csv_chunks`` is the one CSV reader:
 it yields the rows as consecutive chunks, and ``load_csv`` is its single chunk.
@@ -283,7 +283,6 @@ class _ColumnPlan(NamedTuple):
     std: np.ndarray  # (k,) float64 ``FittedTransform.std``
     categorical: tuple[int, ...]  # schema positions of the categorical columns
     codes: tuple[dict[str, int], ...]  # each categorical column's cell text -> index
-    onehot_base: np.ndarray | None  # (N,) int64 dense column of index 0; None in label mode
     target: int
     dense_names: tuple[str, ...]
     cardinalities: tuple[int, ...]
@@ -305,7 +304,6 @@ class FittedTransform:
     """
 
     schema: Schema
-    encoding_mode: str  # "one_hot" | "label"
     fill: tuple[float, ...]
     mean: tuple[float, ...]
     std: tuple[float, ...]
@@ -318,8 +316,6 @@ class FittedTransform:
 
 def _column_plan(ft: FittedTransform) -> _ColumnPlan:
     """Check a transform's entries and lay out its columns for ``apply_transform``."""
-    if ft.encoding_mode not in ("one_hot", "label"):
-        raise DataError(f"encoding_mode must be 'one_hot' or 'label', got {ft.encoding_mode!r}")
     columns = ft.schema.columns
     numeric = tuple(j for j, (_, kind) in enumerate(columns) if kind in ("numeric", "binary"))
     categorical = tuple(j for j, (_, kind) in enumerate(columns) if kind == "categorical")
@@ -345,19 +341,13 @@ def _column_plan(ft: FittedTransform) -> _ColumnPlan:
         if len(code) != len(vocab):
             raise DataError(f"vocab of column {name!r} must hold distinct cell texts")
         codes.append(code)
-        if ft.encoding_mode == "one_hot":
-            dense_names.extend(f"{name}={text}" for text in vocab)
-    onehot_base = None
-    if ft.encoding_mode == "one_hot":
-        sizes = np.array([len(code) for code in codes], dtype=np.int64)
-        onehot_base = len(numeric) + np.cumsum(sizes) - sizes - 1  # index i lands in column base + i
+        dense_names.append(name)
     return _ColumnPlan(
         numeric=numeric,
         mean=mean,
         std=std,
         categorical=categorical,
         codes=tuple(codes),
-        onehot_base=onehot_base,
         target=ft.schema.column_names.index(ft.schema.target),
         dense_names=tuple(dense_names),
         cardinalities=tuple(len(code) + 1 for code in codes),
@@ -368,12 +358,12 @@ def _column_plan(ft: FittedTransform) -> _ColumnPlan:
 class DesignMatrix:
     """Numeric views of one partition: dense features, categorical indices, labels."""
 
-    dense: np.ndarray  # (n, D) float64; z-scored numerics, 0/1 binaries, one-hot blocks
+    dense: np.ndarray  # (n, D) float64; z-scored numerics, 0/1 binaries, then cat_indices as floats
     cat_indices: np.ndarray  # (n, N) int64 label-encoded categoricals, 0 = OOV/missing
     labels: np.ndarray  # (n,) int64 in {0, 1}
     dense_names: tuple[str, ...]
     cat_cardinalities: tuple[int, ...]  # vocab sizes including the reserved OOV index
-    n_onehot: int = 0  # width of dense's one-hot tail, the last n_onehot columns; 0 in label mode
+    n_categorical: int = 0  # width of dense's index tail, its last n_categorical columns; 0 if it has none
 
 
 def _numeric_values(ds: TabularDataset, columns, positions: Sequence[int], fills: Sequence[float]) -> np.ndarray:
@@ -411,15 +401,14 @@ def _numeric_values(ds: TabularDataset, columns, positions: Sequence[int], fills
     return values.reshape(len(positions), ds.n_rows)  # a non-finite fill is left to the caller
 
 
-def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tuple[FittedTransform, DesignMatrix]:
+def fit_transform(train: TabularDataset) -> tuple[FittedTransform, DesignMatrix]:
     """Fit imputation/scaling/vocabulary statistics on the training partition.
 
     Numerics are imputed with the train median, then z-scored with the
     mean/std of the imputed column (population std; constant columns keep
     std = 1 so their output is 0). Binary columns are imputed with the train
-    majority value and left unscaled. Label indices are always emitted;
-    one-hot blocks are appended to the dense matrix when encoding_mode is
-    "one_hot".
+    majority value and left unscaled. Each categorical column's vocabulary
+    holds its distinct non-missing cells in first-seen order.
     """
     if train.n_rows == 0:
         raise DataError("cannot fit a transform on an empty dataset")
@@ -453,22 +442,25 @@ def fit_transform(train: TabularDataset, encoding_mode: str = "one_hot") -> tupl
         for (_, kind), cells in zip(schema.columns, columns)
         if kind == "categorical"
     )
-    ft = FittedTransform(schema, encoding_mode, tuple(fill), tuple(mean), tuple(std), vocabs)
+    ft = FittedTransform(schema, tuple(fill), tuple(mean), tuple(std), vocabs)
     return ft, apply_transform(ft, train)
 
 
 def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
     """Encode a dataset using train statistics only; unseen categories map to index 0.
 
-    The first cell that is not a finite number, in schema column order and
-    then row order, raises a DataError naming its file row and column.
+    ``dense`` holds the scaled numeric and binary columns, then each
+    categorical column's index as a float, so a tree splits on the field as
+    one column. The first cell that is not a finite number, in schema column
+    order and then row order, raises a DataError naming its file row and
+    column.
     """
     if ds.schema != ft.schema:
         raise DataError("dataset schema does not match the schema the transform was fit on")
     plan = ft._plan
     n = ds.n_rows
     columns = ds.columns()
-    dense = np.zeros((n, len(plan.dense_names)))
+    dense = np.empty((n, len(plan.dense_names)))
     numeric = dense[:, : len(plan.numeric)]
     values = _numeric_values(ds, columns, plan.numeric, ft.fill)
     with np.errstate(over="ignore"):  # every cell is finite, so a non-finite entry is an overflow, named below
@@ -486,18 +478,14 @@ def apply_transform(ft: FittedTransform, ds: TabularDataset) -> DesignMatrix:
         dtype=np.int64,
         count=n * len(plan.categorical),
     ).reshape(len(plan.categorical), n)
-    if plan.onehot_base is not None:
-        # flat position in ``dense`` of each (field, row) cell's one-hot entry
-        at = np.arange(n) * dense.shape[1] + plan.onehot_base[:, None]
-        at += codes
-        dense.reshape(-1)[at[codes > 0]] = 1.0
+    dense[:, len(plan.numeric) :] = codes.T
     return DesignMatrix(
         dense=dense,
         cat_indices=codes.T,
         labels=_labels(columns[plan.target], ft.schema.positive_label),
         dense_names=plan.dense_names,
         cat_cardinalities=plan.cardinalities,
-        n_onehot=len(plan.dense_names) - len(plan.numeric),
+        n_categorical=len(plan.categorical),
     )
 
 
@@ -509,7 +497,6 @@ def transform_to_dict(ft: FittedTransform) -> dict:
             "missing_token": ft.schema.missing_token,
             "positive_label": ft.schema.positive_label,
         },
-        "encoding_mode": ft.encoding_mode,
         "fill": list(ft.fill),
         "mean": list(ft.mean),
         "std": list(ft.std),
@@ -533,7 +520,6 @@ def transform_from_dict(d: dict) -> FittedTransform:
             raise DataError("column names, missing_token and positive_label must be strings")
         return FittedTransform(
             schema=Schema(columns=columns, missing_token=texts[0], positive_label=texts[1]),
-            encoding_mode=d["encoding_mode"],
             fill=_tuple(d["fill"]),
             mean=_tuple(d["mean"]),
             std=_tuple(d["std"]),

@@ -18,8 +18,9 @@ it on blocks of ``_BLOCK_ROWS`` rows, so the network's intermediates stay a
 few MiB however many rows are scored, and ``backward`` on its whole batch.
 
 h0's dense part is a design matrix's first ``n_dense`` columns, the numeric and
-binary ones: each categorical enters once, as its embedding, and a one-hot tail
-is the GBDT's alone, which ``forward`` and ``backward`` accept and skip.
+binary ones: each categorical enters once, as its embedding, and the matrix's
+tail of the same indices as floats is the GBDT's alone, which ``forward`` and
+``backward`` accept and skip.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class XDeepFMModel:
         self.cross_layers = [CrossLayer(next(rest), next(rest), next(rest)) for _ in range(self.config.n_cross_layers)]
         self.deep = DeepNet([DeepLayer(next(rest), next(rest)) for _ in self.config.deep_widths])
         self.head_w, self.head_b = rest
-        self.full_width = self.n_dense + sum(self.vocab_sizes) - n_fields  # with a one-hot column per vocabulary entry
+        self.full_width = self.n_dense + n_fields  # with each field's index column
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -261,7 +262,7 @@ def _as_batch(model: XDeepFMModel, cat_idx, dense) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"expected {n_fields} categorical indices per row, got {cat_idx.shape[1]}")
     if dense.shape[1] not in (model.n_dense, model.full_width):
         raise ValueError(
-            f"expected {model.n_dense} dense features per row, or {model.full_width} with the one-hot columns,"
+            f"expected {model.n_dense} dense features per row, or {model.full_width} with the index columns,"
             f" got {dense.shape[1]}"
         )
     if cat_idx.shape[0] != dense.shape[0]:
@@ -370,7 +371,7 @@ def train_xdeepfm(
         raise ValueError("training requires at least one row")
     if y.min() == y.max():
         raise ValueError("training requires both classes to be present")
-    dense = np.ascontiguousarray(dm.dense[:, : dm.dense.shape[1] - dm.n_onehot])  # the one-hot tail is the GBDT's
+    dense = np.ascontiguousarray(dm.dense[:, : dm.dense.shape[1] - dm.n_categorical])  # the index tail is the GBDT's
     rng = np.random.default_rng(cfg.seed)
     model = _init_model(rng, tuple(dm.cat_cardinalities), dense.shape[1], cfg)
     theta = model.params

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabfusion import cli
-from tabfusion.artifact import coerce, config_from_dict, config_to_dict, unpack_floats
+from tabfusion.artifact import FORMAT_VERSION, coerce, config_from_dict, config_to_dict, unpack_floats
 from tabfusion.dataset import apply_transform, load_csv, transform_from_dict
 from tabfusion.ensemble import BlendConfig, blend, ensemble_from_dict
 from tabfusion.gbdt import GBDTConfig, feature_importance, gbdt_from_dict, predict_gbdt
@@ -371,12 +371,8 @@ def _append(line: str):
             "schema must declare exactly one target column, found ['gender', 'stroke']",
             id="two-targets",
         ),
-        pytest.param(
-            None,
-            ["--set", "encoding_mode=onehot"],
-            "encoding_mode must be 'one_hot' or 'label', got 'onehot'",
-            id="bad-encoding-mode",
-        ),
+        # a config written before categoricals had one encoding still sets `encoding_mode`: it fails closed
+        pytest.param(_append("encoding_mode = one_hot"), [], "unknown option 'encoding_mode'", id="encoding-mode-key"),
         pytest.param(None, ["--set", "test_fraction=0"], "test_fraction must lie in (0, 1), got 0.0", id="test-0"),
         pytest.param(None, ["--set", "test_fraction=1"], "test_fraction must lie in (0, 1), got 1.0", id="test-1"),
         pytest.param(None, ["--set", "val_fraction=1.5"], "val_fraction must lie in (0, 1), got 1.5", id="val-1.5"),
@@ -832,32 +828,6 @@ def test_predict_recomposes_from_component_files(completed_run, tmp_path):
     assert np.array_equal(written, recomposed)
 
 
-def test_predict_scores_a_network_file_that_reads_the_one_hot_columns_as_before(completed_run, tmp_path):
-    """A network written before it dropped the one-hot tail has n_dense equal to the full dense width.
-
-    `predict` scores it alone and in an ensemble, exit 0 and one row per data row, with the
-    probabilities the network gives the whole one-hot matrix.
-    """
-    run = completed_run["out"]
-    doc = json.loads((run / "xdeepfm.json").read_text(encoding="utf-8"))
-    ft = transform_from_dict(doc["transform"])
-    dm = apply_transform(ft, load_csv(completed_run["data"], ft.schema))
-    old = train_xdeepfm(dataclasses.replace(dm, n_onehot=0), xdeepfm_from_dict(doc).config)
-    assert (doc["n_dense"], old.n_dense) == (5, dm.dense.shape[1]) and dm.n_onehot > 0
-    for name in ("gbdt.json", "ensemble.json"):
-        (tmp_path / name).write_bytes((run / name).read_bytes())
-    (tmp_path / "xdeepfm.json").write_text(json.dumps({**xdeepfm_to_dict(old), "transform": doc["transform"]}))
-    p_xdfm = forward(xdeepfm_from_dict(json.loads((tmp_path / "xdeepfm.json").read_text())), dm.cat_indices, dm.dense)
-    alpha = json.loads((run / "ensemble.json").read_text(encoding="utf-8"))["alpha"]
-    p_gbdt = predict_gbdt(gbdt_from_dict(json.loads((run / "gbdt.json").read_text(encoding="utf-8"))), dm.dense)
-    for model, expected in (("xdeepfm.json", p_xdfm), ("ensemble.json", blend(p_gbdt, p_xdfm, alpha))):
-        out_csv = tmp_path / f"{model}.csv"
-        args = ["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"]), "--out", str(out_csv)]
-        assert cli.main(args) == 0
-        written = _read_predictions(out_csv)
-        assert written.size == 700 and np.array_equal(written, expected)
-
-
 def test_predict_zero_tree_model_is_constant(tmp_path, mini_csv):
     out = tmp_path / "out"
     config = _write_config(tmp_path, mini_csv, out, extra={"gbdt.n_trees": "0"})
@@ -894,16 +864,11 @@ def _nested_tree(forest: dict, i: int) -> dict:
     }
 
 
-def test_predict_rejects_a_version_1_gbdt_file(tmp_path, completed_run, capsys):
-    doc = json.loads((completed_run["out"] / "gbdt.json").read_text(encoding="utf-8"))
-    forest = doc.pop("forest")
-    doc.update(format_version=1, trees=[_nested_tree(forest, root) for root in forest["roots"]])
-    old = tmp_path / "gbdt.json"
-    old.write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error [predict]: ")
-    assert "format_version 1" in err and "version 5" in err
+def _format_1(name: str, doc: dict) -> dict:
+    """A gbdt.json document of this build as format version 1 wrote it: one nested tree per root."""
+    forest = doc["forest"]
+    old = {k: v for k, v in doc.items() if k != "forest"}
+    return {**old, "format_version": 1, "trees": [_nested_tree(forest, root) for root in forest["roots"]]}
 
 
 def _format_2(name: str, doc: dict) -> dict:
@@ -929,21 +894,8 @@ def _format_2(name: str, doc: dict) -> dict:
     return old
 
 
-@pytest.mark.parametrize("name", ["gbdt.json", "xdeepfm.json"])
-def test_predict_rejects_a_version_2_model_file(tmp_path, completed_run, capsys, name):
-    doc = json.loads((completed_run["out"] / name).read_text(encoding="utf-8"))
-    old = tmp_path / name
-    old.write_text(json.dumps(_format_2(name, doc)), encoding="utf-8")
-    assert cli.main(["predict", "--model", str(old), "--data", str(completed_run["data"])]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        f"error [predict]: {old}: unsupported format_version 2 (this build reads version 5)\n"
-    )
-    assert captured.out == ""
-
-
 def _format_3_transform(t: dict) -> dict:
-    """A format-4 transform as format version 3 wrote it: per-column statistics, indexed vocabularies."""
+    """A transform of this build as format version 3 wrote it: per-column statistics, indexed vocabularies."""
     columns = t["schema"]["columns"]
     numeric = [(name, kind) for name, kind in columns if kind in ("numeric", "binary")]
     categorical = [name for name, kind in columns if kind == "categorical"]
@@ -952,41 +904,57 @@ def _format_3_transform(t: dict) -> dict:
         for (name, kind), fill, mean, std in zip(numeric, t["fill"], t["mean"], t["std"])
     }
     vocabs = {name: [[text, i] for i, text in enumerate(v, start=1)] for name, v in zip(categorical, t["vocabs"])}
-    return {"schema": t["schema"], "encoding_mode": t["encoding_mode"], "numeric_stats": stats, "vocabs": vocabs}
+    return {"schema": t["schema"], "encoding_mode": "one_hot", "numeric_stats": stats, "vocabs": vocabs}
 
 
-@pytest.mark.parametrize("name", ["gbdt.json", "xdeepfm.json", "ensemble.json"])
-def test_predict_rejects_a_version_3_model_file(tmp_path, completed_run, capsys, name):
-    for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
-        (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
-    doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
-    doc["format_version"] = 3
+def _format_3(name: str, doc: dict) -> dict:
+    """A document of this build as format version 3 wrote it: its transform as ``_format_3_transform`` gives."""
+    old = {**doc, "format_version": 3}
     if "transform" in doc:
-        doc["transform"] = _format_3_transform(doc["transform"])
-    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
-    for model in sorted({name, "ensemble.json"}):  # read alone, and as a component of the ensemble
-        assert cli.main(["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"])]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"error [predict]: {tmp_path / name}: unsupported format_version 3 (this build reads version 5)\n"
-        )
-        assert captured.out == ""
+        old["transform"] = _format_3_transform(doc["transform"])
+    return old
 
 
-@pytest.mark.parametrize("name", ["gbdt.json", "xdeepfm.json", "ensemble.json"])
-def test_predict_rejects_a_version_4_model_file(tmp_path, completed_run, capsys, name):
-    for part in ("gbdt.json", "xdeepfm.json", "ensemble.json"):
+def _format_4(name: str, doc: dict) -> dict:
+    """A document of this build as format version 4 wrote it: a network's parameters as a list of numbers."""
+    old = {**doc, "format_version": 4}
+    if name == "xdeepfm.json":
+        old["params"] = unpack_floats("'params'", doc["params"]).tolist()
+    return old
+
+
+def _format_5(name: str, doc: dict) -> dict:
+    """A document of this build marked format version 5; a real one described the one-hot layout."""
+    return {**doc, "format_version": 5}
+
+
+_COMPONENTS = ("gbdt.json", "xdeepfm.json", "ensemble.json")
+# each earlier format version, how to write a document of this build in it, and the files it had
+_OLD_FORMATS = [
+    (1, _format_1, ("gbdt.json",)),
+    (2, _format_2, ("gbdt.json", "xdeepfm.json")),
+    (3, _format_3, _COMPONENTS),
+    (4, _format_4, _COMPONENTS),
+    (5, _format_5, _COMPONENTS),
+]
+
+
+@pytest.mark.parametrize(
+    "version, old_format, name",
+    [(v, old_format, name) for v, old_format, names in _OLD_FORMATS for name in names],
+    ids=[f"v{v}-{name}" for v, _, names in _OLD_FORMATS for name in names],
+)
+def test_predict_rejects_a_model_file_of_an_earlier_version(tmp_path, completed_run, capsys, version, old_format, name):
+    for part in _COMPONENTS:
         (tmp_path / part).write_bytes((completed_run["out"] / part).read_bytes())
     doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
-    doc["format_version"] = 4
-    if name == "xdeepfm.json":  # format 4 wrote the network's parameters as a list of numbers
-        doc["params"] = unpack_floats("'params'", doc["params"]).tolist()
-    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / name).write_text(json.dumps(old_format(name, doc)), encoding="utf-8")
     for model in sorted({name, "ensemble.json"}):  # read alone, and as a component of the ensemble
         assert cli.main(["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"])]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error [predict]: {tmp_path / name}: unsupported format_version 4 (this build reads version 5)\n"
+            f"error [predict]: {tmp_path / name}: unsupported format_version {version}"
+            f" (this build reads version {FORMAT_VERSION})\n"
         )
         assert captured.out == ""
 
@@ -1324,6 +1292,12 @@ def test_importance_k_beyond_feature_count_lists_all(completed_run, capsys):
         json.loads((completed_run["out"] / "gbdt.json").read_text(encoding="utf-8"))
     )
     assert len(lines) == len(model.feature_names) + 1
+    # one column per field: the numeric and binary columns, then the categorical ones, each in schema order
+    columns = cli.load_run_config(completed_run["config"]).schema.columns
+    dense = tuple(name for name, kind in columns if kind in ("numeric", "binary"))
+    fields = dense + tuple(name for name, kind in columns if kind == "categorical")
+    assert len(fields) == 10 and model.feature_names == fields
+    assert sorted(line.rsplit(None, 1)[0] for line in lines[1:]) == sorted(fields)
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

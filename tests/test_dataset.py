@@ -424,7 +424,7 @@ def test_apply_unseen_category_maps_to_oov():
     test = TabularDataset(schema, (("zzz", "0"),))
     dm = apply_transform(ft, test)
     assert dm.cat_indices[0, 0] == 0
-    assert np.all(dm.dense[0] == 0.0)  # one-hot block all zero
+    assert dm.dense[0].tolist() == [0.0]  # its index column holds the OOV index too
 
 
 def test_apply_scaling_hand_value():
@@ -569,15 +569,20 @@ def test_dataset_rejects_ragged_rows_and_miscounted_row_numbers():
         ragged.columns()
 
 
-@pytest.mark.parametrize("mode, n_onehot", [("one_hot", 16), ("label", 0)])
-def test_apply_sets_the_width_of_the_one_hot_tail(stroke_csv, stroke_schema, mode, n_onehot):
-    """The stock schema's 5 categorical columns take 16 one-hot columns, after its 5 numeric and binary ones."""
-    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema), mode)
-    assert (dm.n_onehot, dm.dense.shape[1]) == (n_onehot, 5 + n_onehot)
-    assert dm.dense_names[:5] == ("age", "hypertension", "heart_disease", "avg_glucose_level", "bmi")
-    assert sum(m - 1 for m in dm.cat_cardinalities) == 16
+def test_apply_sets_the_width_of_the_index_tail(stroke_csv, stroke_schema):
+    """The stock schema's 5 categorical columns take one index column each, after its 5 numeric and binary ones."""
+    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema))
+    assert (dm.n_categorical, dm.dense.shape[1]) == (5, 10)
+    assert dm.dense_names == ("age", "hypertension", "heart_disease", "avg_glucose_level", "bmi") + (
+        "gender",
+        "ever_married",
+        "work_type",
+        "Residence_type",
+        "smoking_status",
+    )
+    assert dm.dense[:, 5:].tobytes() == dm.cat_indices.astype(np.float64).tobytes()
     for rows in ((), load_csv(stroke_csv, stroke_schema).rows[:1]):
-        assert apply_transform(ft, TabularDataset(stroke_schema, rows)).n_onehot == n_onehot
+        assert apply_transform(ft, TabularDataset(stroke_schema, rows)).n_categorical == 5
 
 
 def test_apply_on_zero_rows_gives_empty_matrices(stroke_csv, stroke_schema):
@@ -612,7 +617,6 @@ def _per_column_reference(ft, ds):
     cells = dict(zip(ft.schema.column_names, ds.columns()))
     n = ds.n_rows
     blocks, names, indices, cardinalities = [], [], [], []
-    n_onehot = 0
     for name, kind in ft.schema.columns:
         if kind in ("numeric", "binary"):
             fill, mean, std = _stats(ft, name)
@@ -625,28 +629,22 @@ def _per_column_reference(ft, ds):
             idx = [vocab.index(c) + 1 if c in vocab else 0 for c in cells[name]]
             indices.append(np.array(idx, dtype=np.int64).reshape(n, 1))
             cardinalities.append(len(vocab) + 1)
-            if ft.encoding_mode == "one_hot":
-                block = np.zeros((n, len(vocab)))
-                for i, j in enumerate(idx):
-                    if j:
-                        block[i, j - 1] = 1.0
-                blocks.append(block)
-                names.extend(f"{name}={value}" for value in vocab)
-                n_onehot += len(vocab)
+            blocks.append(np.array(idx, dtype=np.float64).reshape(n, 1))
+            names.append(name)
     dense = np.hstack(blocks) if blocks else np.zeros((n, 0))
     cat = np.hstack(indices) if indices else np.zeros((n, 0), dtype=np.int64)
     labels = np.array([c == ft.schema.positive_label for c in cells[ft.schema.target]], dtype=np.int64)
-    return dense, cat, labels, tuple(names), tuple(cardinalities), n_onehot
+    return dense, cat, labels, tuple(names), tuple(cardinalities), len(indices)
 
 
 def _assert_bitwise_equal(dm, expected):
-    dense, cat, labels, names, cardinalities, n_onehot = expected
+    dense, cat, labels, names, cardinalities, n_categorical = expected
     assert dm.dense.dtype == np.float64 and dm.dense.shape == dense.shape
     assert dm.dense.tobytes() == dense.tobytes()  # bit for bit: -0.0 is not 0.0
     assert dm.cat_indices.dtype == np.int64 and dm.cat_indices.shape == cat.shape
     assert np.array_equal(dm.cat_indices, cat)
     assert np.array_equal(dm.labels, labels) and dm.labels.dtype == np.int64
-    assert (dm.dense_names, dm.cat_cardinalities, dm.n_onehot) == (names, cardinalities, n_onehot)
+    assert (dm.dense_names, dm.cat_cardinalities, dm.n_categorical) == (names, cardinalities, n_categorical)
 
 
 def _assert_rows_match_batch(ft, ds, dm):
@@ -658,10 +656,9 @@ def _assert_rows_match_batch(ft, ds, dm):
         assert np.array_equal(one.labels, dm.labels[i : i + 1])
 
 
-@pytest.mark.parametrize("mode", ["one_hot", "label"])
-def test_apply_equals_a_per_column_reference_on_the_stroke_table(stroke_csv, stroke_schema, mode):
+def test_apply_equals_a_per_column_reference_on_the_stroke_table(stroke_csv, stroke_schema):
     train, test = stratified_split(load_csv(stroke_csv, stroke_schema), 0.2, seed=4)
-    ft, dm = fit_transform(train, mode)
+    ft, dm = fit_transform(train)
     _assert_bitwise_equal(dm, _per_column_reference(ft, train))
     dm_test = apply_transform(ft, test)
     _assert_bitwise_equal(dm_test, _per_column_reference(ft, test))
@@ -694,14 +691,14 @@ def _fit_and_apply_tables(draw):
     train_rows = [r for r in draw(st.lists(row, max_size=8)) if "zz" not in r and "" not in r]
     train = TabularDataset(schema, (first, *train_rows))
     other = TabularDataset(schema, tuple(draw(st.lists(row, max_size=10))))
-    return train, other, draw(st.sampled_from(["one_hot", "label"]))
+    return train, other
 
 
 @given(_fit_and_apply_tables())
 @settings(max_examples=200, deadline=None)
 def test_apply_equals_a_per_column_reference_on_generated_tables(tables):
-    train, other, mode = tables
-    ft, dm = fit_transform(train, mode)
+    train, other = tables
+    ft, dm = fit_transform(train)
     _assert_bitwise_equal(dm, _per_column_reference(ft, train))
     try:
         dm_other = apply_transform(ft, other)
@@ -746,7 +743,6 @@ def _at(path, value):
         (_at(("schema", "columns"), [["age", "numeric", "x"]]), "malformed transform"),
         (_at(("schema", "columns", 0, 0), 5), "must be strings"),
         (_at(("schema", "missing_token"), None), "must be strings"),
-        (_at(("encoding_mode",), "dense"), "encoding_mode must be"),
         (_at(("mean", 0), "x"), "transform 'mean' must be a flat list of numbers"),
         (_at(("fill", 0), True), "transform 'fill' must be a flat list of numbers"),
         (_at(("std", 1), False), "transform 'std' must be a flat list of numbers"),

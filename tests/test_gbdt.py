@@ -562,7 +562,7 @@ def test_early_stopping_on_the_stock_split(monkeypatch, stroke_csv):
     cfg = cli.load_run_config(Path(__file__).resolve().parents[1] / "configs" / "stroke.conf", data=stroke_csv)
     train_all, _ = stratified_split(load_csv(cfg.data, cfg.schema), cfg.test_fraction, cfg.seed)
     fit_rows, val_rows = stratified_split(train_all, cfg.val_fraction, cfg.seed + 1)  # as `run` splits
-    ft, dm = fit_transform(fit_rows, cfg.encoding_mode)
+    ft, dm = fit_transform(fit_rows)
     assert 0 < _check_early_stopping(monkeypatch, dm, cfg.gbdt, apply_transform(ft, val_rows)) < cfg.gbdt.n_trees
 
 

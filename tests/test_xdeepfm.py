@@ -32,7 +32,7 @@ from tabfusion.xdeepfm import (
     xdeepfm_from_dict,
     xdeepfm_to_dict,
 )
-from tabfusion.metrics import auc, bce, sigmoid
+from tabfusion.metrics import auc, bce
 from tabfusion.synth import write_stroke_csv
 
 
@@ -219,16 +219,16 @@ def test_forward_width_checks():
         forward(model, np.array([[1, 2]]), np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         forward(model, np.array([[1]]), np.array([[0.0]]))
-    # two dense widths are accepted: n_dense = 2, or 2 + 3 one-hot columns; any other names both
+    # two dense widths are accepted: n_dense = 2, or 2 + 1 index column; any other names both
     cat, y = np.array([[1], [3]]), np.array([0.0, 1.0])
-    for width in (0, 1, 3, 4, 6, 9):
+    for width in (0, 1, 4, 5, 6, 9):
         dense = np.zeros((2, width))
-        message = f"^expected 2 dense features per row, or 5 with the one-hot columns, got {width}$"
+        message = f"^expected 2 dense features per row, or 3 with the index columns, got {width}$"
         with pytest.raises(ValueError, match=message):
             forward(model, cat, dense)
         with pytest.raises(ValueError, match=message):
             backward(model, cat, dense, y)
-    for width in (2, 5):
+    for width in (2, 3):
         assert forward(model, cat, np.zeros((2, width))).shape == (2,)
 
 
@@ -257,7 +257,7 @@ def test_forward_in_blocks_matches_row_by_row():
 @pytest.fixture(scope="module")
 def stock_network(stroke_csv, stroke_schema):
     """The stroke fixture's fitted transform, and a network of the stock config trained on its rows."""
-    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema), "one_hot")
+    ft, dm = fit_transform(load_csv(stroke_csv, stroke_schema))
     return ft, train_xdeepfm(dm, XDeepFMConfig(seed=7))
 
 
@@ -584,7 +584,7 @@ def _rows(dm, sl):
 
 @pytest.fixture(scope="module")
 def stopping_rows(stroke_matrices):
-    """The stroke fixture's one-hot matrix as fitting rows and validation rows."""
+    """The stroke fixture's design matrix as fitting rows and validation rows."""
     dm = stroke_matrices[0]
     return _rows(dm, slice(0, 4000)), _rows(dm, slice(4000, None))
 
@@ -611,8 +611,8 @@ def test_without_validation_rows_every_epoch_runs_as_before(stopping_rows):
     """The fit that stops early on validation rows runs all its epochs without them, as the per-array reference."""
     train, val = stopping_rows
     assert train_xdeepfm(train, _STOPPING_FIT, val).config.n_epochs < _STOPPING_FIT.n_epochs
-    dense = np.ascontiguousarray(train.dense[:, : train.dense.shape[1] - train.n_onehot])
-    reference = _per_array_adam(dataclasses.replace(train, dense=dense, n_onehot=0), _STOPPING_FIT)
+    dense = np.ascontiguousarray(train.dense[:, : train.dense.shape[1] - train.n_categorical])
+    reference = _per_array_adam(dataclasses.replace(train, dense=dense, n_categorical=0), _STOPPING_FIT)
     for model in (train_xdeepfm(train, _STOPPING_FIT), train_xdeepfm(train, _STOPPING_FIT, None)):
         assert model.config == _STOPPING_FIT and model.params.tobytes() == reference.params.tobytes()
 
@@ -821,31 +821,34 @@ def test_output_width_algebra():
     assert model.head_w.shape == (p + 5,)
 
 
-# the network's input: the numeric and binary prefix of a design matrix, never its one-hot tail
+# the network's input: the numeric and binary prefix of a design matrix, never its index tail
 
 _SHORT_FIT = XDeepFMConfig(embedding_dim=3, deep_widths=(8,), n_epochs=2, seed=5)
 
 
 @pytest.fixture(scope="module")
 def stroke_matrices(stroke_csv, stroke_schema):
-    """The stroke fixture's one-hot and label-mode design matrices, and the network trained on the one-hot one."""
-    ds = load_csv(stroke_csv, stroke_schema)
-    onehot, label = fit_transform(ds, "one_hot")[1], fit_transform(ds, "label")[1]
-    return onehot, label, train_xdeepfm(onehot, _SHORT_FIT)
+    """The stroke fixture's design matrix, and the network trained on it."""
+    dm = fit_transform(load_csv(stroke_csv, stroke_schema))[1]
+    return dm, train_xdeepfm(dm, _SHORT_FIT)
 
 
-def test_network_trains_on_the_prefix_of_a_one_hot_matrix(stroke_matrices):
-    dm, _, model = stroke_matrices
-    k = dm.dense.shape[1] - dm.n_onehot
-    assert (model.n_dense, model.full_width, dm.dense.shape[1]) == (5, 21, 21)
+def test_the_network_trained_without_the_index_tail_equals_the_stock_network_bitwise(stroke_matrices):
+    """Each categorical enters once, as its embedding: cutting the index tail off changes neither fit nor scores."""
+    dm, model = stroke_matrices
+    assert (model.n_dense, model.full_width, dm.dense.shape[1], dm.n_categorical) == (5, 10, 10, 5)
     prefix = DesignMatrix(
-        np.ascontiguousarray(dm.dense[:, :k]), dm.cat_indices, dm.labels, dm.dense_names[:k], dm.cat_cardinalities
+        np.ascontiguousarray(dm.dense[:, :5]), dm.cat_indices, dm.labels, dm.dense_names[:5], dm.cat_cardinalities
     )
-    assert train_xdeepfm(prefix, _SHORT_FIT).params.tobytes() == model.params.tobytes()
+    assert prefix.n_categorical == 0
+    untailed = train_xdeepfm(prefix, _SHORT_FIT)
+    assert untailed.n_dense == model.n_dense and untailed.params.tobytes() == model.params.tobytes()
+    scores = forward(model, dm.cat_indices, dm.dense)
+    assert scores.tobytes() == forward(untailed, dm.cat_indices, prefix.dense).tobytes()
 
 
-def test_forward_on_a_one_hot_matrix_equals_forward_on_its_first_n_dense_columns(stroke_matrices):
-    dm, _, model = stroke_matrices
+def test_forward_on_a_design_matrix_equals_forward_on_its_first_n_dense_columns(stroke_matrices):
+    dm, model = stroke_matrices
     prefix = np.ascontiguousarray(dm.dense[:, : model.n_dense])
     assert forward(model, dm.cat_indices, dm.dense).tobytes() == forward(model, dm.cat_indices, prefix).tobytes()
     assert forward(model, dm.cat_indices[3], dm.dense[3]) == forward(model, dm.cat_indices[3], prefix[3])
@@ -854,49 +857,16 @@ def test_forward_on_a_one_hot_matrix_equals_forward_on_its_first_n_dense_columns
     assert full.tobytes() == backward(model, dm.cat_indices[:300], prefix[:300], y).tobytes()
 
 
-def test_one_hot_network_equals_the_label_mode_network_bitwise(stroke_matrices):
-    """Each categorical enters once, as its embedding, so both modes give the network the same input."""
-    onehot, label, model = stroke_matrices
-    assert label.n_onehot == 0 and label.dense.tobytes() == np.ascontiguousarray(onehot.dense[:, :5]).tobytes()
-    from_label = train_xdeepfm(label, _SHORT_FIT)
-    assert from_label.n_dense == model.n_dense and from_label.params.tobytes() == model.params.tobytes()
-
-
-def test_hand_built_matrix_wider_than_the_one_hot_columns_trains_on_all_of_them():
-    """With no one-hot tail declared, no column is dropped, however wide the matrix."""
+def test_hand_built_matrix_without_an_index_tail_trains_on_all_its_columns():
+    """With no index tail declared, no column is dropped, however wide the matrix."""
     xor = xor_design_matrix(n_per_cell=12, seed=2)
     rng = np.random.default_rng(6)
-    dense = rng.normal(size=(xor.labels.size, 7))  # wider than the 4 one-hot columns of two 3-entry fields
+    dense = rng.normal(size=(xor.labels.size, 7))  # wider than the 2 index columns of two fields
     dm = DesignMatrix(dense, xor.cat_indices, xor.labels, tuple("abcdefg"), xor.cat_cardinalities)
     cfg = XDeepFMConfig(embedding_dim=2, deep_widths=(4,), n_epochs=2, seed=1)
     model = train_xdeepfm(dm, cfg)
-    assert (model.n_dense, model.full_width) == (7, 11)
+    assert (model.n_dense, model.full_width) == (7, 9)
     assert model.params.tobytes() == _per_array_adam(dm, cfg).params.tobytes()
     moved = dense.copy()
     moved[:, 6] += 1.0  # the last column reaches the output
     assert not np.array_equal(forward(model, dm.cat_indices, moved), forward(model, dm.cat_indices, dense))
-
-
-def test_a_model_that_reads_the_one_hot_columns_scores_them_as_before(stroke_matrices):
-    """A model file written before the network dropped the one-hot tail has n_dense = 21, the full width.
-
-    Its h0 holds every dense column, the one-hot ones included, as when it was written; 1,000 rows are one
-    forward block, so the reference, written out here, takes the same matrix products in the same order.
-    """
-    dm, _, _ = stroke_matrices
-    old = train_xdeepfm(dataclasses.replace(dm, n_onehot=0), _SHORT_FIT)  # the layout of such a file
-    restored = xdeepfm_from_dict(json.loads(json.dumps(xdeepfm_to_dict(old))))
-    assert (restored.n_dense, restored.full_width) == (21, 37)
-    cat, dense = dm.cat_indices[:1000], dm.dense[:1000]
-    h0 = _reference_h0(restored, cat, dense)
-    h = h0
-    for layer in restored.cross_layers:
-        s = h @ layer.c
-        h = h @ layer.W.T + layer.b + s[:, None] * h0
-    a = h0
-    for layer in restored.deep.layers:
-        a = np.maximum(a @ layer.W.T + layer.b, 0.0)
-    expected = sigmoid(np.concatenate([h, a], axis=1) @ restored.head_w + restored.head_b[0])
-    assert forward(restored, cat, dense).tobytes() == np.asarray(expected).tobytes()
-    with pytest.raises(ValueError, match="expected 21 dense features per row, or 37"):
-        forward(restored, cat, dense[:, :5])
