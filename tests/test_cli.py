@@ -828,6 +828,32 @@ def test_predict_recomposes_from_component_files(completed_run, tmp_path):
     assert np.array_equal(written, recomposed)
 
 
+def test_predict_scores_a_network_file_that_reads_the_index_columns(completed_run, tmp_path):
+    """A network whose n_dense is the full dense width reads the index tail as dense inputs too.
+
+    `predict` scores it alone and in an ensemble, exit 0 and one row per data row, with the
+    probabilities the network gives the whole design matrix.
+    """
+    run = completed_run["out"]
+    doc = json.loads((run / "xdeepfm.json").read_text(encoding="utf-8"))
+    ft = transform_from_dict(doc["transform"])
+    dm = apply_transform(ft, load_csv(completed_run["data"], ft.schema))
+    wide = train_xdeepfm(dataclasses.replace(dm, n_categorical=0), xdeepfm_from_dict(doc).config)
+    assert (doc["n_dense"], wide.n_dense) == (5, dm.dense.shape[1]) and dm.n_categorical == 5
+    for name in ("gbdt.json", "ensemble.json"):
+        (tmp_path / name).write_bytes((run / name).read_bytes())
+    (tmp_path / "xdeepfm.json").write_text(json.dumps({**xdeepfm_to_dict(wide), "transform": doc["transform"]}))
+    p_xdfm = forward(xdeepfm_from_dict(json.loads((tmp_path / "xdeepfm.json").read_text())), dm.cat_indices, dm.dense)
+    alpha = json.loads((run / "ensemble.json").read_text(encoding="utf-8"))["alpha"]
+    p_gbdt = predict_gbdt(gbdt_from_dict(json.loads((run / "gbdt.json").read_text(encoding="utf-8"))), dm.dense)
+    for model, expected in (("xdeepfm.json", p_xdfm), ("ensemble.json", blend(p_gbdt, p_xdfm, alpha))):
+        out_csv = tmp_path / f"{model}.csv"
+        args = ["predict", "--model", str(tmp_path / model), "--data", str(completed_run["data"]), "--out", str(out_csv)]
+        assert cli.main(args) == 0
+        written = _read_predictions(out_csv)
+        assert written.size == 700 and np.array_equal(written, expected)
+
+
 def test_predict_zero_tree_model_is_constant(tmp_path, mini_csv):
     out = tmp_path / "out"
     config = _write_config(tmp_path, mini_csv, out, extra={"gbdt.n_trees": "0"})

@@ -16,7 +16,15 @@ from _oracles import (
     split_gain_by_objective,
 )
 from tabfusion import cli, gbdt
-from tabfusion.dataset import DesignMatrix, apply_transform, fit_transform, load_csv, stratified_split
+from tabfusion.dataset import (
+    DesignMatrix,
+    Schema,
+    TabularDataset,
+    apply_transform,
+    fit_transform,
+    load_csv,
+    stratified_split,
+)
 from tabfusion.gbdt import (
     _BLOCK_ROWS,
     _NODE_IDS,
@@ -474,6 +482,21 @@ def test_train_separable_toy_reaches_perfect_training_auc():
     dm = _dm(x, y)
     model = train_gbdt(dm, GBDTConfig(n_trees=10, max_depth=2, min_child_hessian=0.0))
     assert auc(y, predict_gbdt(model, x)) == 1.0
+
+
+def test_train_separates_a_non_monotone_categorical_on_its_index_column():
+    """The middle of three categories is the positive one: two splits on the field's one index column find it."""
+    schema = Schema(columns=(("x", "numeric"), ("c", "categorical"), ("t", "target")))
+    rows = tuple((str(i % 2), c, "1" if c == "b" else "0") for i, c in enumerate("abc" * 4))
+    ft, dm = fit_transform(TabularDataset(schema, rows))
+    assert dm.dense_names == ("x", "c") and dm.dense[:3, 1].tolist() == [1.0, 2.0, 3.0]
+    model = train_gbdt(dm, GBDTConfig(n_trees=10, max_depth=2, min_child_hessian=0.0))
+    assert auc(dm.labels, predict_gbdt(model, dm.dense)) == 1.0
+    assert feature_importance(model).tolist() == [0.0, 1.0]
+    # an unseen category takes index 0, below every seen one, so it scores as the first-seen category
+    other = apply_transform(ft, TabularDataset(schema, (("0", "zzz", "0"), ("0", "a", "0"))))
+    p = predict_gbdt(model, other.dense)
+    assert other.dense[0, 1] == 0.0 and p[0] == p[1]
 
 
 def test_train_zero_trees_predicts_base_rate():

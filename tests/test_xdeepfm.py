@@ -32,7 +32,7 @@ from tabfusion.xdeepfm import (
     xdeepfm_from_dict,
     xdeepfm_to_dict,
 )
-from tabfusion.metrics import auc, bce
+from tabfusion.metrics import auc, bce, sigmoid
 from tabfusion.synth import write_stroke_csv
 
 
@@ -870,3 +870,28 @@ def test_hand_built_matrix_without_an_index_tail_trains_on_all_its_columns():
     moved = dense.copy()
     moved[:, 6] += 1.0  # the last column reaches the output
     assert not np.array_equal(forward(model, dm.cat_indices, moved), forward(model, dm.cat_indices, dense))
+
+
+def test_a_model_that_reads_the_index_columns_scores_them_by_the_reference(stroke_matrices):
+    """A network trained with no index tail declared has n_dense = 10, the full width of the stock matrix.
+
+    Its h0 holds every dense column, the index ones included; 1,000 rows are one forward block, so the
+    reference, written out here, takes the same matrix products in the same order.
+    """
+    dm, _ = stroke_matrices
+    wide = train_xdeepfm(dataclasses.replace(dm, n_categorical=0), _SHORT_FIT)
+    restored = xdeepfm_from_dict(json.loads(json.dumps(xdeepfm_to_dict(wide))))
+    assert (restored.n_dense, restored.full_width) == (10, 15)
+    cat, dense = dm.cat_indices[:1000], dm.dense[:1000]
+    h0 = _reference_h0(restored, cat, dense)
+    h = h0
+    for layer in restored.cross_layers:
+        s = h @ layer.c
+        h = h @ layer.W.T + layer.b + s[:, None] * h0
+    a = h0
+    for layer in restored.deep.layers:
+        a = np.maximum(a @ layer.W.T + layer.b, 0.0)
+    expected = sigmoid(np.concatenate([h, a], axis=1) @ restored.head_w + restored.head_b[0])
+    assert forward(restored, cat, dense).tobytes() == np.asarray(expected).tobytes()
+    with pytest.raises(ValueError, match="expected 10 dense features per row, or 15"):
+        forward(restored, cat, dense[:, :5])
